@@ -1,20 +1,25 @@
-"""Susceptibility and group velocity of the ideal Bose gas in a box.
+"""Thermodynamic state of the ideal Bose gas, and susceptibility and group
+velocity of the gas in a box.
 
-Above Tc the Doppler-averaged response of the thermal cloud is the series
-over l of f^l/l * w(sqrt(l) zeta / A), with A = sqrt(2 K_B T/m) k_g/Gamma_ge
-the thermal Doppler width in linewidth units; below Tc the f = 1 series
-plus the zero-momentum condensate term -(chi0/zeta) n (1 - (T/Tc)^{3/2}).
+The state at one temperature (Tc, fugacity, condensate fraction) serves
+both geometries.  Above Tc the Doppler-averaged response of the thermal
+cloud in a box is the series over l of f^l/l * w(sqrt(l) zeta / A), with
+A = sqrt(2 K_B T/m) k_g/Gamma_ge the thermal Doppler width in linewidth
+units; below Tc the f = 1 series plus the zero-momentum condensate term
+-(chi0/zeta) n (1 - (T/Tc)^{3/2}).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eit_core import ComplexResponse, group_velocity_from_response, zeta
-from .errors import DomainError, SeriesCapError
+from .errors import DomainError, SeriesCapError, ValidityWarning
 from .specfun import (
     SQRT_PI,
+    ZETA_3,
     ZETA_3_2,
     Fugacity,
     faddeeva_w,
@@ -23,7 +28,16 @@ from .specfun import (
     polylog,
     polylog_tail,
 )
-from .units_params import HBAR_J_S, KB_J_PER_K, Box, chi0, probe_omega, recoil_frequency
+from .units_params import (
+    HBAR_J_S,
+    KB_J_PER_K,
+    AtomSpecies,
+    Box,
+    NumericsConfig,
+    chi0,
+    probe_omega,
+    recoil_frequency,
+)
 
 _SERIES_CHUNK = 512
 _SERIES_HEAD_MIN = 5000
@@ -36,12 +50,19 @@ _WPRIME_BOUND = 2.0
 
 
 @dataclass(frozen=True)
-class BoxThermo:
-    """Thermodynamic state of the box gas at one temperature."""
+class GasState:
+    """Thermodynamic state of the gas (box or trap) at one temperature.
 
+    It holds only what the species, geometry, numerics and temperature fix;
+    the responses take the light fields separately, so one state serves
+    every detuning of a scan.
+    """
+
+    species: AtomSpecies
+    geometry: object  # Box or HarmonicTrap
+    numerics: NumericsConfig
+    temperature_k: float
     t_c_k: float
-    a_param: float
-    a_c: float
     fugacity: Fugacity
     condensate_fraction: float
 
@@ -59,37 +80,56 @@ def tc_box(species, number_density):
     )
 
 
+def tc_trap(species, trap):
+    """K_B Tc = hbar (nu_z nu_r^2)^{1/3} (N / g_3(1))^{1/3}."""
+    nu_bar = (trap.nu_z_rad_s * trap.nu_r_rad_s**2) ** (1.0 / 3.0)
+    return HBAR_J_S * nu_bar * (trap.atom_count / ZETA_3) ** (1.0 / 3.0) / KB_J_PER_K
+
+
 def doppler_width_param(species, fields, temperature):
     """A = sqrt(2 K_B T / m) k_g / Gamma_ge (thermal Doppler width over linewidth)."""
     speed = math.sqrt(2.0 * KB_J_PER_K * temperature / species.mass_kg)
     return speed * fields.k_g_per_m / fields.gamma_ge_rad_s
 
 
-def box_thermo(config, temperature):
-    """BoxThermo at the given temperature (T = 0 allowed: pure condensate)."""
-    if not isinstance(config.geometry, Box):
-        raise ValueError("box_thermo requires a box geometry")
+def gas_state(config, temperature):
+    """GasState at the given temperature (T = 0 allowed: pure condensate).
+
+    The fugacity solves g_nu(f) = g_nu(1) (Tc/T)^nu and the condensate
+    fraction is 1 - (T/Tc)^nu, with nu = 3/2 in a box and nu = 3 in a trap.
+    A trapped gas warns where the semiclassical K_B T >> hbar nu fails.
+    """
     if temperature < 0.0:
         raise DomainError("temperature must be nonnegative, got %r" % temperature)
-    n = config.geometry.number_density_per_m3
-    t_c = tc_box(config.species, n)
+    species = config.species
+    geometry = config.geometry
+    kind = config.geometry_kind
+    if kind == "box":
+        t_c, nu = tc_box(species, geometry.number_density_per_m3), 1.5
+    else:
+        t_c, nu = tc_trap(species, geometry), 3.0
     theta = temperature / t_c
     if temperature == 0.0:
         fugacity = Fugacity(1.0)
     else:
-        fugacity = fugacity_from_temperature("box", theta, tol=config.numerics.bisection_tol)
-    a_c = (
-        2.0
-        * (config.fields.k_g_per_m / config.fields.gamma_ge_rad_s)
-        * (HBAR_J_S / config.species.mass_kg)
-        * (n / ZETA_3_2) ** (1.0 / 3.0)
-    )
-    return BoxThermo(
+        fugacity = fugacity_from_temperature(kind, theta, tol=config.numerics.bisection_tol)
+    if kind == "trap" and temperature > 0.0:
+        nu_max = max(geometry.nu_r_rad_s, geometry.nu_z_rad_s)
+        if KB_J_PER_K * temperature < 10.0 * HBAR_J_S * nu_max:
+            warnings.warn(
+                "semiclassical statistics assume K_B T >> hbar nu "
+                "(K_B T / hbar nu_max = %.3g)" % (KB_J_PER_K * temperature / (HBAR_J_S * nu_max)),
+                ValidityWarning,
+                stacklevel=2,
+            )
+    return GasState(
+        species=species,
+        geometry=geometry,
+        numerics=config.numerics,
+        temperature_k=temperature,
         t_c_k=t_c,
-        a_param=doppler_width_param(config.species, config.fields, temperature),
-        a_c=a_c,
         fugacity=fugacity,
-        condensate_fraction=max(0.0, 1.0 - theta**1.5),
+        condensate_fraction=max(0.0, 1.0 - theta**nu),
     )
 
 
@@ -111,7 +151,7 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, rel_tol):
         l = np.arange(l0, hi + 1, dtype=float)
         y = np.sqrt(l) * z_over_a
         ul = u**l
-        s_w += complex((ul / l * faddeeva_w(y, mode="exact")).sum())
+        s_w += complex((ul / l * faddeeva_w(y)).sum())
         s_wp += complex((ul / np.sqrt(l) * faddeeva_w_prime(y)).sum())
         if u < 1.0:
             # remainder bounds from |w| <= 1, |w'| <= 2 on the upper half plane
@@ -157,60 +197,64 @@ def _condensate_response(species, zeta_value, condensate_density):
     return chi_c, dchi_c
 
 
-def chi_box_exact(config, temperature):
-    """Series susceptibility of the box gas (thermal series + condensate)."""
-    thermo = box_thermo(config, temperature)
-    zv = zeta(config.fields, recoil_frequency(config.species))
-    n = config.geometry.number_density_per_m3
+def box_response(state, fields, mode="exact"):
+    """Susceptibility of the box gas in the given state under the given fields.
+
+    mode "exact" sums the Doppler series of the thermal cloud and adds the
+    condensate; "asymptotic" is the closed-form expansion in (A/zeta)^2
+    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2],
+    with f = 1 below Tc (condensate term already folded in).
+    """
+    if not isinstance(state.geometry, Box):
+        raise ValueError("box response requires a box geometry")
+    if mode not in ("exact", "asymptotic"):
+        raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
+    species = state.species
+    temperature = state.temperature_k
+    rel_tol = state.numerics.series_rel_tol
+    zv = zeta(fields, recoil_frequency(species, fields))
+    a = doppler_width_param(species, fields, temperature)
+    n = state.geometry.number_density_per_m3
+    if mode == "asymptotic":
+        x0 = chi0(species)
+        if a > 0.0:
+            ratio = abs(zv.value) / a
+            if ratio < 5.0:
+                raise DomainError(
+                    "asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % ratio
+                )
+        theta = temperature / state.t_c_k
+        correction = (
+            theta**1.5 * polylog(2.5, state.fugacity.value, rel_tol=rel_tol) / (2.0 * ZETA_3_2) * a**2
+        )
+        chi = -n * x0 * (1.0 / zv.value + correction / zv.value**3)
+        dchi = n * x0 * (1.0 / zv.value**2 + 3.0 * correction / zv.value**4) * zv.d_domega
+        return ComplexResponse(chi=chi, dchi_domega=dchi)
     chi = 0.0 + 0.0j
     dchi = 0.0 + 0.0j
     if temperature > 0.0:
-        pref = thermal_series_prefactor(config.species, temperature, thermo.a_param)
-        s_w, s_wp = thermal_response_series(
-            thermo.fugacity.value, zv.value, thermo.a_param, config.numerics.series_rel_tol
-        )
+        pref = thermal_series_prefactor(species, temperature, a)
+        s_w, s_wp = thermal_response_series(state.fugacity.value, zv.value, a, rel_tol)
         chi += pref * s_w
-        dchi += pref * (zv.d_domega / thermo.a_param) * s_wp
-    if thermo.condensate_fraction > 0.0:
-        chi_c, dchi_c = _condensate_response(config.species, zv, n * thermo.condensate_fraction)
+        dchi += pref * (zv.d_domega / a) * s_wp
+    if state.condensate_fraction > 0.0:
+        chi_c, dchi_c = _condensate_response(species, zv, n * state.condensate_fraction)
         chi += chi_c
         dchi += dchi_c
     return ComplexResponse(chi=chi, dchi_domega=dchi)
 
 
+def chi_box_exact(config, temperature):
+    """Series susceptibility of the box gas (thermal series + condensate)."""
+    return box_response(gas_state(config, temperature), config.fields)
+
+
 def chi_box_asymptotic(config, temperature):
-    """Closed-form expansion of chi_box_exact in powers of (A/zeta)^2:
-    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2],
-    with f = 1 below Tc (condensate term already folded in)."""
-    thermo = box_thermo(config, temperature)
-    zv = zeta(config.fields, recoil_frequency(config.species))
-    n = config.geometry.number_density_per_m3
-    x0 = chi0(config.species)
-    a = thermo.a_param
-    if a > 0.0:
-        ratio = abs(zv.value) / a
-        if ratio < 5.0:
-            raise DomainError(
-                "asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % ratio
-            )
-    theta = temperature / thermo.t_c_k
-    correction = (
-        theta**1.5
-        * polylog(2.5, thermo.fugacity.value, rel_tol=config.numerics.series_rel_tol)
-        / (2.0 * ZETA_3_2)
-        * a**2
-    )
-    chi = -n * x0 * (1.0 / zv.value + correction / zv.value**3)
-    dchi = n * x0 * (1.0 / zv.value**2 + 3.0 * correction / zv.value**4) * zv.d_domega
-    return ComplexResponse(chi=chi, dchi_domega=dchi)
+    """Closed-form expansion of chi_box_exact in powers of (A/zeta)^2."""
+    return box_response(gas_state(config, temperature), config.fields, mode="asymptotic")
 
 
 def vg_box(config, temperature, mode="exact"):
     """Group velocity of the probe in the box gas (m/s)."""
-    if mode == "exact":
-        resp = chi_box_exact(config, temperature)
-    elif mode == "asymptotic":
-        resp = chi_box_asymptotic(config, temperature)
-    else:
-        raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
+    resp = box_response(gas_state(config, temperature), config.fields, mode=mode)
     return group_velocity_from_response(resp, probe_omega(config.species))

@@ -15,25 +15,17 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from .box_gas import chi_box_asymptotic, chi_box_exact, box_thermo, tc_box, vg_box
+from . import __version__
+from .box_gas import box_response, gas_state, tc_box, tc_trap
+from .eit_core import group_velocity_from_response
 from .errors import ConfigError, PhysicsError, PoleError, UsageError
 from .tf_model import hau_group_velocity, ideal_t0_density, tf_geometry, tf_t0_density
-from .trap_gas import (
-    PinholeSpec,
-    chi_trap_local,
-    ground_state_size,
-    mean_delay,
-    tc_trap,
-    trap_thermo,
-)
+from .trap_gas import PinholeSpec, ground_state_size, trap_mean_delay, trap_response
 from .units_params import Box, dipole_moment_sq, load_config, probe_omega
-
-TOOL_VERSION = "0.1.0"
 
 DEFAULT_CONFIG_TEXT = """\
 # reference sodium slow-light experiment; carries parameters for both
@@ -86,7 +78,7 @@ def _apply_omega_override(config, omega_coupling_gamma):
 
 
 def _metadata_line(config_sha256):
-    return "# config_sha256=%s tool_version=%s" % (config_sha256, TOOL_VERSION)
+    return "# config_sha256=%s tool_version=%s" % (config_sha256, __version__)
 
 
 def _write_text(path, text):
@@ -140,21 +132,17 @@ def cmd_sweep(args):
     def _point(theta):
         temperature = theta * t_c
         try:
+            state = gas_state(config, temperature)
             if is_box:
-                thermo = box_thermo(config, temperature)
-                if args.mode == "asymptotic":
-                    resp = chi_box_asymptotic(config, temperature)
-                else:
-                    resp = chi_box_exact(config, temperature)
-                v_g = vg_box(config, temperature, mode=args.mode)
-                return (theta, temperature, thermo.fugacity.value, resp.chi.real, resp.chi.imag, 0.0, 0.0, v_g)
-            thermo = trap_thermo(config, temperature)
-            resp = chi_trap_local(config, temperature, 0.0)
-            delays = mean_delay(config, temperature, pinhole, fc_mode=args.fc_mode)
+                resp = box_response(state, config.fields, mode=args.mode)
+                v_g = group_velocity_from_response(resp, probe_omega(config.species))
+                return (theta, temperature, state.fugacity.value, resp.chi.real, resp.chi.imag, 0.0, 0.0, v_g)
+            resp = trap_response(state, config.fields, 0.0)
+            delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode)
             return (
                 theta,
                 temperature,
-                thermo.fugacity.value,
+                state.fugacity.value,
                 resp.chi.real,
                 resp.chi.imag,
                 delays.mean_delay_s,
@@ -164,13 +152,7 @@ def cmd_sweep(args):
         except PhysicsError as exc:
             raise _annotate(exc, theta, temperature) from exc
 
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    if args.jobs == 1:
-        rows = [_point(theta) for theta in thetas]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_point, thetas))
+    rows = [_point(theta) for theta in thetas]
 
     lines = [_metadata_line(digest), _CSV_HEADER]
     for row in rows:
@@ -191,16 +173,16 @@ def cmd_chi(args):
     temperature = args.temperature_nk * 1e-9
     gamma_total = config.species.gamma_total_rad_s
     detunings = np.linspace(args.d_min, args.d_max, args.d_points)
+    state = gas_state(config, temperature)
 
     rows = []
     for d_gamma in detunings:
         fields = replace(config.fields, detuning_g0_rad_s=d_gamma * gamma_total)
-        point_config = replace(config, fields=fields)
         try:
             if isinstance(config.geometry, Box):
-                resp = chi_box_exact(point_config, temperature)
+                resp = box_response(state, fields)
             else:
-                resp = chi_trap_local(point_config, temperature, 0.0)
+                resp = trap_response(state, fields, 0.0)
             chi = resp.chi
         except PoleError as exc:
             # Gamma_gr = 0 on the exact two-photon resonance is the
@@ -281,7 +263,6 @@ def _build_parser():
     pin.add_argument("--pinhole-radius-um", type=float, help="fixed pinhole radius in um (default 15)")
     pin.add_argument("--pinhole-thermal", action="store_true", help="pinhole at the thermal radius sqrt(K_B T/m nu_r^2)")
     sweep.add_argument("--omega-coupling-gamma", type=float, help="override coupling Rabi frequency, in units of gamma")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     sweep.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -140,16 +140,11 @@ def polylog_tail(nu, f, l_start, rel_tol=1e-12, l_max=10**6):
     return head + _em_tail(nu, f, _EM_HEAD_TERMS)
 
 
-def _w_two_term(y):
-    return (1j / (SQRT_PI * y)) * (1.0 + 0.5 / (y * y))
-
-
-def faddeeva_w(y, mode="auto", switch_radius=10.0):
+def faddeeva_w(y, mode="exact"):
     """Faddeeva function w(y) = exp(-y^2)(1 + erf(iy)).
 
     mode "exact" evaluates everywhere; "asymptotic" returns the two-term
-    expansion i/(sqrt(pi) y) (1 + 1/(2 y^2)), valid for |y| >= 2, Im y > 0;
-    "auto" uses the expansion once |y| >= switch_radius.
+    expansion i/(sqrt(pi) y) (1 + 1/(2 y^2)), valid for |y| >= 2, Im y > 0.
     """
     arr = np.asarray(y, dtype=complex)
     scalar = arr.ndim == 0
@@ -161,19 +156,9 @@ def faddeeva_w(y, mode="auto", switch_radius=10.0):
             raise DomainError("two-term w expansion requires |y| >= 2")
         if np.any(a.imag <= 0.0):
             raise DomainError("w expansion requires Im y > 0")
-        out = _w_two_term(a)
-    elif mode == "auto":
-        out = np.empty_like(a)
-        big = np.abs(a) >= switch_radius
-        if big.any():
-            if np.any(a[big].imag <= 0.0):
-                raise DomainError("w expansion requires Im y > 0")
-            out[big] = _w_two_term(a[big])
-        small = ~big
-        if small.any():
-            out[small] = sc.wofz(a[small])
+        out = (1j / (SQRT_PI * a)) * (1.0 + 0.5 / (a * a))
     else:
-        raise ValueError("mode must be 'exact', 'asymptotic' or 'auto'")
+        raise ValueError("mode must be 'exact' or 'asymptotic'")
     return complex(out[0]) if scalar else out.reshape(arr.shape)
 
 

@@ -8,16 +8,15 @@ generalized linewidth), the regime of the underlying expansion.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .box_gas import doppler_width_param
+from .box_gas import doppler_width_param, gas_state, tc_trap
 from .eit_core import ComplexResponse, zeta
-from .errors import DomainError, ValidityWarning
-from .specfun import ZETA_3, Fugacity, fugacity_from_temperature, polylog
+from .errors import DomainError
+from .specfun import polylog
 from .units_params import (
     C_M_S,
     HBAR_J_S,
@@ -30,19 +29,6 @@ from .units_params import (
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-@dataclass(frozen=True)
-class TrapThermo:
-    """Thermodynamic state of the trapped gas at one temperature."""
-
-    t_c_k: float
-    fugacity: Fugacity
-    condensate_fraction: float
-    d_z_m: float
-    d_r_m: float
-    a0_r_m: float
-    a0_z_m: float
 
 
 @dataclass(frozen=True)
@@ -74,12 +60,6 @@ class DelayResult:
     branch: str
 
 
-def tc_trap(species, trap):
-    """K_B Tc = hbar (nu_z nu_r^2)^{1/3} (N / g_3(1))^{1/3}."""
-    nu_bar = (trap.nu_z_rad_s * trap.nu_r_rad_s**2) ** (1.0 / 3.0)
-    return HBAR_J_S * nu_bar * (trap.atom_count / ZETA_3) ** (1.0 / 3.0) / KB_J_PER_K
-
-
 def ground_state_size(species, nu):
     """Oscillator ground-state size a_0 = sqrt(hbar / m nu)."""
     return math.sqrt(HBAR_J_S / (species.mass_kg * nu))
@@ -92,21 +72,12 @@ def thermal_radius(species, trap, temperature):
     return math.sqrt(KB_J_PER_K * temperature / (species.mass_kg * trap.nu_r_rad_s**2))
 
 
-def _require_trap(config):
-    if not isinstance(config.geometry, HarmonicTrap):
+def _require_trap(geometry):
+    if not isinstance(geometry, HarmonicTrap):
         raise ValueError("operation requires a harmonic-trap geometry")
 
 
-def cloud_size(config, temperature):
-    """Axial cloud size D_z: sqrt(2 K_B T / m nu_z^2) above Tc, and
-    sqrt(2) [ (T/Tc)^3 R_+^2 + (1-(T/Tc)^3) a_0z^2 ]^{1/2} below, with
-    R_+^2 = K_B T/(m nu_z^2) so the two branches meet at Tc."""
-    _require_trap(config)
-    if temperature < 0.0:
-        raise DomainError("temperature must be nonnegative, got %r" % temperature)
-    trap = config.geometry
-    species = config.species
-    t_c = tc_trap(species, trap)
+def _cloud_size(species, trap, temperature, t_c):
     r_plus_sq = KB_J_PER_K * temperature / (species.mass_kg * trap.nu_z_rad_s**2)
     if temperature >= t_c:
         return math.sqrt(2.0 * r_plus_sq)
@@ -115,137 +86,126 @@ def cloud_size(config, temperature):
     return math.sqrt(2.0 * (theta3 * r_plus_sq + (1.0 - theta3) * a0z**2))
 
 
-def trap_thermo(config, temperature):
-    """TrapThermo at the given temperature (T = 0 allowed: pure condensate)."""
-    _require_trap(config)
+def cloud_size(config, temperature):
+    """Axial cloud size D_z: sqrt(2 K_B T / m nu_z^2) above Tc, and
+    sqrt(2) [ (T/Tc)^3 R_+^2 + (1-(T/Tc)^3) a_0z^2 ]^{1/2} below, with
+    R_+^2 = K_B T/(m nu_z^2) so the two branches meet at Tc."""
+    _require_trap(config.geometry)
     if temperature < 0.0:
         raise DomainError("temperature must be nonnegative, got %r" % temperature)
-    trap = config.geometry
-    species = config.species
-    t_c = tc_trap(species, trap)
-    theta = temperature / t_c
-    if temperature == 0.0:
-        fugacity = Fugacity(1.0)
-    else:
-        fugacity = fugacity_from_temperature("trap", theta, tol=config.numerics.bisection_tol)
-        nu_max = max(trap.nu_r_rad_s, trap.nu_z_rad_s)
-        if KB_J_PER_K * temperature < 10.0 * HBAR_J_S * nu_max:
-            warnings.warn(
-                "semiclassical statistics assume K_B T >> hbar nu "
-                "(K_B T / hbar nu_max = %.3g)" % (KB_J_PER_K * temperature / (HBAR_J_S * nu_max)),
-                ValidityWarning,
-                stacklevel=2,
-            )
-    return TrapThermo(
-        t_c_k=t_c,
-        fugacity=fugacity,
-        condensate_fraction=max(0.0, 1.0 - theta**3),
-        d_z_m=cloud_size(config, temperature),
-        d_r_m=math.sqrt(2.0 * KB_J_PER_K * temperature / (species.mass_kg * trap.nu_r_rad_s**2)),
-        a0_r_m=ground_state_size(species, trap.nu_r_rad_s),
-        a0_z_m=ground_state_size(species, trap.nu_z_rad_s),
+    return _cloud_size(config.species, config.geometry, temperature, tc_trap(config.species, config.geometry))
+
+
+def _zeta_and_width(state, fields):
+    """zeta of the fields and the Doppler width A at the state's temperature."""
+    species = state.species
+    return (
+        zeta(fields, recoil_frequency(species, fields)),
+        doppler_width_param(species, fields, state.temperature_k),
     )
 
 
-class _LocalResponse:
-    """Per-(config, T) evaluator of the local response; hoists the fugacity
-    solve, zeta, and all temperature-only factors out of quadrature loops."""
+def _local_response(state, zv, a_param, r, z):
+    species = state.species
+    trap = state.geometry
+    temperature = state.temperature_k
+    x0 = chi0(species)
+    zval = zv.value
+    dz_domega = zv.d_domega
+    chi = 0.0 + 0.0j
+    dchi = 0.0 + 0.0j
+    if temperature > 0.0:
+        mass = species.mass_kg
+        beta = 1.0 / (KB_J_PER_K * temperature)
+        lam = (mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
+        potential = 0.5 * mass * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
+        u = state.fugacity.value * math.exp(-beta * potential)
+        rel_tol = state.numerics.series_rel_tol
+        g32 = polylog(1.5, u, rel_tol=rel_tol)
+        g52 = polylog(2.5, u, rel_tol=rel_tol)
+        a_sq = a_param**2
+        chi += -x0 * lam * (g32 / zval + 0.5 * g52 * a_sq / zval**3)
+        dchi += x0 * lam * dz_domega * (g32 / zval**2 + 1.5 * g52 * a_sq / zval**4)
+    if state.condensate_fraction > 0.0:
+        a0r = ground_state_size(species, trap.nu_r_rad_s)
+        a0z = ground_state_size(species, trap.nu_z_rad_s)
+        n0 = (
+            trap.atom_count
+            * state.condensate_fraction
+            * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
+            / (math.pi**1.5 * a0r**2 * a0z)
+        )
+        chi += -x0 * n0 / zval
+        dchi += x0 * n0 * dz_domega / zval**2
+    return ComplexResponse(chi=chi, dchi_domega=dchi)
 
-    def __init__(self, config, temperature):
-        self.config = config
-        self.temperature = temperature
-        self.thermo = trap_thermo(config, temperature)
-        self.zv = zeta(config.fields, recoil_frequency(config.species))
-        self.x0 = chi0(config.species)
-        self.omega = probe_omega(config.species)
-        self.rel_tol = config.numerics.series_rel_tol
-        species = config.species
-        trap = config.geometry
-        self.mass = species.mass_kg
-        self.nu_r = trap.nu_r_rad_s
-        self.nu_z = trap.nu_z_rad_s
-        self.atom_count = trap.atom_count
-        if temperature > 0.0:
-            self.beta = 1.0 / (KB_J_PER_K * temperature)
-            self.lam = (self.mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
-            self.a_param = doppler_width_param(species, config.fields, temperature)
 
-    def chi(self, r, z):
-        zval = self.zv.value
-        dz_domega = self.zv.d_domega
-        chi = 0.0 + 0.0j
-        dchi = 0.0 + 0.0j
-        if self.temperature > 0.0:
-            potential = 0.5 * self.mass * (self.nu_r**2 * r**2 + self.nu_z**2 * z**2)
-            u = self.thermo.fugacity.value * math.exp(-self.beta * potential)
-            g32 = polylog(1.5, u, rel_tol=self.rel_tol)
-            g52 = polylog(2.5, u, rel_tol=self.rel_tol)
-            a_sq = self.a_param**2
-            chi += -self.x0 * self.lam * (g32 / zval + 0.5 * g52 * a_sq / zval**3)
-            dchi += self.x0 * self.lam * dz_domega * (g32 / zval**2 + 1.5 * g52 * a_sq / zval**4)
-        if self.thermo.condensate_fraction > 0.0:
-            n0 = (
-                self.atom_count
-                * self.thermo.condensate_fraction
-                * math.exp(-(r / self.thermo.a0_r_m) ** 2 - (z / self.thermo.a0_z_m) ** 2)
-                / (math.pi**1.5 * self.thermo.a0_r_m**2 * self.thermo.a0_z_m)
-            )
-            chi += -self.x0 * n0 / zval
-            dchi += self.x0 * n0 * dz_domega / zval**2
-        return ComplexResponse(chi=chi, dchi_domega=dchi)
-
-    def inverse_velocity_excess(self, r, z):
-        """1/v_g(r, z) - 1/c = (2 pi Re chi + 2 pi omega Re dchi/domega)/c."""
-        resp = self.chi(r, z)
-        return TWO_PI * (resp.chi.real + self.omega * resp.dchi_domega.real) / C_M_S
-
-    def delay_at_radius(self, r, path_half_length_m):
-        if not math.isinf(path_half_length_m):
-            value, _ = integrate.quad(
-                lambda zz: self.inverse_velocity_excess(r, zz),
-                0.0,
-                path_half_length_m,
-                epsabs=0.0,
-                epsrel=self.config.numerics.quad_rel_tol,
-                limit=200,
-            )
-            return 2.0 * value
-        zval = self.zv.value
-        delay = 0.0
-        if self.temperature > 0.0:
-            y_r = self.thermo.fugacity.value * math.exp(
-                -0.5 * self.beta * self.mass * self.nu_r**2 * r**2
-            )
-            g2 = polylog(2.0, y_r, rel_tol=self.rel_tol)
-            g3 = polylog(3.0, y_r, rel_tol=self.rel_tol)
-            kernel = self.zv.d_domega * (g2 / zval**2 + 1.5 * self.a_param**2 * g3 / zval**4)
-            delay += (
-                (self.omega / C_M_S)
-                * self.mass
-                * (KB_J_PER_K * self.temperature) ** 2
-                / (HBAR_J_S**3 * self.nu_z)
-                * self.x0
-                * kernel.real
-            )
-        if self.thermo.condensate_fraction > 0.0:
-            column = (
-                self.atom_count
-                * self.thermo.condensate_fraction
-                * math.exp(-(r / self.thermo.a0_r_m) ** 2)
-                / (math.pi * self.thermo.a0_r_m**2)
-            )
-            delay += TWO_PI * (self.omega / C_M_S) * self.x0 * (self.zv.d_domega / zval**2).real * column
-        return delay
+def trap_response(state, fields, r):
+    """Susceptibility of the trapped gas in the given state, in the plane
+    z = 0 at radial distance r:
+    -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2}(f e^{-beta V}) +
+    g_{5/2}(f e^{-beta V}) A^2/(2 zeta^2)] plus the condensate term below Tc."""
+    _require_trap(state.geometry)
+    if r < 0.0:
+        raise DomainError("radial position must be nonnegative, got %r" % r)
+    zv, a_param = _zeta_and_width(state, fields)
+    return _local_response(state, zv, a_param, r, 0.0)
 
 
 def chi_trap_local(config, temperature, r):
-    """Susceptibility in the plane z = 0 at radial distance r:
-    -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2}(f e^{-beta V}) +
-    g_{5/2}(f e^{-beta V}) A^2/(2 zeta^2)] plus the condensate term below Tc."""
-    _require_trap(config)
-    if r < 0.0:
-        raise DomainError("radial position must be nonnegative, got %r" % r)
-    return _LocalResponse(config, temperature).chi(r, 0.0)
+    """Susceptibility in the plane z = 0 at radial distance r (see trap_response)."""
+    return trap_response(gas_state(config, temperature), config.fields, r)
+
+
+def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
+    species = state.species
+    trap = state.geometry
+    temperature = state.temperature_k
+    omega = probe_omega(species)
+    if not math.isinf(path_half_length_m):
+
+        def inverse_velocity_excess(z):
+            # 1/v_g(r, z) - 1/c = (2 pi Re chi + 2 pi omega Re dchi/domega)/c
+            resp = _local_response(state, zv, a_param, r, z)
+            return TWO_PI * (resp.chi.real + omega * resp.dchi_domega.real) / C_M_S
+
+        value, _ = integrate.quad(
+            inverse_velocity_excess,
+            0.0,
+            path_half_length_m,
+            epsabs=0.0,
+            epsrel=state.numerics.quad_rel_tol,
+            limit=200,
+        )
+        return 2.0 * value
+    x0 = chi0(species)
+    zval = zv.value
+    delay = 0.0
+    if temperature > 0.0:
+        rel_tol = state.numerics.series_rel_tol
+        beta = 1.0 / (KB_J_PER_K * temperature)
+        y_r = state.fugacity.value * math.exp(-0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * r**2)
+        g2 = polylog(2.0, y_r, rel_tol=rel_tol)
+        g3 = polylog(3.0, y_r, rel_tol=rel_tol)
+        kernel = zv.d_domega * (g2 / zval**2 + 1.5 * a_param**2 * g3 / zval**4)
+        delay += (
+            (omega / C_M_S)
+            * species.mass_kg
+            * (KB_J_PER_K * temperature) ** 2
+            / (HBAR_J_S**3 * trap.nu_z_rad_s)
+            * x0
+            * kernel.real
+        )
+    if state.condensate_fraction > 0.0:
+        a0r = ground_state_size(species, trap.nu_r_rad_s)
+        column = (
+            trap.atom_count
+            * state.condensate_fraction
+            * math.exp(-(r / a0r) ** 2)
+            / (math.pi * a0r**2)
+        )
+        delay += TWO_PI * (omega / C_M_S) * x0 * (zv.d_domega / zval**2).real * column
+    return delay
 
 
 def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
@@ -257,28 +217,32 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     condensate line integral below Tc.  Finite path: adaptive z-quadrature of
     1/v_g - 1/c (the L/c vacuum term is subtracted by construction).
     """
-    _require_trap(config)
+    _require_trap(config.geometry)
     if r < 0.0:
         raise DomainError("radial position must be nonnegative, got %r" % r)
     if not math.isinf(path_half_length_m) and not path_half_length_m > 0.0:
         raise DomainError("path_half_length_m must be positive")
-    return _LocalResponse(config, temperature).delay_at_radius(r, path_half_length_m)
+    state = gas_state(config, temperature)
+    zv, a_param = _zeta_and_width(state, config.fields)
+    return _delay_at_radius(state, zv, a_param, r, path_half_length_m)
 
 
-def _condensate_section_factor(thermo, radius, path_half_length_m, fc_mode):
+def _condensate_section_factor(state, radius, path_half_length_m, fc_mode):
     """F_C: paper mode 2/(pi R^2); exact mode the closed Gaussian integral
     (1/(pi R^2))(1 - e^{-R^2/a0r^2}) erf(L/a0z)."""
     if fc_mode == "paper":
         return 2.0 / (math.pi * radius**2)
-    if fc_mode == "exact":
-        erf_term = 1.0 if math.isinf(path_half_length_m) else math.erf(path_half_length_m / thermo.a0_z_m)
-        return (1.0 - math.exp(-(radius / thermo.a0_r_m) ** 2)) * erf_term / (math.pi * radius**2)
-    raise ValueError("fc_mode must be 'paper' or 'exact', got %r" % fc_mode)
+    species = state.species
+    a0r = ground_state_size(species, state.geometry.nu_r_rad_s)
+    a0z = ground_state_size(species, state.geometry.nu_z_rad_s)
+    erf_term = 1.0 if math.isinf(path_half_length_m) else math.erf(path_half_length_m / a0z)
+    return (1.0 - math.exp(-(radius / a0r) ** 2)) * erf_term / (math.pi * radius**2)
 
 
-def mean_delay(config, temperature, pinhole, fc_mode="paper"):
-    """Uniform average of delay_at_radius over the section of radius R:
-    <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a DelayResult.
+def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
+    """Uniform average of the delay over the section of radius R in the
+    given state: <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a
+    DelayResult.
 
     Infinite path, thermal part: the closed form
     2 pi (omega/c) chi0 ((K_B T)^3/(hbar^3 nu_z nu_r^2)) (1/(pi R^2))
@@ -288,68 +252,72 @@ def mean_delay(config, temperature, pinhole, fc_mode="paper"):
     Finite path: 64-point Gauss-Legendre radial average of the z-quadrature
     delays (vacuum-subtracted; fc_mode does not apply).
     """
-    _require_trap(config)
-    if temperature < 0.0:
-        raise DomainError("temperature must be nonnegative, got %r" % temperature)
+    _require_trap(state.geometry)
     if fc_mode not in ("paper", "exact"):
         raise ValueError("fc_mode must be 'paper' or 'exact', got %r" % fc_mode)
-    local = _LocalResponse(config, temperature)
-    thermo = local.thermo
-    species = config.species
-    trap = config.geometry
+    species = state.species
+    trap = state.geometry
+    temperature = state.temperature_k
     if pinhole.radius_mode == "thermal":
         radius = thermal_radius(species, trap, temperature)
     else:
         radius = pinhole.radius_m
     half_length = pinhole.path_half_length_m
+    zv, a_param = _zeta_and_width(state, fields)
 
     if not math.isinf(half_length):
         # average = (2/R^2) int_0^R r dt(r) dr on a fixed Gauss-Legendre rule
         total = 0.0
         for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
             ri = 0.5 * radius * (xi + 1.0)
-            total += wi * ri * local.delay_at_radius(ri, half_length)
+            total += wi * ri * _delay_at_radius(state, zv, a_param, ri, half_length)
         delay = total / radius
     else:
-        zval = local.zv.value
+        omega = probe_omega(species)
+        x0 = chi0(species)
+        zval = zv.value
         delay = 0.0
         if temperature > 0.0:
-            f = thermo.fugacity.value
-            shrink = math.exp(-0.5 * local.beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2)
-            rel_tol = local.rel_tol
+            f = state.fugacity.value
+            beta = 1.0 / (KB_J_PER_K * temperature)
+            shrink = math.exp(-0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2)
+            rel_tol = state.numerics.series_rel_tol
             g3_diff = polylog(3.0, f, rel_tol=rel_tol) - polylog(3.0, f * shrink, rel_tol=rel_tol)
             g4_diff = polylog(4.0, f, rel_tol=rel_tol) - polylog(4.0, f * shrink, rel_tol=rel_tol)
-            kernel = local.zv.d_domega * (
-                g3_diff / zval**2 + 1.5 * local.a_param**2 * g4_diff / zval**4
-            )
+            kernel = zv.d_domega * (g3_diff / zval**2 + 1.5 * a_param**2 * g4_diff / zval**4)
             delay += (
                 TWO_PI
-                * (local.omega / C_M_S)
-                * local.x0
+                * (omega / C_M_S)
+                * x0
                 * (KB_J_PER_K * temperature) ** 3
                 / (HBAR_J_S**3 * trap.nu_z_rad_s * trap.nu_r_rad_s**2)
                 / (math.pi * radius**2)
                 * kernel.real
             )
-        if thermo.condensate_fraction > 0.0:
-            section = _condensate_section_factor(thermo, radius, half_length, fc_mode)
+        if state.condensate_fraction > 0.0:
+            section = _condensate_section_factor(state, radius, half_length, fc_mode)
             delay += (
                 TWO_PI
-                * (local.omega / C_M_S)
-                * local.x0
-                * (local.zv.d_domega / zval**2).real
+                * (omega / C_M_S)
+                * x0
+                * (zv.d_domega / zval**2).real
                 * trap.atom_count
-                * thermo.condensate_fraction
+                * state.condensate_fraction
                 * section
             )
 
-    d_z = cloud_size(config, temperature)
+    d_z = _cloud_size(species, trap, temperature, state.t_c_k)
     return DelayResult(
         mean_delay_s=delay,
         cloud_size_m=d_z,
         group_velocity_m_s=d_z / delay,
-        branch="above" if temperature > thermo.t_c_k else "below",
+        branch="above" if temperature > state.t_c_k else "below",
     )
+
+
+def mean_delay(config, temperature, pinhole, fc_mode="paper"):
+    """Pinhole-averaged delay at the given temperature (see trap_mean_delay)."""
+    return trap_mean_delay(gas_state(config, temperature), config.fields, pinhole, fc_mode=fc_mode)
 
 
 def vg_trap(config, temperature, pinhole, fc_mode="paper"):

@@ -16,7 +16,7 @@ load); everything else is plain SI.  Unknown keys are rejected.
 """
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 import warnings
 
 from .errors import ConfigError, ValidityWarning
@@ -84,7 +84,6 @@ class FieldParams:
     gamma_re_rad_s: float
     gamma_gr_rad_s: float
     k_g_per_m: float
-    k_r_per_m: float
 
     def __post_init__(self):
         if not self.gamma_ge_rad_s > 0:
@@ -95,8 +94,8 @@ class FieldParams:
             raise ConfigError("fields.gamma_re_rad must be nonnegative")
         if self.omega_coupling_rad_s < 0:
             raise ConfigError("fields.omega_coupling_rad must be nonnegative")
-        if not self.k_g_per_m > 0 or not self.k_r_per_m > 0:
-            raise ConfigError("fields.k_g_per_m and fields.k_r_per_m must be positive")
+        if not self.k_g_per_m > 0:
+            raise ConfigError("fields.k_g_per_m must be positive")
 
 
 @dataclass(frozen=True)
@@ -129,13 +128,11 @@ class HarmonicTrap:
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Numerical knobs: series termination, quadrature tolerance, the |y|
-    above which the two-term Faddeeva expansion is used, and the fugacity
-    bisection tolerance."""
+    """Numerical knobs: series termination, quadrature tolerance and the
+    fugacity bisection tolerance."""
 
     series_rel_tol: float = 1e-12
     quad_rel_tol: float = 1e-10
-    faddeeva_switch_radius: float = 10.0
     bisection_tol: float = 1e-13
 
     def __post_init__(self):
@@ -143,8 +140,6 @@ class NumericsConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError("numerics.%s must lie in (0, 1)" % name)
-        if not self.faddeeva_switch_radius >= 5.0:
-            raise ConfigError("numerics.faddeeva_switch_radius must be at least 5")
 
 
 @dataclass(frozen=True)
@@ -161,10 +156,9 @@ class ExperimentConfig:
         return "box" if isinstance(self.geometry, Box) else "trap"
 
 
-def recoil_frequency(species):
-    """Recoil frequency omega_R = hbar k_g^2 / 2m (rad/s), k_g = 2 pi/lambda."""
-    k_g = TWO_PI / species.wavelength_ge_m
-    return HBAR_J_S * k_g**2 / (2.0 * species.mass_kg)
+def recoil_frequency(species, fields):
+    """Recoil frequency omega_R = hbar k_g^2 / 2m (rad/s) of the probe wave number."""
+    return HBAR_J_S * fields.k_g_per_m**2 / (2.0 * species.mass_kg)
 
 
 def chi0(species):
@@ -205,7 +199,6 @@ _FIELDS_KEYS = {
     "fields.gamma_re": "freq",
     "fields.gamma_gr": "freq",
     "fields.k_g_per_m": "float",
-    "fields.k_r_per_m": "float",
 }
 _GEOMETRY_KEYS = {
     "geometry.kind": "str",
@@ -217,7 +210,6 @@ _GEOMETRY_KEYS = {
 _NUMERICS_KEYS = {
     "numerics.series_rel_tol": "float",
     "numerics.quad_rel_tol": "float",
-    "numerics.faddeeva_switch_radius": "float",
     "numerics.bisection_tol": "float",
 }
 _SCHEMA = {}
@@ -335,7 +327,6 @@ def load_config(text, geometry_kind=None):
         omega_coupling = parsed["fields.omega_coupling"]
     else:
         omega_coupling = parsed.get("fields.omega_coupling_gamma", DEFAULT_OMEGA_COUPLING_GAMMA) * gamma_total
-    k_default = TWO_PI / species.wavelength_ge_m
     field_params = FieldParams(
         omega_coupling_rad_s=omega_coupling,
         detuning_g0_rad_s=parsed.get("fields.detuning_g0", 0.0),
@@ -343,8 +334,7 @@ def load_config(text, geometry_kind=None):
         gamma_ge_rad_s=parsed.get("fields.gamma_ge", gamma_total / 2.0),
         gamma_re_rad_s=parsed.get("fields.gamma_re", gamma_total / 2.0),
         gamma_gr_rad_s=parsed.get("fields.gamma_gr", DEFAULT_GAMMA_GR_RAD_S),
-        k_g_per_m=parsed.get("fields.k_g_per_m", k_default),
-        k_r_per_m=parsed.get("fields.k_r_per_m", k_default),
+        k_g_per_m=parsed.get("fields.k_g_per_m", TWO_PI / species.wavelength_ge_m),
     )
 
     # geometry
@@ -370,9 +360,6 @@ def load_config(text, geometry_kind=None):
     numerics = NumericsConfig(
         series_rel_tol=parsed.get("numerics.series_rel_tol", NumericsConfig.series_rel_tol),
         quad_rel_tol=parsed.get("numerics.quad_rel_tol", NumericsConfig.quad_rel_tol),
-        faddeeva_switch_radius=parsed.get(
-            "numerics.faddeeva_switch_radius", NumericsConfig.faddeeva_switch_radius
-        ),
         bisection_tol=parsed.get("numerics.bisection_tol", NumericsConfig.bisection_tol),
     )
 
@@ -420,16 +407,8 @@ def serialize_config(config):
     lines.append("fields.gamma_re_rad = %r" % config.fields.gamma_re_rad_s)
     lines.append("fields.gamma_gr_rad = %r" % config.fields.gamma_gr_rad_s)
     lines.append("fields.k_g_per_m = %r" % config.fields.k_g_per_m)
-    lines.append("fields.k_r_per_m = %r" % config.fields.k_r_per_m)
     lines.append("numerics.series_rel_tol = %r" % config.numerics.series_rel_tol)
     lines.append("numerics.quad_rel_tol = %r" % config.numerics.quad_rel_tol)
-    lines.append("numerics.faddeeva_switch_radius = %r" % config.numerics.faddeeva_switch_radius)
     lines.append("numerics.bisection_tol = %r" % config.numerics.bisection_tol)
     return "\n".join(lines) + "\n"
 
-
-def unit_suffix_fields(datacls):
-    """Names of the dimensionful fields of a parameter dataclass (everything
-    except explicitly dimensionless counts); used by the unit-audit tests."""
-    dimensionless = {"atom_count", "series_rel_tol", "quad_rel_tol", "faddeeva_switch_radius", "bisection_tol"}
-    return [f.name for f in dataclass_fields(datacls) if f.name not in dimensionless]

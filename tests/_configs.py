@@ -33,17 +33,17 @@ def trap_config(**field_overrides):
     return config
 
 
-def detuned_config(kind="box"):
+def detuned_config(kind="box", **field_overrides):
     """Two-level reference point: coupling off, probe on the recoil-shifted line.
 
     zeta is exactly i there, so Doppler averaging is exercised at |zeta| = 1
-    instead of the huge |zeta| of the EIT operating point.
+    instead of the huge |zeta| of the EIT operating point.  The recoil shift
+    follows the probe wave number of the overridden fields.
     """
     build = box_config if kind == "box" else trap_config
-    return build(
-        omega_coupling_rad_s=0.0,
-        detuning_g0_rad_s=-recoil_frequency(load_config(DOC).species),
-    )
+    config = build(omega_coupling_rad_s=0.0, **field_overrides)
+    recoil = recoil_frequency(config.species, config.fields)
+    return replace(config, fields=replace(config.fields, detuning_g0_rad_s=-recoil))
 
 
 def temperature_for_doppler_a(config, a_target):

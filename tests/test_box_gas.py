@@ -13,11 +13,11 @@ from slowlight import (
     Box,
     DomainError,
     SeriesCapError,
-    box_thermo,
     chi0,
     chi_box_asymptotic,
     chi_box_exact,
     doppler_width_param,
+    gas_state,
     recoil_frequency,
     tc_box,
     thermal_response_series,
@@ -60,10 +60,9 @@ def test_doppler_width_param():
 
 def test_box_thermo_above_tc():
     t = 1.5 * TC
-    th = box_thermo(CONFIG, t)
+    th = gas_state(CONFIG, t)
     assert th.t_c_k == TC
-    assert th.a_param == doppler_width_param(SPECIES, FIELDS, t)
-    assert rel(th.a_c, doppler_width_param(SPECIES, FIELDS, TC) / math.sqrt(math.pi)) < 1e-14
+    assert th.temperature_k == t
     assert th.condensate_fraction == 0.0
     # n lambda_T^3 = g_{3/2}(f): the fugacity solves the density equation
     g32 = float(mpmath.polylog(1.5, th.fugacity.value))
@@ -72,17 +71,17 @@ def test_box_thermo_above_tc():
 
 
 def test_box_thermo_below_tc():
-    th = box_thermo(CONFIG, 0.5 * TC)
+    th = gas_state(CONFIG, 0.5 * TC)
     assert th.fugacity.value == 1.0
     assert th.condensate_fraction == 1.0 - 0.5**1.5
-    assert box_thermo(CONFIG, 0.0).condensate_fraction == 1.0
+    assert gas_state(CONFIG, 0.0).condensate_fraction == 1.0
 
 
 def test_box_thermo_errors():
     with pytest.raises(DomainError, match="temperature must be nonnegative"):
-        box_thermo(CONFIG, -1e-9)
+        gas_state(CONFIG, -1e-9)
     with pytest.raises(ValueError, match="requires a box geometry"):
-        box_thermo(trap_config(), 1e-7)
+        chi_box_exact(trap_config(), 1e-7)
 
 
 def test_chi_box_exact_matches_quadrature():
@@ -96,14 +95,15 @@ def test_chi_box_exact_matches_quadrature():
 
 def test_chi_box_detuned_matches_quadrature():
     # zeta = i exactly: the response sits on the absorption resonance, where
-    # the Doppler kernel is least forgiving
-    config = detuned_config("box")
-    for a_target in (0.05, 0.18):
-        t = temperature_for_doppler_a(config, a_target)
-        resp = chi_box_exact(config, t)
-        chi_q, dchi_q = chi_box_by_quadrature(config, t)
-        assert rel(resp.chi, chi_q) < 1e-8
-        assert rel(resp.dchi_domega, dchi_q) < 1e-8
+    # the Doppler kernel is least forgiving; a probe wave number off 2 pi/lambda
+    # must move the recoil shift and the Doppler width together
+    for config in (detuned_config("box"), detuned_config("box", k_g_per_m=1.5 * FIELDS.k_g_per_m)):
+        for a_target in (0.05, 0.18):
+            t = temperature_for_doppler_a(config, a_target)
+            resp = chi_box_exact(config, t)
+            chi_q, dchi_q = chi_box_by_quadrature(config, t)
+            assert rel(resp.chi, chi_q) < 1e-8
+            assert rel(resp.dchi_domega, dchi_q) < 1e-8
 
 
 def test_far_detuned_dispersive_limit():
@@ -111,7 +111,7 @@ def test_far_detuned_dispersive_limit():
     delta = 100.0 * FIELDS.gamma_ge_rad_s
     far = box_config(omega_coupling_rad_s=0.0, detuning_g0_rad_s=delta)
     resp = chi_box_exact(far, 1.5 * TC)
-    expected = DENSITY * chi0(SPECIES) * FIELDS.gamma_ge_rad_s / (delta + recoil_frequency(SPECIES))
+    expected = DENSITY * chi0(SPECIES) * FIELDS.gamma_ge_rad_s / (delta + recoil_frequency(SPECIES, FIELDS))
     assert resp.chi.real > 0.0
     assert rel(resp.chi.real, expected) < 0.02
     assert 0.0 < resp.chi.imag < 0.05 * resp.chi.real
@@ -119,7 +119,7 @@ def test_far_detuned_dispersive_limit():
 
 def test_condensate_response_at_zero_temperature():
     resp = chi_box_exact(CONFIG, 0.0)
-    z = zeta(FIELDS, recoil_frequency(SPECIES))
+    z = zeta(FIELDS, recoil_frequency(SPECIES, FIELDS))
     assert rel(resp.chi, -DENSITY * chi0(SPECIES) / z.value) < 1e-14
     assert rel(resp.dchi_domega, DENSITY * chi0(SPECIES) * z.d_domega / z.value**2) < 1e-14
 

@@ -3,10 +3,12 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
-from slowlight import C_M_S, serialize_config
+import slowlight.box_gas
+from slowlight import C_M_S, ValidityWarning, serialize_config
 from slowlight.cli import main
 
 from _configs import DOC, detuned_config, temperature_for_doppler_a
@@ -70,13 +72,45 @@ def test_sweep_box_csv(capsys):
         assert 0.0 < row[7] < C_M_S
 
 
-def test_sweep_deterministic_and_parallel(capsys):
+def test_sweep_deterministic(capsys):
     base = ["sweep", "--t-min", "0.5", "--t-max", "2.0", "--t-points", "4"]
     _, first, _ = run(capsys, base)
     _, second, _ = run(capsys, base)
     assert first == second
-    _, parallel, _ = run(capsys, base + ["--jobs", "4"])
-    assert parallel == first
+
+
+def _count_fugacity_solves(monkeypatch, capsys, argv):
+    calls = []
+    solve = slowlight.box_gas.fugacity_from_temperature
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(slowlight.box_gas, "fugacity_from_temperature", counted)
+        rc, _, _ = run(capsys, argv)
+    assert rc == 0
+    return len(calls)
+
+
+def test_one_fugacity_solve_per_temperature(monkeypatch, capsys):
+    sweep = ["sweep", "--t-min", "1.1", "--t-max", "2.0", "--t-points", "10"]
+    for extra in ([], ["--geometry", "box"], ["--geometry", "box", "--mode", "asymptotic"]):
+        assert _count_fugacity_solves(monkeypatch, capsys, sweep + extra) == 10, extra
+    for kind in ("trap", "box"):
+        chi = ["chi", "--geometry", kind, "--temperature-nk", "500"]
+        assert _count_fugacity_solves(monkeypatch, capsys, chi) == 1, kind
+
+
+def test_semiclassical_warning_once_per_row(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, _ = run(capsys, ["sweep", "--t-min", "0.05", "--t-max", "0.07", "--t-points", "3"])
+    assert rc == 0
+    semiclassical = [w for w in caught if "semiclassical statistics" in str(w.message)]
+    assert len(semiclassical) == 3
+    assert all(issubclass(w.category, ValidityWarning) for w in semiclassical)
 
 
 def test_sweep_log_scale(capsys):
@@ -113,7 +147,6 @@ def test_sweep_usage_errors(capsys):
         ["sweep", "--t-points", "1"],
         ["sweep", "--t-min", "0.0"],
         ["sweep", "--t-min", "2.0", "--t-max", "1.0"],
-        ["sweep", "--jobs", "0"],
         ["sweep", "--pinhole-radius-um", "-5.0"],
         ["sweep", "--t-points", "nope"],
     ):

@@ -34,7 +34,7 @@ SPECIES = CONFIG.species
 FIELDS = CONFIG.fields
 GAMMA = SPECIES.gamma_total_rad_s
 GAMMA_GE = FIELDS.gamma_ge_rad_s
-RECOIL = recoil_frequency(SPECIES)
+RECOIL = recoil_frequency(SPECIES, FIELDS)
 
 
 def rel(a, b):

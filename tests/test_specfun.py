@@ -159,16 +159,6 @@ def test_faddeeva_mode_and_domain_errors():
         faddeeva_w(5.0 - 0.1j, mode="asymptotic")
 
 
-def test_faddeeva_auto_switch():
-    # custom switch radius routes |y| >= radius to the asymptotic branch
-    assert faddeeva_w(6j, mode="auto", switch_radius=5.0) == faddeeva_w(6j, mode="asymptotic")
-    assert faddeeva_w(4j, mode="auto", switch_radius=5.0) == faddeeva_w(4j, mode="exact")
-    # default handoff at |y| = 10 is continuous to within the branch accuracy
-    below = faddeeva_w(9.999j, mode="auto")
-    above = faddeeva_w(10.001j, mode="auto")
-    assert rel(below, above) < 1e-3
-
-
 def test_faddeeva_scalar_and_array_shapes():
     ys = np.array([0.3 + 0.4j, -2.0 + 1.0j, 15.0 + 2.0j])
     out = faddeeva_w(ys)

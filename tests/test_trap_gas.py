@@ -18,13 +18,13 @@ from slowlight import (
     chi_trap_local,
     cloud_size,
     delay_at_radius,
+    gas_state,
     ground_state_size,
     mean_delay,
     probe_omega,
     recoil_frequency,
     tc_trap,
     thermal_radius,
-    trap_thermo,
     vg_trap,
     zeta,
 )
@@ -67,23 +67,20 @@ def test_oscillator_and_thermal_sizes():
 
 def test_trap_thermo_above_tc():
     t = 1.5 * TC
-    th = trap_thermo(CONFIG, t)
+    th = gas_state(CONFIG, t)
     assert th.t_c_k == TC
+    assert th.temperature_k == t
     assert th.condensate_fraction == 0.0
-    assert rel(th.d_z_m, math.sqrt(2.0 * KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))) < 1e-15
-    assert rel(th.d_r_m, math.sqrt(2.0) * thermal_radius(SPECIES, TRAP, t)) < 1e-15
-    assert th.a0_r_m == ground_state_size(SPECIES, TRAP.nu_r_rad_s)
-    assert th.a0_z_m == ground_state_size(SPECIES, TRAP.nu_z_rad_s)
     # N (theta/Tc scaling): g_3(f) = g_3(1) theta^{-3}
     g3 = float(mpmath.polylog(3, th.fugacity.value))
     assert rel(g3, float(mpmath.zeta(3)) * 1.5**-3) < 1e-12
 
 
 def test_trap_thermo_below_tc():
-    th = trap_thermo(CONFIG, 0.5 * TC)
+    th = gas_state(CONFIG, 0.5 * TC)
     assert th.fugacity.value == 1.0
     assert th.condensate_fraction == 1.0 - 0.5**3
-    assert trap_thermo(CONFIG, 0.0).condensate_fraction == 1.0
+    assert gas_state(CONFIG, 0.0).condensate_fraction == 1.0
     # the thermal prefactor identity behind the delay formulas:
     # (K_B T)^3/(hbar^3 nu_z nu_r^2) = N theta^3 / g_3(1)
     t = 2.0 * TC
@@ -94,10 +91,10 @@ def test_trap_thermo_below_tc():
 
 def test_trap_thermo_semiclassical_warning():
     with pytest.warns(ValidityWarning, match="semiclassical statistics assume"):
-        trap_thermo(CONFIG, 20e-9)
+        gas_state(CONFIG, 20e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trap_thermo(CONFIG, 0.5 * TC)
+        gas_state(CONFIG, 0.5 * TC)
 
 
 def test_cloud_size_branches():
@@ -129,9 +126,18 @@ def test_pinhole_validation():
 
 
 def test_chi_trap_local_matches_point_quadrature():
-    for t, r in ((1.5 * TC, 0.0), (0.8 * TC, 0.0), (0.8 * TC, 3.8e-6)):
-        resp = chi_trap_local(CONFIG, t, r)
-        chi_q, dchi_q = chi_trap_point_by_quadrature(CONFIG, t, r)
+    # the last case moves the probe wave number off 2 pi/lambda: the recoil
+    # shift in zeta and the Doppler width must both follow it
+    long_k = trap_config(k_g_per_m=1.5 * CONFIG.fields.k_g_per_m)
+    cases = (
+        (CONFIG, 1.5 * TC, 0.0),
+        (CONFIG, 0.8 * TC, 0.0),
+        (CONFIG, 0.8 * TC, 3.8e-6),
+        (long_k, 1.5 * TC, 0.0),
+    )
+    for config, t, r in cases:
+        resp = chi_trap_local(config, t, r)
+        chi_q, dchi_q = chi_trap_point_by_quadrature(config, t, r)
         assert rel(resp.chi, chi_q) < 1e-8
         assert rel(resp.dchi_domega, dchi_q) < 1e-8
 
@@ -149,7 +155,7 @@ def test_chi_trap_local_edges():
 
 def test_delay_at_radius():
     t = 2.0 * TC
-    d_z = trap_thermo(CONFIG, t).d_z_m
+    d_z = cloud_size(CONFIG, t)
     for r in (0.0, 10e-6):
         full = delay_at_radius(CONFIG, t, r)
         clipped = delay_at_radius(CONFIG, t, r, path_half_length_m=8.0 * d_z)
@@ -187,7 +193,7 @@ def test_mean_delay_thermal_pinhole():
 
 def test_mean_delay_scales_as_inverse_temperature():
     # for a pinhole much smaller than the cloud the delay follows 1/T
-    radius = trap_thermo(CONFIG, 2.0 * TC).d_r_m / 20.0
+    radius = math.sqrt(2.0) * thermal_radius(SPECIES, TRAP, 2.0 * TC) / 20.0
     products = [
         theta * mean_delay(CONFIG, theta * TC, fixed_pinhole(radius)).mean_delay_s
         for theta in (2.0, 2.5, 3.0)
@@ -225,7 +231,7 @@ def test_condensate_limit_at_low_temperature():
     radius = PINHOLE.radius_m
     with pytest.warns(ValidityWarning, match="semiclassical statistics"):
         result = mean_delay(CONFIG, 1e-9, PINHOLE, fc_mode="exact")
-    z = zeta(CONFIG.fields, recoil_frequency(SPECIES))
+    z = zeta(CONFIG.fields, recoil_frequency(SPECIES, CONFIG.fields))
     a0r = ground_state_size(SPECIES, TRAP.nu_r_rad_s)
     section = (1.0 - math.exp(-((radius / a0r) ** 2))) / (math.pi * radius**2)
     omega = probe_omega(SPECIES)

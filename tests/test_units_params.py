@@ -53,11 +53,15 @@ def test_sodium_defaults():
 
 
 def test_species_helpers():
-    species = load_config(BOX_MIN).species
+    config = load_config(BOX_MIN)
+    species = config.species
     # recoil omega_R = hbar k^2 / 2m, about 2 pi x 25 kHz for the D line
     k = TAU / species.wavelength_ge_m
-    assert recoil_frequency(species) == HBAR_J_S * k**2 / (2.0 * species.mass_kg)
-    assert rel(recoil_frequency(species), TAU * 25.01e3) < 1e-3
+    assert recoil_frequency(species, config.fields) == HBAR_J_S * k**2 / (2.0 * species.mass_kg)
+    assert rel(recoil_frequency(species, config.fields), TAU * 25.01e3) < 1e-3
+    # the recoil follows the configured probe wave number
+    long_k = load_config(BOX_MIN + "fields.k_g_per_m = %r\n" % (1.5 * k))
+    assert rel(recoil_frequency(species, long_k.fields), 2.25 * recoil_frequency(species, config.fields)) < 1e-15
     # resonant cross-section scale chi_0 = 3 lambda^3 / 32 pi^3
     assert chi0(species) == 3.0 * species.wavelength_ge_m**3 / (32.0 * math.pi**3)
     assert rel(chi0(species), 6.178e-22) < 1e-3
@@ -84,7 +88,7 @@ def test_load_config_field_defaults():
     assert fields.detuning_r0_rad_s == 0.0
     assert fields.gamma_ge_rad_s == fields.gamma_re_rad_s == gamma / 2.0
     assert fields.gamma_gr_rad_s == TAU * 1000.0
-    assert fields.k_g_per_m == fields.k_r_per_m == TAU / 589e-9
+    assert fields.k_g_per_m == TAU / 589e-9
     assert config.geometry.number_density_per_m3 == 3.8e18
 
 
@@ -125,6 +129,11 @@ def test_load_config_parse_errors():
         load_config("geometry.kind = box\ngeometry.number_density_per_m3 = 1e18\ngeometry.kind = box\n")
     with pytest.raises(ConfigError, match="unknown keys: aaa.q, zzz.k"):
         load_config(BOX_MIN + "zzz.k = 1\naaa.q = 2\n")
+    # keys that no result read were removed; old documents fail loudly
+    for retired in ("fields.k_r_per_m = 1.0e7", "numerics.faddeeva_switch_radius = 10.0"):
+        key = retired.split(" ")[0]
+        with pytest.raises(ConfigError, match="unknown keys: %s$" % re.escape(key)):
+            load_config(BOX_MIN + retired + "\n")
     with pytest.raises(ConfigError, match=re.escape("geometry.number_density_per_m3: malformed number 'abc'")):
         load_config("geometry.kind = box\ngeometry.number_density_per_m3 = abc\n")
 
@@ -154,18 +163,14 @@ def test_comments_and_whitespace_are_ignored():
 
 
 def test_numerics_overrides_and_validation():
-    config = load_config(BOX_MIN + "numerics.series_rel_tol = 1e-9\nnumerics.faddeeva_switch_radius = 5.0\n")
+    config = load_config(BOX_MIN + "numerics.series_rel_tol = 1e-9\n")
     assert config.numerics.series_rel_tol == 1e-9
-    assert config.numerics.faddeeva_switch_radius == 5.0
     defaults = load_config(BOX_MIN).numerics
     assert defaults.series_rel_tol == 1e-12
     assert defaults.quad_rel_tol == 1e-10
-    assert defaults.faddeeva_switch_radius == 10.0
     assert defaults.bisection_tol == 1e-13
     with pytest.raises(ConfigError, match=re.escape("numerics.series_rel_tol must lie in (0, 1)")):
         load_config(BOX_MIN + "numerics.series_rel_tol = 0.0\n")
-    with pytest.raises(ConfigError, match="faddeeva_switch_radius must be at least 5"):
-        load_config(BOX_MIN + "numerics.faddeeva_switch_radius = 4.9\n")
 
 
 def test_geometry_validation():
