@@ -33,7 +33,6 @@ from .units_params import (
     KB_J_PER_K,
     AtomSpecies,
     Box,
-    NumericsConfig,
     chi0,
     probe_omega,
     recoil_frequency,
@@ -47,20 +46,21 @@ _TAIL_MIN_ABS_Y = 70.0
 # uniform bounds on |w|, |dw/dy| in the upper half plane (for remainder bounds)
 _W_BOUND = 1.0
 _WPRIME_BOUND = 2.0
+# relative size of the series remainder at which the sum stops
+_SERIES_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GasState:
     """Thermodynamic state of the gas (box or trap) at one temperature.
 
-    It holds only what the species, geometry, numerics and temperature fix;
-    the responses take the light fields separately, so one state serves
-    every detuning of a scan.
+    It holds only what the species, geometry and temperature fix; the
+    responses take the light fields separately, so one state serves every
+    detuning of a scan.
     """
 
     species: AtomSpecies
     geometry: object  # Box or HarmonicTrap
-    numerics: NumericsConfig
     temperature_k: float
     t_c_k: float
     fugacity: Fugacity
@@ -112,7 +112,7 @@ def gas_state(config, temperature):
     if temperature == 0.0:
         fugacity = Fugacity(1.0)
     else:
-        fugacity = fugacity_from_temperature(kind, theta, tol=config.numerics.bisection_tol)
+        fugacity = fugacity_from_temperature(kind, theta)
     if kind == "trap" and temperature > 0.0:
         nu_max = max(geometry.nu_r_rad_s, geometry.nu_z_rad_s)
         if KB_J_PER_K * temperature < 10.0 * HBAR_J_S * nu_max:
@@ -125,7 +125,6 @@ def gas_state(config, temperature):
     return GasState(
         species=species,
         geometry=geometry,
-        numerics=config.numerics,
         temperature_k=temperature,
         t_c_k=t_c,
         fugacity=fugacity,
@@ -133,7 +132,7 @@ def gas_state(config, temperature):
     )
 
 
-def thermal_response_series(fugacity_value, zeta_value, a_param, rel_tol):
+def thermal_response_series(fugacity_value, zeta_value, a_param):
     """Doppler series of one thermal cloud: returns (S, S') with
     S = sum_l u^l/l w(sqrt(l) zeta/A) and S' = sum_l u^l/sqrt(l) w'(sqrt(l) zeta/A).
 
@@ -157,16 +156,16 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, rel_tol):
             # remainder bounds from |w| <= 1, |w'| <= 2 on the upper half plane
             geom = u ** (hi + 1) / (1.0 - u)
             if (
-                geom * _W_BOUND / (hi + 1) <= rel_tol * abs(s_w)
-                and geom * _WPRIME_BOUND / math.sqrt(hi + 1) <= rel_tol * abs(s_wp)
+                geom * _W_BOUND / (hi + 1) <= _SERIES_REL_TOL * abs(s_w)
+                and geom * _WPRIME_BOUND / math.sqrt(hi + 1) <= _SERIES_REL_TOL * abs(s_wp)
             ):
                 return s_w, s_wp
         if hi >= _SERIES_HEAD_MIN and math.sqrt(hi + 1) * abs_ratio >= _TAIL_MIN_ABS_Y:
             r = 1.0 / z_over_a  # A/zeta
-            g32 = polylog_tail(1.5, u, hi, rel_tol=rel_tol)
-            g52 = polylog_tail(2.5, u, hi, rel_tol=rel_tol)
-            g72 = polylog_tail(3.5, u, hi, rel_tol=rel_tol)
-            g92 = polylog_tail(4.5, u, hi, rel_tol=rel_tol)
+            g32 = polylog_tail(1.5, u, hi)
+            g52 = polylog_tail(2.5, u, hi)
+            g72 = polylog_tail(3.5, u, hi)
+            g92 = polylog_tail(4.5, u, hi)
             s_w += (1j / SQRT_PI) * (
                 r * g32 + 0.5 * r**3 * g52 + 0.75 * r**5 * g72 + 1.875 * r**7 * g92
             )
@@ -211,7 +210,6 @@ def box_response(state, fields, mode="exact"):
         raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
     species = state.species
     temperature = state.temperature_k
-    rel_tol = state.numerics.series_rel_tol
     zv = zeta(fields, recoil_frequency(species, fields))
     a = doppler_width_param(species, fields, temperature)
     n = state.geometry.number_density_per_m3
@@ -224,9 +222,7 @@ def box_response(state, fields, mode="exact"):
                     "asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % ratio
                 )
         theta = temperature / state.t_c_k
-        correction = (
-            theta**1.5 * polylog(2.5, state.fugacity.value, rel_tol=rel_tol) / (2.0 * ZETA_3_2) * a**2
-        )
+        correction = theta**1.5 * polylog(2.5, state.fugacity.value) / (2.0 * ZETA_3_2) * a**2
         chi = -n * x0 * (1.0 / zv.value + correction / zv.value**3)
         dchi = n * x0 * (1.0 / zv.value**2 + 3.0 * correction / zv.value**4) * zv.d_domega
         return ComplexResponse(chi=chi, dchi_domega=dchi)
@@ -234,7 +230,7 @@ def box_response(state, fields, mode="exact"):
     dchi = 0.0 + 0.0j
     if temperature > 0.0:
         pref = thermal_series_prefactor(species, temperature, a)
-        s_w, s_wp = thermal_response_series(state.fugacity.value, zv.value, a, rel_tol)
+        s_w, s_wp = thermal_response_series(state.fugacity.value, zv.value, a)
         chi += pref * s_w
         dchi += pref * (zv.d_domega / a) * s_wp
     if state.condensate_fraction > 0.0:

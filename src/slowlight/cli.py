@@ -14,6 +14,7 @@ Exit status: 0 success, 1 configuration/usage/file errors, 2 physics errors
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -22,10 +23,10 @@ import numpy as np
 from . import __version__
 from .box_gas import box_response, gas_state, tc_box, tc_trap
 from .eit_core import group_velocity_from_response
-from .errors import ConfigError, PhysicsError, PoleError, UsageError
+from .errors import ConfigError, DomainError, PhysicsError, PoleError, UsageError
 from .tf_model import hau_group_velocity, ideal_t0_density, tf_geometry, tf_t0_density
 from .trap_gas import PinholeSpec, ground_state_size, trap_mean_delay, trap_response
-from .units_params import Box, dipole_moment_sq, load_config, probe_omega
+from .units_params import C_M_S, Box, dipole_moment_sq, load_config, probe_omega
 
 DEFAULT_CONFIG_TEXT = """\
 # reference sodium slow-light experiment; carries parameters for both
@@ -110,12 +111,17 @@ def _pinhole_from_args(args):
     return PinholeSpec(radius_mode="fixed", radius_m=radius_um * 1e-6)
 
 
-def _annotate(exc, theta, temperature):
-    return type(exc)("at t_over_tc=%.6g (T=%.6g K): %s" % (theta, temperature, exc))
+def _annotate(exc, where):
+    """The row's error as a PhysicsError that names the row; an arithmetic
+    fault (overflow, division by zero) becomes a DomainError."""
+    if isinstance(exc, PhysicsError):
+        return type(exc)("at %s: %s" % (where, exc))
+    return DomainError("at %s: %s: %s" % (where, type(exc).__name__, exc))
 
 
-def _annotate_detuning(exc, d_gamma, temperature):
-    return type(exc)("at detuning=%.6g gamma (T=%.6g K): %s" % (d_gamma, temperature, exc))
+def _check_finite(row, where):
+    if not all(math.isfinite(value) for value in row):
+        raise DomainError("at %s: non-finite value in the row %r" % (where, row))
 
 
 def cmd_sweep(args):
@@ -131,26 +137,32 @@ def cmd_sweep(args):
 
     def _point(theta):
         temperature = theta * t_c
+        where = "t_over_tc=%.6g (T=%.6g K)" % (theta, temperature)
         try:
             state = gas_state(config, temperature)
             if is_box:
                 resp = box_response(state, config.fields, mode=args.mode)
                 v_g = group_velocity_from_response(resp, probe_omega(config.species))
-                return (theta, temperature, state.fugacity.value, resp.chi.real, resp.chi.imag, 0.0, 0.0, v_g)
-            resp = trap_response(state, config.fields, 0.0)
-            delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode)
-            return (
-                theta,
-                temperature,
-                state.fugacity.value,
-                resp.chi.real,
-                resp.chi.imag,
-                delays.mean_delay_s,
-                delays.cloud_size_m,
-                delays.group_velocity_m_s,
-            )
-        except PhysicsError as exc:
-            raise _annotate(exc, theta, temperature) from exc
+                row = (theta, temperature, state.fugacity.value, resp.chi.real, resp.chi.imag, 0.0, 0.0, v_g)
+            else:
+                resp = trap_response(state, config.fields, 0.0)
+                delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode)
+                row = (
+                    theta,
+                    temperature,
+                    state.fugacity.value,
+                    resp.chi.real,
+                    resp.chi.imag,
+                    delays.mean_delay_s,
+                    delays.cloud_size_m,
+                    delays.group_velocity_m_s,
+                )
+            if not 0.0 < row[-1] < C_M_S:
+                raise DomainError("group velocity %.6g m/s is not in (0, c)" % row[-1])
+        except (PhysicsError, ArithmeticError) as exc:
+            raise _annotate(exc, where) from exc
+        _check_finite(row, where)
+        return row
 
     rows = [_point(theta) for theta in thetas]
 
@@ -173,11 +185,15 @@ def cmd_chi(args):
     temperature = args.temperature_nk * 1e-9
     gamma_total = config.species.gamma_total_rad_s
     detunings = np.linspace(args.d_min, args.d_max, args.d_points)
-    state = gas_state(config, temperature)
+    try:
+        state = gas_state(config, temperature)
+    except (PhysicsError, ArithmeticError) as exc:
+        raise _annotate(exc, "T=%.6g K" % temperature) from exc
 
     rows = []
     for d_gamma in detunings:
         fields = replace(config.fields, detuning_g0_rad_s=d_gamma * gamma_total)
+        where = "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature)
         try:
             if isinstance(config.geometry, Box):
                 resp = box_response(state, fields)
@@ -190,10 +206,12 @@ def cmd_chi(args):
             if fields.gamma_gr_rad_s == 0.0 and fields.detuning_g0_rad_s == fields.detuning_r0_rad_s:
                 chi = 0.0j
             else:
-                raise _annotate_detuning(exc, d_gamma, temperature) from exc
-        except PhysicsError as exc:
-            raise _annotate_detuning(exc, d_gamma, temperature) from exc
-        rows.append((d_gamma, d_gamma * gamma_total, chi.real, chi.imag))
+                raise _annotate(exc, where) from exc
+        except (PhysicsError, ArithmeticError) as exc:
+            raise _annotate(exc, where) from exc
+        row = (d_gamma, d_gamma * gamma_total, chi.real, chi.imag)
+        _check_finite(row, where)
+        rows.append(row)
 
     lines = [_metadata_line(digest), "detuning_gamma,detuning_rad_s,re_chi,im_chi"]
     for row in rows:

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 from scipy import special as sc
 
 from .errors import DomainError, SeriesCapError
@@ -31,6 +32,11 @@ _CHUNK = 256
 # the large-|y| series instead (the direct form loses ~|y|^2 eps to
 # cancellation; at 35 both branches are accurate to ~5e-13)
 _W_PRIME_ASYMPTOTIC_RADIUS = 35.0
+
+# fugacity solve: the tightest relative tolerance brentq accepts (4 ulp), and
+# an absolute one below every normal float
+_F_RTOL = 4.0 * np.finfo(float).eps
+_F_XTOL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,6 @@ def _check_polylog_args(nu, f):
 
 def polylog(nu, f, rel_tol=1e-12, l_max=10**6):
     """Bose-Einstein function g_nu(f) = sum_{l>=1} f^l / l^nu, f in [0, 1]."""
-    if isinstance(f, Fugacity):
-        f = f.value
-    _check_polylog_args(nu, f)
-    if f == 0.0:
-        return 0.0
     return polylog_tail(nu, f, 0, rel_tol=rel_tol, l_max=l_max)
 
 
@@ -185,13 +186,13 @@ def faddeeva_w_prime(y):
     return complex(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def fugacity_from_temperature(geometry_kind, t_over_tc, tol=1e-13):
+def fugacity_from_temperature(geometry_kind, t_over_tc):
     """Invert g_{3/2}(f) = g_{3/2}(1) (Tc/T)^{3/2} (box) or
     g_3(f) = g_3(1) (Tc/T)^3 (trap) for the fugacity; f = 1 below Tc.
 
-    Bisection with a residual stopping rule |g - target| <= tol*target;
-    if the bracket collapses first (the box relation has infinite slope at
-    f = 1) the closest endpoint/iterate wins, so T -> Tc+ gives f = 1.0.
+    Brent's method on f in [0, 1] to a few ulp; the absolute tolerance is
+    below the smallest normal float, so a fugacity far below 1 keeps its
+    relative precision too.
     """
     if geometry_kind not in ("box", "trap"):
         raise ValueError("geometry_kind must be 'box' or 'trap', got %r" % geometry_kind)
@@ -203,20 +204,9 @@ def fugacity_from_temperature(geometry_kind, t_over_tc, tol=1e-13):
     g_at_one = ZETA_3_2 if geometry_kind == "box" else ZETA_3
     target = g_at_one * t_over_tc**-nu
 
-    lo, hi = 0.0, 1.0
-    best_f, best_err = 1.0, abs(g_at_one - target)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = polylog(nu, mid)
-        err = abs(g - target)
-        if err < best_err:
-            best_f, best_err = mid, err
-        if err <= tol * target:
-            return Fugacity(mid)
-        if g < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16:
-            break
-    return Fugacity(best_f)
+    def excess(f):
+        # the exact g_nu(1) at the upper end keeps the bracket valid even
+        # when T/Tc is within rounding of 1
+        return (polylog(nu, f) if f < 1.0 else g_at_one) - target
+
+    return Fugacity(optimize.brentq(excess, 0.0, 1.0, xtol=_F_XTOL, rtol=_F_RTOL))

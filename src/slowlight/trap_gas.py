@@ -29,6 +29,11 @@ from .units_params import (
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# relative tolerance of the adaptive z-quadrature of a finite path
+_QUAD_REL_TOL = 1e-10
+# below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
+# of the infinite-path average keeps fewer than about six digits
+_MIN_SECTION_EXPONENT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,8 @@ def _local_response(state, zv, a_param, r, z):
         lam = (mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
         potential = 0.5 * mass * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
         u = state.fugacity.value * math.exp(-beta * potential)
-        rel_tol = state.numerics.series_rel_tol
-        g32 = polylog(1.5, u, rel_tol=rel_tol)
-        g52 = polylog(2.5, u, rel_tol=rel_tol)
+        g32 = polylog(1.5, u)
+        g52 = polylog(2.5, u)
         a_sq = a_param**2
         chi += -x0 * lam * (g32 / zval + 0.5 * g52 * a_sq / zval**3)
         dchi += x0 * lam * dz_domega * (g32 / zval**2 + 1.5 * g52 * a_sq / zval**4)
@@ -174,7 +178,7 @@ def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
             0.0,
             path_half_length_m,
             epsabs=0.0,
-            epsrel=state.numerics.quad_rel_tol,
+            epsrel=_QUAD_REL_TOL,
             limit=200,
         )
         return 2.0 * value
@@ -182,11 +186,10 @@ def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
     zval = zv.value
     delay = 0.0
     if temperature > 0.0:
-        rel_tol = state.numerics.series_rel_tol
         beta = 1.0 / (KB_J_PER_K * temperature)
         y_r = state.fugacity.value * math.exp(-0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * r**2)
-        g2 = polylog(2.0, y_r, rel_tol=rel_tol)
-        g3 = polylog(3.0, y_r, rel_tol=rel_tol)
+        g2 = polylog(2.0, y_r)
+        g3 = polylog(3.0, y_r)
         kernel = zv.d_domega * (g2 / zval**2 + 1.5 * a_param**2 * g3 / zval**4)
         delay += (
             (omega / C_M_S)
@@ -251,6 +254,10 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
     below Tc f = 1 plus the condensate term with the selected F_C mode.
     Finite path: 64-point Gauss-Legendre radial average of the z-quadrature
     delays (vacuum-subtracted; fc_mode does not apply).
+
+    Raises DomainError when the pinhole is so small (c < 1e-9) that the
+    closed form loses its digits, or when the delay is zero, non-finite or
+    so short that v_g = D_z/<Delta t> would reach c.
     """
     _require_trap(state.geometry)
     if fc_mode not in ("paper", "exact"):
@@ -280,10 +287,16 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
         if temperature > 0.0:
             f = state.fugacity.value
             beta = 1.0 / (KB_J_PER_K * temperature)
-            shrink = math.exp(-0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2)
-            rel_tol = state.numerics.series_rel_tol
-            g3_diff = polylog(3.0, f, rel_tol=rel_tol) - polylog(3.0, f * shrink, rel_tol=rel_tol)
-            g4_diff = polylog(4.0, f, rel_tol=rel_tol) - polylog(4.0, f * shrink, rel_tol=rel_tol)
+            exponent = 0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2
+            if exponent < _MIN_SECTION_EXPONENT:
+                raise DomainError(
+                    "pinhole radius R = %.3g m at T = %.3g K is too small for the "
+                    "closed-form average (beta m nu_r^2 R^2/2 = %.3g < %g)"
+                    % (radius, temperature, exponent, _MIN_SECTION_EXPONENT)
+                )
+            shrink = math.exp(-exponent)
+            g3_diff = polylog(3.0, f) - polylog(3.0, f * shrink)
+            g4_diff = polylog(4.0, f) - polylog(4.0, f * shrink)
             kernel = zv.d_domega * (g3_diff / zval**2 + 1.5 * a_param**2 * g4_diff / zval**4)
             delay += (
                 TWO_PI
@@ -307,6 +320,12 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
             )
 
     d_z = _cloud_size(species, trap, temperature, state.t_c_k)
+    # a negative delay is anomalous dispersion and comes back as v_g < 0
+    if not (math.isfinite(delay) and (delay < 0.0 or d_z < C_M_S * delay)):
+        raise DomainError(
+            "pinhole radius R = %.3g m at T = %.3g K gives a mean delay of %.3g s "
+            "over D_z = %.3g m, so v_g is not below c" % (radius, temperature, delay, d_z)
+        )
     return DelayResult(
         mean_delay_s=delay,
         cloud_size_m=d_z,

@@ -127,29 +127,12 @@ class HarmonicTrap:
 
 
 @dataclass(frozen=True)
-class NumericsConfig:
-    """Numerical knobs: series termination, quadrature tolerance and the
-    fugacity bisection tolerance."""
-
-    series_rel_tol: float = 1e-12
-    quad_rel_tol: float = 1e-10
-    bisection_tol: float = 1e-13
-
-    def __post_init__(self):
-        for name in ("series_rel_tol", "quad_rel_tol", "bisection_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError("numerics.%s must lie in (0, 1)" % name)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated experiment description (immutable, thread-safe)."""
 
     species: AtomSpecies
     fields: FieldParams
     geometry: object  # Box or HarmonicTrap
-    numerics: NumericsConfig
 
     @property
     def geometry_kind(self):
@@ -207,16 +190,10 @@ _GEOMETRY_KEYS = {
     "geometry.nu_z": "freq",
     "geometry.atom_count": "float",
 }
-_NUMERICS_KEYS = {
-    "numerics.series_rel_tol": "float",
-    "numerics.quad_rel_tol": "float",
-    "numerics.bisection_tol": "float",
-}
 _SCHEMA = {}
 _SCHEMA.update(_SPECIES_KEYS)
 _SCHEMA.update(_FIELDS_KEYS)
 _SCHEMA.update(_GEOMETRY_KEYS)
-_SCHEMA.update(_NUMERICS_KEYS)
 
 
 def _parse_document(text):
@@ -357,13 +334,7 @@ def load_config(text, geometry_kind=None):
             atom_count=parsed["geometry.atom_count"],
         )
 
-    numerics = NumericsConfig(
-        series_rel_tol=parsed.get("numerics.series_rel_tol", NumericsConfig.series_rel_tol),
-        quad_rel_tol=parsed.get("numerics.quad_rel_tol", NumericsConfig.quad_rel_tol),
-        bisection_tol=parsed.get("numerics.bisection_tol", NumericsConfig.bisection_tol),
-    )
-
-    config = ExperimentConfig(species=species, fields=field_params, geometry=geometry, numerics=numerics)
+    config = ExperimentConfig(species=species, fields=field_params, geometry=geometry)
 
     # The semiclassical trap treatment needs Gamma, Delta >> nu; checkable
     # already at configuration time (the K_B T >> hbar nu part is checked
@@ -407,8 +378,5 @@ def serialize_config(config):
     lines.append("fields.gamma_re_rad = %r" % config.fields.gamma_re_rad_s)
     lines.append("fields.gamma_gr_rad = %r" % config.fields.gamma_gr_rad_s)
     lines.append("fields.k_g_per_m = %r" % config.fields.k_g_per_m)
-    lines.append("numerics.series_rel_tol = %r" % config.numerics.series_rel_tol)
-    lines.append("numerics.quad_rel_tol = %r" % config.numerics.quad_rel_tol)
-    lines.append("numerics.bisection_tol = %r" % config.numerics.bisection_tol)
     return "\n".join(lines) + "\n"
 

@@ -158,7 +158,7 @@ def test_chi_continuous_at_tc():
 
 def test_doppler_series_cap():
     with pytest.raises(SeriesCapError, match="Doppler series not converged"):
-        thermal_response_series(1.0, 0.05j, 1.0, 1e-12)
+        thermal_response_series(1.0, 0.05j, 1.0)
 
 
 def test_vg_box_dilute_limit():

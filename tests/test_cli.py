@@ -1,11 +1,15 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import re
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import slowlight.box_gas
 from slowlight import C_M_S, ValidityWarning, serialize_config
@@ -201,6 +205,57 @@ def test_sweep_physics_error_exit_code(tmp_path, capsys):
     assert err.startswith("physics error:")
     assert "asymptotic expansion requires" in err
     assert "at t_over_tc=" in err
+    # an overflow, a division by zero, a non-finite number or v_g outside
+    # (0, c) in a row is a physics error that names the row
+    for argv in (
+        ["sweep", "--omega-coupling-gamma", "1e200"],
+        ["sweep", "--geometry", "box", "--t-min", "1e-300", "--t-max", "1e-299", "--t-points", "2"],
+        ["sweep", "--t-max", "1e200", "--t-points", "2"],
+        ["sweep", "--geometry", "box", "--t-max", "1e200", "--t-points", "2"],
+        ["sweep", "--pinhole-radius-um", "1e6"],
+        ["sweep", "--pinhole-radius-um", "1e-7"],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith("physics error: at t_over_tc="), err
+    for argv in (
+        ["chi", "--temperature-nk", "500", "--omega-coupling-gamma", "1e200"],
+        ["chi", "--temperature-nk", "1e300"],
+    ):
+        rc, _, err = run(capsys, argv)
+        assert rc == 2, argv
+        assert err.startswith("physics error: at "), err
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    geometry=st.sampled_from(["trap", "box"]),
+    log_thetas=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+    log_coupling=st.floats(-3.0, 3.0),
+    log_radius_um=st.floats(-4.0, 4.0),
+)
+def test_sweep_rows_are_admissible_or_exit_2(geometry, log_thetas, log_coupling, log_radius_um):
+    t_min, t_max = sorted(10.0**x for x in log_thetas)
+    assume(t_max > t_min)
+    argv = [
+        "sweep", "--geometry", geometry, "--t-points", "3",
+        "--t-min", repr(t_min), "--t-max", repr(t_max),
+        "--omega-coupling-gamma", repr(10.0**log_coupling),
+        "--pinhole-radius-um", repr(10.0**log_radius_um),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    assert rc in (0, 2), argv
+    if rc == 0:
+        for row in parse_csv(out.getvalue(), SWEEP_HEADER):
+            assert all(math.isfinite(value) for value in row), argv
+            assert 0.0 < row[7] < C_M_S, argv
+            if geometry == "trap":
+                assert row[5] > 0.0, argv
 
 
 def test_chi_scan_csv(capsys):

@@ -20,7 +20,13 @@ from slowlight import (
     polylog_tail,
 )
 
-from _oracles import faddeeva_by_quadrature, polylog_bruteforce, zeta_constant
+from _oracles import (
+    box_fugacity_oracle,
+    faddeeva_by_quadrature,
+    polylog_bruteforce,
+    trap_fugacity_oracle,
+    zeta_constant,
+)
 
 
 def rel(a, b):
@@ -120,10 +126,21 @@ def test_fugacity_solver_round_trip():
             assert abs(polylog_bruteforce(nu, f) - target) < 5e-13 * target
 
 
+def test_fugacity_solver_matches_mpmath_oracle():
+    # close above Tc, where the box relation is infinitely steep, and far
+    # above it, where the trap fugacity is small
+    rng = np.random.default_rng(5)
+    thetas = np.concatenate((1.0 + 10.0 ** rng.uniform(-8.0, 0.0, 6), rng.uniform(2.0, 100.0, 6)))
+    for kind, oracle in (("box", box_fugacity_oracle), ("trap", trap_fugacity_oracle)):
+        for theta in thetas:
+            assert rel(fugacity_from_temperature(kind, theta).value, oracle(theta)) <= 2e-12, (kind, theta)
+
+
 def test_fugacity_solver_edges():
     assert fugacity_from_temperature("box", 0.5).value == 1.0
     assert fugacity_from_temperature("trap", 1.0).value == 1.0
     assert fugacity_from_temperature("box", 1.0 + 1e-12).value > 0.999
+    assert 0.999 < fugacity_from_temperature("trap", 1.0 + 4.4e-16).value < 1.0
     assert fugacity_from_temperature("box", 2.0).value > fugacity_from_temperature("box", 3.0).value
     with pytest.raises(ValueError, match="geometry_kind must be 'box' or 'trap'"):
         fugacity_from_temperature("lattice", 2.0)

@@ -123,6 +123,11 @@ def test_pinhole_validation():
         PinholeSpec(radius_mode="fixed", radius_m=1e-5, path_half_length_m=0.0)
     with pytest.raises(DomainError, match="thermal pinhole radius undefined"):
         mean_delay(CONFIG, 0.0, PinholeSpec(radius_mode="thermal", radius_m=None))
+    # g(f) - g(f e^{-c}) loses its digits as R -> 0; a metre-wide section
+    # averages the delay down until D_z/<Delta t> exceeds c
+    for radius, reason in ((1e-11, "too small"), (1e-13, "too small"), (1.0, "v_g is not below c")):
+        with pytest.raises(DomainError, match="pinhole radius R = %g m at T = .* K .*%s" % (radius, reason)):
+            mean_delay(CONFIG, 1.5 * TC, fixed_pinhole(radius))
 
 
 def test_chi_trap_local_matches_point_quadrature():

@@ -130,7 +130,13 @@ def test_load_config_parse_errors():
     with pytest.raises(ConfigError, match="unknown keys: aaa.q, zzz.k"):
         load_config(BOX_MIN + "zzz.k = 1\naaa.q = 2\n")
     # keys that no result read were removed; old documents fail loudly
-    for retired in ("fields.k_r_per_m = 1.0e7", "numerics.faddeeva_switch_radius = 10.0"):
+    for retired in (
+        "fields.k_r_per_m = 1.0e7",
+        "numerics.faddeeva_switch_radius = 10.0",
+        "numerics.series_rel_tol = 1e-12",
+        "numerics.quad_rel_tol = 1e-10",
+        "numerics.bisection_tol = 1e-13",
+    ):
         key = retired.split(" ")[0]
         with pytest.raises(ConfigError, match="unknown keys: %s$" % re.escape(key)):
             load_config(BOX_MIN + retired + "\n")
@@ -160,17 +166,6 @@ def test_geometry_kind_argument():
 def test_comments_and_whitespace_are_ignored():
     text = "\n# leading comment\n\n  geometry.kind = box  \n geometry.number_density_per_m3 = 2e18\n\n"
     assert load_config(text).geometry.number_density_per_m3 == 2e18
-
-
-def test_numerics_overrides_and_validation():
-    config = load_config(BOX_MIN + "numerics.series_rel_tol = 1e-9\n")
-    assert config.numerics.series_rel_tol == 1e-9
-    defaults = load_config(BOX_MIN).numerics
-    assert defaults.series_rel_tol == 1e-12
-    assert defaults.quad_rel_tol == 1e-10
-    assert defaults.bisection_tol == 1e-13
-    with pytest.raises(ConfigError, match=re.escape("numerics.series_rel_tol must lie in (0, 1)")):
-        load_config(BOX_MIN + "numerics.series_rel_tol = 0.0\n")
 
 
 def test_geometry_validation():
