@@ -9,6 +9,7 @@ units; below Tc the f = 1 series plus the zero-momentum condensate term
 -(chi0/zeta) n (1 - (T/Tc)^{3/2}).
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -92,6 +93,48 @@ def doppler_width_param(species, fields, temperature):
     return speed * fields.k_g_per_m / fields.gamma_ge_rad_s
 
 
+class in_float_range:
+    """Context that turns an overflow, a division by zero or (under
+    np.errstate) an invalid operation inside it into a DomainError that
+    names the quantity and the temperature."""
+
+    __slots__ = ("quantity", "temperature")
+
+    def __init__(self, quantity, temperature):
+        self.quantity = quantity
+        self.temperature = temperature
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is not None and issubclass(kind, ArithmeticError):
+            raise DomainError(
+                "%s leaves the floating-point range at T = %.3g K (%s)" % (self.quantity, self.temperature, exc)
+            ) from exc
+        return False
+
+
+def finite_response(chi, dchi, temperature):
+    """(chi, dchi/domega) as a ComplexResponse, or a DomainError naming the
+    temperature when either is not finite."""
+    chi, dchi = complex(chi), complex(dchi)
+    if not (cmath.isfinite(chi) and cmath.isfinite(dchi)):
+        raise DomainError(
+            "the susceptibility chi = %r (dchi/domega = %r) is not finite at T = %.3g K"
+            % (chi, dchi, temperature)
+        )
+    return ComplexResponse(chi=chi, dchi_domega=dchi)
+
+
+def zeta_and_width(state, fields):
+    """zeta of the fields and the Doppler width A at the state's temperature."""
+    species = state.species
+    with in_float_range("zeta", state.temperature_k):
+        zv = zeta(fields, recoil_frequency(species, fields))
+    return zv, doppler_width_param(species, fields, state.temperature_k)
+
+
 def gas_state(config, temperature):
     """GasState at the given temperature (T = 0 allowed: pure condensate).
 
@@ -101,6 +144,9 @@ def gas_state(config, temperature):
     """
     if temperature < 0.0:
         raise DomainError("temperature must be nonnegative, got %r" % temperature)
+    # a float, so that an overflow in the responses raises or gives inf, not
+    # a numpy warning
+    temperature = float(temperature)
     species = config.species
     geometry = config.geometry
     kind = config.geometry_kind
@@ -128,7 +174,7 @@ def gas_state(config, temperature):
         temperature_k=temperature,
         t_c_k=t_c,
         fugacity=fugacity,
-        condensate_fraction=max(0.0, 1.0 - theta**nu),
+        condensate_fraction=1.0 - theta**nu if theta < 1.0 else 0.0,
     )
 
 
@@ -210,8 +256,7 @@ def box_response(state, fields, mode="exact"):
         raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
     species = state.species
     temperature = state.temperature_k
-    zv = zeta(fields, recoil_frequency(species, fields))
-    a = doppler_width_param(species, fields, temperature)
+    zv, a = zeta_and_width(state, fields)
     n = state.geometry.number_density_per_m3
     if mode == "asymptotic":
         x0 = chi0(species)
@@ -225,11 +270,12 @@ def box_response(state, fields, mode="exact"):
         correction = theta**1.5 * polylog(2.5, state.fugacity.value) / (2.0 * ZETA_3_2) * a**2
         chi = -n * x0 * (1.0 / zv.value + correction / zv.value**3)
         dchi = n * x0 * (1.0 / zv.value**2 + 3.0 * correction / zv.value**4) * zv.d_domega
-        return ComplexResponse(chi=chi, dchi_domega=dchi)
+        return finite_response(chi, dchi, temperature)
     chi = 0.0 + 0.0j
     dchi = 0.0 + 0.0j
     if temperature > 0.0:
-        pref = thermal_series_prefactor(species, temperature, a)
+        with in_float_range("the thermal prefactor chi0 (2 m K_B T/hbar^2)^{3/2}/(8 pi A)", temperature):
+            pref = thermal_series_prefactor(species, temperature, a)
         s_w, s_wp = thermal_response_series(state.fugacity.value, zv.value, a)
         chi += pref * s_w
         dchi += pref * (zv.d_domega / a) * s_wp
@@ -237,7 +283,7 @@ def box_response(state, fields, mode="exact"):
         chi_c, dchi_c = _condensate_response(species, zv, n * state.condensate_fraction)
         chi += chi_c
         dchi += dchi_c
-    return ComplexResponse(chi=chi, dchi_domega=dchi)
+    return finite_response(chi, dchi, temperature)
 
 
 def chi_box_exact(config, temperature):

@@ -191,7 +191,7 @@ def cmd_chi(args):
         raise _annotate(exc, "T=%.6g K" % temperature) from exc
 
     rows = []
-    for d_gamma in detunings:
+    for d_gamma in detunings.tolist():
         fields = replace(config.fields, detuning_g0_rad_s=d_gamma * gamma_total)
         where = "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature)
         try:

@@ -1,11 +1,13 @@
 """Special functions for the statistical sums: Bose-Einstein polylogarithms
-g_nu(f) = sum_{l>=1} f^l / l^nu, the Faddeeva function
-w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y| expansion, and inversion of
-the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu.
+g_nu(f) = sum_{l>=1} f^l / l^nu on floats and arrays (a Horner direct series
+for f <= 1/2, Robinson's expansion in alpha = -ln f above), their partial
+tails, the Faddeeva function w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y|
+expansion, and inversion of the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -22,7 +24,13 @@ ZETA_5_2 = float(sc.zeta(2.5))
 ZETA_3 = float(sc.zeta(3.0))
 ZETA_4 = float(sc.zeta(4.0))
 
-# below this fugacity the series is geometric enough to sum directly;
+# g_nu(f) for f <= 1/2 truncates the direct series after 63 terms (remainder
+# below 2^-63 relative); above 1/2 it sums 24 terms of Robinson's expansion,
+# whose terms fall as (alpha/2 pi)^k with alpha = -ln f <= ln 2
+_DIRECT_TERMS = 63
+_ROBINSON_TERMS = 24
+
+# below this fugacity a polylog tail is geometric enough to sum directly;
 # above it a 2000-term head plus an Euler-Maclaurin tail is used
 _DIRECT_SERIES_MAX_F = 0.99
 _EM_HEAD_TERMS = 2000
@@ -114,15 +122,87 @@ def _direct_series(nu, f, l_start, rel_tol, l_max):
 def _check_polylog_args(nu, f):
     if not nu > 0.0:
         raise DomainError("polylog order must be positive, got %r" % nu)
-    if not 0.0 <= f <= 1.0:
+    if isinstance(f, np.ndarray):
+        inside = bool(np.all((f >= 0.0) & (f <= 1.0)))
+        at_one = bool(np.any(f == 1.0))
+    else:
+        inside = 0.0 <= f <= 1.0
+        at_one = f == 1.0
+    if not inside:
         raise DomainError("polylog argument must lie in [0, 1], got %r" % f)
-    if f == 1.0 and nu <= 1.0:
+    if at_one and nu <= 1.0:
         raise DomainError("polylog(nu<=1, 1) diverges")
 
 
-def polylog(nu, f, rel_tol=1e-12, l_max=10**6):
-    """Bose-Einstein function g_nu(f) = sum_{l>=1} f^l / l^nu, f in [0, 1]."""
-    return polylog_tail(nu, f, 0, rel_tol=rel_tol, l_max=l_max)
+@lru_cache(maxsize=32)
+def _polylog_tables(nu):
+    """Horner coefficients of g_nu, highest power first: the direct series
+    l^-nu, and Robinson's zeta(nu-k)(-1)^k/k! with its leading-term factor
+    (Gamma(1-nu), or (-1)^(n-1)/(n-1)! with the harmonic number H_(n-1) for
+    integer nu = n, whose k = n-1 term is dropped)."""
+    direct = tuple(float(l) ** -nu for l in range(_DIRECT_TERMS, 0, -1))
+    n = int(nu) if float(nu).is_integer() else None
+    robinson = tuple(
+        float(sc.zeta(nu - k)) * (-1.0) ** k / math.factorial(k) if nu - k != 1.0 else 0.0
+        for k in range(_ROBINSON_TERMS - 1, -1, -1)
+    )
+    if n is None:
+        return direct, robinson, math.gamma(1.0 - nu), None
+    harmonic = math.fsum(1.0 / j for j in range(1, n))
+    return direct, robinson, (-1.0) ** (n - 1) / math.factorial(n - 1), harmonic
+
+
+def _horner(coefficients, x):
+    """sum_k c_k x^k for the coefficients highest power first; x is a float
+    or an array."""
+    acc = 0.0 * x
+    for c in coefficients:
+        acc = acc * x + c
+    return acc
+
+
+def _robinson_leading(nu, alpha, lead, harmonic, log):
+    """Leading term of Robinson's expansion at alpha > 0 (log is math.log or
+    np.log)."""
+    if harmonic is None:
+        return lead * alpha ** (nu - 1.0)
+    return lead * alpha ** (nu - 1.0) * (harmonic - log(alpha))
+
+
+def polylog(nu, f):
+    """Bose-Einstein function g_nu(f) = sum_{l>=1} f^l / l^nu, f in [0, 1].
+
+    f is a float (or Fugacity), giving a float, or an ndarray, giving an
+    array of the same shape.  f <= 1/2 sums the direct series; above it,
+    Robinson's expansion in alpha = -ln f,
+    g_nu = Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k / k!,
+    with (-alpha)^(n-1)/(n-1)! (H_(n-1) - ln alpha) in place of the leading
+    and the k = n-1 terms for integer nu = n (J. E. Robinson, Phys. Rev. 83,
+    678 (1951)).  Both are Horner polynomials over per-order tables.
+    """
+    if isinstance(f, Fugacity):
+        f = f.value
+    f = f.astype(float, copy=False) if isinstance(f, np.ndarray) else float(f)
+    _check_polylog_args(nu, f)
+    direct, robinson, lead, harmonic = _polylog_tables(nu)
+    if isinstance(f, np.ndarray):
+        out = np.empty_like(f)
+        low = f <= 0.5
+        out[low] = _horner(direct, f[low]) * f[low]
+        alpha = -np.log(f[~low])
+        total = _horner(robinson, alpha)
+        # alpha = 0 (f = 1) leaves zeta(nu)
+        inner = alpha > 0.0
+        total[inner] += _robinson_leading(nu, alpha[inner], lead, harmonic, np.log)
+        out[~low] = total
+        return out
+    if f <= 0.5:
+        return _horner(direct, f) * f
+    alpha = -math.log(f)
+    total = _horner(robinson, alpha)
+    if alpha == 0.0:
+        return total
+    return total + _robinson_leading(nu, alpha, lead, harmonic, math.log)
 
 
 def polylog_tail(nu, f, l_start, rel_tol=1e-12, l_max=10**6):

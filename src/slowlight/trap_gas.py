@@ -11,10 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .box_gas import doppler_width_param, gas_state, tc_trap
-from .eit_core import ComplexResponse, zeta
+from .box_gas import finite_response, gas_state, in_float_range, tc_trap, zeta_and_width
 from .errors import DomainError
 from .specfun import polylog
 from .units_params import (
@@ -25,12 +23,10 @@ from .units_params import (
     HarmonicTrap,
     chi0,
     probe_omega,
-    recoil_frequency,
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-# relative tolerance of the adaptive z-quadrature of a finite path
-_QUAD_REL_TOL = 1e-10
+_Z_GL_NODES, _Z_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
 # of the infinite-path average keeps fewer than about six digits
 _MIN_SECTION_EXPONENT = 1e-9
@@ -101,16 +97,9 @@ def cloud_size(config, temperature):
     return _cloud_size(config.species, config.geometry, temperature, tc_trap(config.species, config.geometry))
 
 
-def _zeta_and_width(state, fields):
-    """zeta of the fields and the Doppler width A at the state's temperature."""
-    species = state.species
-    return (
-        zeta(fields, recoil_frequency(species, fields)),
-        doppler_width_param(species, fields, state.temperature_k),
-    )
-
-
 def _local_response(state, zv, a_param, r, z):
+    """(chi, dchi/domega) at (r, z); r and z are floats or arrays that
+    broadcast, and the result has their broadcast shape."""
     species = state.species
     trap = state.geometry
     temperature = state.temperature_k
@@ -122,26 +111,27 @@ def _local_response(state, zv, a_param, r, z):
     if temperature > 0.0:
         mass = species.mass_kg
         beta = 1.0 / (KB_J_PER_K * temperature)
-        lam = (mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
         potential = 0.5 * mass * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
-        u = state.fugacity.value * math.exp(-beta * potential)
+        u = state.fugacity.value * np.exp(-beta * potential)
         g32 = polylog(1.5, u)
         g52 = polylog(2.5, u)
         a_sq = a_param**2
-        chi += -x0 * lam * (g32 / zval + 0.5 * g52 * a_sq / zval**3)
-        dchi += x0 * lam * dz_domega * (g32 / zval**2 + 1.5 * g52 * a_sq / zval**4)
+        with in_float_range("the thermal density (m K_B T/2 pi hbar^2)^{3/2} g_{3/2}", temperature):
+            lam = (mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
+            chi += -x0 * lam * (g32 / zval + 0.5 * g52 * a_sq / zval**3)
+            dchi += x0 * lam * dz_domega * (g32 / zval**2 + 1.5 * g52 * a_sq / zval**4)
     if state.condensate_fraction > 0.0:
         a0r = ground_state_size(species, trap.nu_r_rad_s)
         a0z = ground_state_size(species, trap.nu_z_rad_s)
         n0 = (
             trap.atom_count
             * state.condensate_fraction
-            * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
+            * np.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
             / (math.pi**1.5 * a0r**2 * a0z)
         )
         chi += -x0 * n0 / zval
         dchi += x0 * n0 * dz_domega / zval**2
-    return ComplexResponse(chi=chi, dchi_domega=dchi)
+    return chi, dchi
 
 
 def trap_response(state, fields, r):
@@ -152,13 +142,40 @@ def trap_response(state, fields, r):
     _require_trap(state.geometry)
     if r < 0.0:
         raise DomainError("radial position must be nonnegative, got %r" % r)
-    zv, a_param = _zeta_and_width(state, fields)
-    return _local_response(state, zv, a_param, r, 0.0)
+    zv, a_param = zeta_and_width(state, fields)
+    chi, dchi = _local_response(state, zv, a_param, r, 0.0)
+    return finite_response(chi, dchi, state.temperature_k)
 
 
 def chi_trap_local(config, temperature, r):
     """Susceptibility in the plane z = 0 at radial distance r (see trap_response)."""
     return trap_response(gas_state(config, temperature), config.fields, r)
+
+
+def _z_panels(state, path_half_length_m):
+    """Composite 16-point Gauss-Legendre rule on [0, L]: panel edges at
+    a0_z, 4 a0_z, 6 a0_z (condensate) and (0.25 ... 9) z_th (thermal cloud),
+    z_th = sqrt(K_B T / m nu_z^2), clipped to L and closed at L."""
+    species = state.species
+    a0z = ground_state_size(species, state.geometry.nu_z_rad_s)
+    z_th = math.sqrt(KB_J_PER_K * state.temperature_k / (species.mass_kg * state.geometry.nu_z_rad_s**2))
+    inner = {a0z, 4.0 * a0z, 6.0 * a0z}
+    inner.update(c * z_th for c in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0))
+    edges = np.array([0.0] + sorted(e for e in inner if 0.0 < e < path_half_length_m) + [path_half_length_m])
+    half = 0.5 * np.diff(edges)
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _Z_GL_NODES
+    return nodes.ravel(), (half[:, None] * _Z_GL_WEIGHTS).ravel()
+
+
+def _finite_path_delays(state, zv, a_param, r, path_half_length_m):
+    """Delays 2 int_0^L (1/v_g - 1/c) dz at the radii r (an array): the
+    vacuum-subtracted 1/v_g - 1/c = (2 pi Re chi + 2 pi omega Re dchi/domega)/c
+    on one (r, z) grid."""
+    z, w = _z_panels(state, path_half_length_m)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        chi, dchi = _local_response(state, zv, a_param, r[:, None], z[None, :])
+    excess = TWO_PI * (chi.real + probe_omega(state.species) * dchi.real) / C_M_S
+    return 2.0 * (excess @ w)
 
 
 def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
@@ -167,21 +184,7 @@ def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
     temperature = state.temperature_k
     omega = probe_omega(species)
     if not math.isinf(path_half_length_m):
-
-        def inverse_velocity_excess(z):
-            # 1/v_g(r, z) - 1/c = (2 pi Re chi + 2 pi omega Re dchi/domega)/c
-            resp = _local_response(state, zv, a_param, r, z)
-            return TWO_PI * (resp.chi.real + omega * resp.dchi_domega.real) / C_M_S
-
-        value, _ = integrate.quad(
-            inverse_velocity_excess,
-            0.0,
-            path_half_length_m,
-            epsabs=0.0,
-            epsrel=_QUAD_REL_TOL,
-            limit=200,
-        )
-        return 2.0 * value
+        return float(_finite_path_delays(state, zv, a_param, np.array([r]), path_half_length_m)[0])
     x0 = chi0(species)
     zval = zv.value
     delay = 0.0
@@ -191,14 +194,15 @@ def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
         g2 = polylog(2.0, y_r)
         g3 = polylog(3.0, y_r)
         kernel = zv.d_domega * (g2 / zval**2 + 1.5 * a_param**2 * g3 / zval**4)
-        delay += (
-            (omega / C_M_S)
-            * species.mass_kg
-            * (KB_J_PER_K * temperature) ** 2
-            / (HBAR_J_S**3 * trap.nu_z_rad_s)
-            * x0
-            * kernel.real
-        )
+        with in_float_range("the thermal column delay m (K_B T)^2/(hbar^3 nu_z)", temperature):
+            delay += (
+                (omega / C_M_S)
+                * species.mass_kg
+                * (KB_J_PER_K * temperature) ** 2
+                / (HBAR_J_S**3 * trap.nu_z_rad_s)
+                * x0
+                * kernel.real
+            )
     if state.condensate_fraction > 0.0:
         a0r = ground_state_size(species, trap.nu_r_rad_s)
         column = (
@@ -217,8 +221,9 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     Infinite path: the closed form
     (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0 Re{zeta'(omega)(g_2(y_r)/zeta^2
     + (3/2) A^2 g_3(y_r)/zeta^4)}, y_r = f e^{-beta m nu_r^2 r^2/2}, plus the
-    condensate line integral below Tc.  Finite path: adaptive z-quadrature of
-    1/v_g - 1/c (the L/c vacuum term is subtracted by construction).
+    condensate line integral below Tc.  Finite path: 2 int_0^L (1/v_g - 1/c) dz
+    on composite 16-point Gauss-Legendre panels (see _z_panels); the L/c
+    vacuum term is subtracted by construction.
     """
     _require_trap(config.geometry)
     if r < 0.0:
@@ -226,7 +231,7 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     if not math.isinf(path_half_length_m) and not path_half_length_m > 0.0:
         raise DomainError("path_half_length_m must be positive")
     state = gas_state(config, temperature)
-    zv, a_param = _zeta_and_width(state, config.fields)
+    zv, a_param = zeta_and_width(state, config.fields)
     return _delay_at_radius(state, zv, a_param, r, path_half_length_m)
 
 
@@ -252,8 +257,10 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
     Re{zeta'(omega)([g_3(f)-g_3(f e^{-c})]/zeta^2
     + (3/2)(A^2/zeta^4)[g_4(f)-g_4(f e^{-c})])}, c = beta m nu_r^2 R^2/2;
     below Tc f = 1 plus the condensate term with the selected F_C mode.
-    Finite path: 64-point Gauss-Legendre radial average of the z-quadrature
-    delays (vacuum-subtracted; fc_mode does not apply).
+    Finite path: the local response on one fixed grid, 64 Gauss-Legendre
+    radii times the composite Gauss-Legendre z panels of delay_at_radius
+    (vacuum-subtracted; the condensate enters pointwise, so fc_mode does not
+    apply).
 
     Raises DomainError when the pinhole is so small (c < 1e-9) that the
     closed form loses its digits, or when the delay is zero, non-finite or
@@ -270,15 +277,12 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
     else:
         radius = pinhole.radius_m
     half_length = pinhole.path_half_length_m
-    zv, a_param = _zeta_and_width(state, fields)
+    zv, a_param = zeta_and_width(state, fields)
 
     if not math.isinf(half_length):
         # average = (2/R^2) int_0^R r dt(r) dr on a fixed Gauss-Legendre rule
-        total = 0.0
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            ri = 0.5 * radius * (xi + 1.0)
-            total += wi * ri * _delay_at_radius(state, zv, a_param, ri, half_length)
-        delay = total / radius
+        r = 0.5 * radius * (_GL_NODES + 1.0)
+        delay = float(np.sum(_GL_WEIGHTS * r * _finite_path_delays(state, zv, a_param, r, half_length))) / radius
     else:
         omega = probe_omega(species)
         x0 = chi0(species)
@@ -298,15 +302,16 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
             g3_diff = polylog(3.0, f) - polylog(3.0, f * shrink)
             g4_diff = polylog(4.0, f) - polylog(4.0, f * shrink)
             kernel = zv.d_domega * (g3_diff / zval**2 + 1.5 * a_param**2 * g4_diff / zval**4)
-            delay += (
-                TWO_PI
-                * (omega / C_M_S)
-                * x0
-                * (KB_J_PER_K * temperature) ** 3
-                / (HBAR_J_S**3 * trap.nu_z_rad_s * trap.nu_r_rad_s**2)
-                / (math.pi * radius**2)
-                * kernel.real
-            )
+            with in_float_range("the thermal section delay (K_B T)^3/(hbar^3 nu_z nu_r^2 pi R^2)", temperature):
+                delay += (
+                    TWO_PI
+                    * (omega / C_M_S)
+                    * x0
+                    * (KB_J_PER_K * temperature) ** 3
+                    / (HBAR_J_S**3 * trap.nu_z_rad_s * trap.nu_r_rad_s**2)
+                    / (math.pi * radius**2)
+                    * kernel.real
+                )
         if state.condensate_fraction > 0.0:
             section = _condensate_section_factor(state, radius, half_length, fc_mode)
             delay += (

@@ -203,19 +203,23 @@ def chi_trap_point_by_quadrature(config, temperature, r):
     return chi, dchi
 
 
-def _z_mesh_edges(a0_z, z_th):
+def _z_mesh_edges(a0_z, z_th, path_half_length_m):
     edges = {0.0, a0_z, 4.0 * a0_z, 6.0 * a0_z}
     edges.update(c * z_th for c in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0))
-    return sorted(edges)
+    edges = sorted(edges)
+    if path_half_length_m < edges[-1]:
+        edges = [e for e in edges if e < path_half_length_m] + [path_half_length_m]
+    return edges
 
 
-def mean_delay_by_quadrature(config, temperature, radius_m):
+def mean_delay_by_quadrature(config, temperature, radius_m, path_half_length_m=math.inf):
     """Pinhole-averaged delay by direct (r, z, momentum) quadrature.
 
     Integrates the vacuum-subtracted inverse group velocity
-    (2 pi Re chi + 2 pi omega Re dchi)/c over the infinite line of sight and
-    averages over the pinhole section; thermal and condensate densities both
-    enter pointwise, so this shares nothing with the closed-form series.
+    (2 pi Re chi + 2 pi omega Re dchi)/c over the line of sight -L < z < L
+    (infinite by default; beyond 9 z_th the thermal density is below e^-40)
+    and averages over the pinhole section; thermal and condensate densities
+    both enter pointwise, so this shares nothing with the closed-form series.
     """
     species, fields, trap = config.species, config.fields, config.geometry
     m = species.mass_kg
@@ -232,7 +236,7 @@ def mean_delay_by_quadrature(config, temperature, radius_m):
     a0_r = math.sqrt(HBAR / (m * nu_r))
     a0_z = math.sqrt(HBAR / (m * nu_z))
     z_th = math.sqrt(KB * temperature / (m * nu_z**2))
-    z_nodes, z_weights = gl_panels(_z_mesh_edges(a0_z, z_th))
+    z_nodes, z_weights = gl_panels(_z_mesh_edges(a0_z, z_th, path_half_length_m))
     r_edges = sorted({0.0, radius_m} | {x for x in (a0_r, 3.0 * a0_r, radius_m / 2.0) if 0.0 < x < radius_m})
     r_nodes, r_weights = gl_panels(r_edges)
 

@@ -148,6 +148,17 @@ def test_asymptotic_domain_guard():
         chi_box_asymptotic(config, temperature_for_doppler_a(config, 0.25))
 
 
+def test_chi_box_exact_at_vanishing_doppler_width_is_a_domain_error():
+    # K_B T underflows, so A = 0 and the series prefactor divides by zero
+    with pytest.raises(DomainError, match=r"thermal prefactor .* at T = 1e-307 K"):
+        chi_box_exact(CONFIG, 1e-307)
+
+
+def test_chi_box_exact_at_overflowing_temperature_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"chi = .* is not finite at T = 1e\+290 K"):
+        chi_box_exact(CONFIG, 1e290)
+
+
 def test_chi_continuous_at_tc():
     eps = 1e-11
     below = chi_box_exact(CONFIG, TC * (1.0 - eps))

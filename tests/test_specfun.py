@@ -24,8 +24,21 @@ from _oracles import (
     box_fugacity_oracle,
     faddeeva_by_quadrature,
     polylog_bruteforce,
+    polylog_mp,
     trap_fugacity_oracle,
     zeta_constant,
+)
+
+# 0, a geometric ladder 1e-8 ... 1/2, both sides of the switch to Robinson's
+# expansion at 1/2, a ladder 1 - 0.1 ... 1 - 1e-12, and 1
+POLYLOG_GRID = np.concatenate(
+    (
+        [0.0],
+        np.geomspace(1e-8, 0.5, 12),
+        [np.nextafter(0.5, 1.0), 0.6, 0.75],
+        1.0 - np.geomspace(0.1, 1e-12, 12),
+        [1.0],
+    )
 )
 
 
@@ -77,11 +90,44 @@ def test_polylog_domain_errors():
         polylog(0.5, 1.0)
     # nu in (0, 1] is fine strictly inside the disc
     assert polylog(0.5, 0.5) > 0.0
+    # the same errors for arrays, raised by any one bad element
+    with pytest.raises(DomainError, match="order must be positive"):
+        polylog(0.0, np.array([0.5]))
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        polylog(1.5, np.array([0.2, -0.1]))
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        polylog(1.5, np.array([0.5, 1.0 + 1e-9]))
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        polylog(1.5, np.array([0.5, math.nan]))
+    with pytest.raises(DomainError, match="diverges"):
+        polylog(1.0, np.array([0.5, 1.0]))
+    assert np.all(polylog(0.5, np.array([0.25, 0.5, 0.75])) > 0.0)
+
+
+def test_polylog_arrays_match_mpmath():
+    for nu in (1.5, 2.0, 2.5, 3.0, 4.0):
+        values = polylog(nu, POLYLOG_GRID)
+        assert values[0] == 0.0
+        for f, value in zip(POLYLOG_GRID[1:], values[1:]):
+            assert rel(value, polylog_mp(nu, f)) <= 1e-14, (nu, f)
+
+
+def test_polylog_scalar_and_array_agree():
+    for nu in (0.5, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0):
+        grid = POLYLOG_GRID[:-1] if nu <= 1.0 else POLYLOG_GRID
+        values = polylog(nu, grid)
+        for f, value in zip(grid, values):
+            scalar = polylog(nu, float(f))
+            assert isinstance(scalar, float)
+            assert abs(scalar - value) <= 1e-15 * abs(value), (nu, f)
+    square = np.array([[0.1, 0.6], [0.9, 1.0]])
+    assert polylog(2.5, square).shape == (2, 2)
+    assert polylog(2.5, square)[1, 0] == polylog(2.5, np.array([0.9]))[0]
 
 
 def test_polylog_series_cap_is_an_error():
     with pytest.raises(SeriesCapError, match="did not converge within 300 terms"):
-        polylog(1.1, 0.99, rel_tol=1e-15, l_max=300)
+        polylog_tail(1.1, 0.99, 0, rel_tol=1e-15, l_max=300)
 
 
 @settings(derandomize=True, max_examples=40)

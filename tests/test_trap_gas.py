@@ -5,6 +5,7 @@ import warnings
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 
 from slowlight import (
@@ -158,6 +159,18 @@ def test_chi_trap_local_edges():
         chi_trap_local(box_config(), 1.5 * TC, 0.0)
 
 
+def test_chi_trap_local_with_overflowing_coupling_is_a_domain_error():
+    config = trap_config(omega_coupling_rad_s=1e210)
+    with pytest.raises(DomainError, match=r"zeta leaves the floating-point range at T = 1\.5e-07 K"):
+        chi_trap_local(config, 1.5e-7, 0.0)
+
+
+def test_gas_state_far_above_tc_has_no_condensate():
+    # theta^3 of a numpy float overflows; no RuntimeWarning may escape
+    state = gas_state(CONFIG, np.float64(1e110) * TC)
+    assert state.condensate_fraction == 0.0
+
+
 def test_delay_at_radius():
     t = 2.0 * TC
     d_z = cloud_size(CONFIG, t)
@@ -186,6 +199,22 @@ def test_mean_delay_matches_quadrature():
         result = mean_delay(config, t, PINHOLE, fc_mode="exact")
         oracle = mean_delay_by_quadrature(config, t, PINHOLE.radius_m)
         assert rel(result.mean_delay_s, oracle) < 1e-6
+
+
+def test_finite_path_mean_delay_matches_quadrature():
+    # short paths (50 um to 3 z_th) and covering ones, below and above Tc,
+    # fixed and thermal pinholes; the condensate enters pointwise, so fc_mode
+    # does not apply
+    for theta in (0.6, 1.4):
+        t = theta * TC
+        z_th = math.sqrt(KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))
+        for half_length, mode in ((50e-6, "fixed"), (z_th, "thermal"), (3.0 * z_th, "fixed"), (7.0 * z_th, "thermal")):
+            pinhole = PinholeSpec(radius_mode=mode, radius_m=PINHOLE.radius_m if mode == "fixed" else None,
+                                  path_half_length_m=half_length)
+            radius = PINHOLE.radius_m if mode == "fixed" else thermal_radius(SPECIES, TRAP, t)
+            result = mean_delay(CONFIG, t, pinhole)
+            oracle = mean_delay_by_quadrature(CONFIG, t, radius, path_half_length_m=half_length)
+            assert rel(result.mean_delay_s, oracle) < 1e-6, (theta, half_length / z_th, mode)
 
 
 def test_mean_delay_thermal_pinhole():
