@@ -6,7 +6,10 @@ both geometries.  Above Tc the Doppler-averaged response of the thermal
 cloud in a box is the series over l of f^l/l * w(sqrt(l) zeta / A), with
 A = sqrt(2 K_B T/m) k_g/Gamma_ge the thermal Doppler width in linewidth
 units; below Tc the f = 1 series plus the zero-momentum condensate term
--(chi0/zeta) n (1 - (T/Tc)^{3/2}).
+-(chi0/zeta) n (1 - (T/Tc)^{3/2}).  Terms with sqrt(l)|zeta/A| < 70 use the
+exact w; from the first l beyond, the large-|y| expansion of w turns the rest
+of the series into polylogs in closed form, which at the sodium EIT defaults
+(|zeta/A| >= 150) is the whole series.
 """
 
 import cmath
@@ -40,9 +43,15 @@ from .units_params import (
 )
 
 _SERIES_CHUNK = 512
-_SERIES_HEAD_MIN = 5000
 _SERIES_CAP = 10**6
-# the 4-term large-|y| tail is ~1e-13 accurate once |y| = sqrt(l)|zeta|/A >= 70
+# large-|y| expansions (Im y > 0), four terms each:
+# w(y) ~ (i/sqrt(pi)) sum_k _W_TAIL[k] y^-(2k+1),
+# w'(y) ~ -(i/sqrt(pi)) sum_k _WPRIME_TAIL[k] y^-(2k+2);
+# with y = sqrt(l) zeta/A the l-sums become g_nu(u) for nu in _TAIL_ORDERS
+_W_TAIL = (1.0, 0.5, 0.75, 1.875)
+_WPRIME_TAIL = (1.0, 1.5, 3.75, 13.125)
+_TAIL_ORDERS = (1.5, 2.5, 3.5, 4.5)
+# the 4-term tail is ~1e-13 accurate once |y| = sqrt(l)|zeta|/A >= 70
 _TAIL_MIN_ABS_Y = 70.0
 # uniform bounds on |w|, |dw/dy| in the upper half plane (for remainder bounds)
 _W_BOUND = 1.0
@@ -182,8 +191,11 @@ def thermal_response_series(fugacity_value, zeta_value, a_param):
     """Doppler series of one thermal cloud: returns (S, S') with
     S = sum_l u^l/l w(sqrt(l) zeta/A) and S' = sum_l u^l/sqrt(l) w'(sqrt(l) zeta/A).
 
-    Explicit chunks with exact w up to at least 5000 terms, then polylog
-    tails of the large-|y| expansion; geometric early stop for u < 1.
+    Chunks of exact w while |y| = sqrt(l)|zeta/A| < 70, with a geometric early
+    stop for u < 1.  From the first l where |y| >= 70 the rest of the series is
+    the four-term large-|y| expansion, summed in closed form over polylogs
+    g_{3/2 ... 9/2} (the whole of g_nu when that is l = 1, as at the sodium
+    EIT defaults; a polylog tail otherwise).
     """
     u = fugacity_value
     z_over_a = zeta_value / a_param
@@ -192,6 +204,12 @@ def thermal_response_series(fugacity_value, zeta_value, a_param):
     s_wp = 0.0 + 0.0j
     l0 = 1
     while l0 <= _SERIES_CAP:
+        if math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
+            g = [polylog(nu, u) if l0 == 1 else polylog_tail(nu, u, l0 - 1) for nu in _TAIL_ORDERS]
+            r = 1.0 / z_over_a  # A/zeta
+            s_w += (1j / SQRT_PI) * sum(c * r ** (2 * k + 1) * g[k] for k, c in enumerate(_W_TAIL))
+            s_wp += (-1j / SQRT_PI) * sum(c * r ** (2 * k + 2) * g[k] for k, c in enumerate(_WPRIME_TAIL))
+            return s_w, s_wp
         hi = min(l0 + _SERIES_CHUNK - 1, _SERIES_CAP)
         l = np.arange(l0, hi + 1, dtype=float)
         y = np.sqrt(l) * z_over_a
@@ -206,19 +224,6 @@ def thermal_response_series(fugacity_value, zeta_value, a_param):
                 and geom * _WPRIME_BOUND / math.sqrt(hi + 1) <= _SERIES_REL_TOL * abs(s_wp)
             ):
                 return s_w, s_wp
-        if hi >= _SERIES_HEAD_MIN and math.sqrt(hi + 1) * abs_ratio >= _TAIL_MIN_ABS_Y:
-            r = 1.0 / z_over_a  # A/zeta
-            g32 = polylog_tail(1.5, u, hi)
-            g52 = polylog_tail(2.5, u, hi)
-            g72 = polylog_tail(3.5, u, hi)
-            g92 = polylog_tail(4.5, u, hi)
-            s_w += (1j / SQRT_PI) * (
-                r * g32 + 0.5 * r**3 * g52 + 0.75 * r**5 * g72 + 1.875 * r**7 * g92
-            )
-            s_wp += (-1j / SQRT_PI) * (
-                r**2 * g32 + 1.5 * r**4 * g52 + 3.75 * r**6 * g72 + 13.125 * r**8 * g92
-            )
-            return s_w, s_wp
         l0 = hi + 1
     raise SeriesCapError(
         "Doppler series not converged within %d terms (fugacity %.6g, |zeta/A| = %.3g)"

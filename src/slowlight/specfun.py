@@ -28,6 +28,9 @@ ZETA_4 = float(sc.zeta(4.0))
 # below 2^-63 relative); above 1/2 it sums 24 terms of Robinson's expansion,
 # whose terms fall as (alpha/2 pi)^k with alpha = -ln f <= ln 2
 _DIRECT_TERMS = 63
+# a float f <= 1/2 sums only l <= 1 + ceil(_DIRECT_LOG_TOL / -ln f), so that
+# the first term dropped is below f e^-36.8 = 1e-16 f
+_DIRECT_LOG_TOL = 36.8
 _ROBINSON_TERMS = 24
 
 # below this fugacity a polylog tail is geometric enough to sum directly;
@@ -173,7 +176,8 @@ def polylog(nu, f):
     """Bose-Einstein function g_nu(f) = sum_{l>=1} f^l / l^nu, f in [0, 1].
 
     f is a float (or Fugacity), giving a float, or an ndarray, giving an
-    array of the same shape.  f <= 1/2 sums the direct series; above it,
+    array of the same shape.  f <= 1/2 sums the direct series (on a float,
+    only as many terms as reach 1e-16 relative); above it,
     Robinson's expansion in alpha = -ln f,
     g_nu = Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k / k!,
     with (-alpha)^(n-1)/(n-1)! (H_(n-1) - ln alpha) in place of the leading
@@ -197,7 +201,10 @@ def polylog(nu, f):
         out[~low] = total
         return out
     if f <= 0.5:
-        return _horner(direct, f) * f
+        if f == 0.0:
+            return 0.0
+        terms = min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / -math.log(f)) + 1)
+        return _horner(direct[-terms:], f) * f
     alpha = -math.log(f)
     total = _horner(robinson, alpha)
     if alpha == 0.0:

@@ -1,10 +1,14 @@
 """Uniform gas: condensation thermodynamics and Doppler-averaged response."""
 
+import cmath
 import math
 from dataclasses import replace
 
 import mpmath
 import pytest
+from scipy.special import wofz
+
+import slowlight.box_gas
 
 from slowlight import (
     C_M_S,
@@ -17,6 +21,7 @@ from slowlight import (
     chi_box_asymptotic,
     chi_box_exact,
     doppler_width_param,
+    faddeeva_w_prime,
     gas_state,
     recoil_frequency,
     tc_box,
@@ -24,6 +29,7 @@ from slowlight import (
     vg_box,
     zeta,
 )
+from slowlight.cli import main
 
 from _configs import box_config, detuned_config, temperature_for_doppler_a, trap_config
 from _oracles import chi_box_by_quadrature
@@ -104,6 +110,57 @@ def test_chi_box_detuned_matches_quadrature():
             chi_q, dchi_q = chi_box_by_quadrature(config, t)
             assert rel(resp.chi, chi_q) < 1e-8
             assert rel(resp.dchi_domega, dchi_q) < 1e-8
+
+
+def test_chi_box_exact_head_then_tail_matches_quadrature(monkeypatch):
+    # a probe wave number 10-20x the sodium one brings |zeta/A| down to 12-37,
+    # so the series sums one chunk of exact w before the large-|y| tail
+    # (f = 1 below Tc, f = 0.964 at 1.2 Tc, which the geometric stop does not end)
+    tails = []
+    polylog_tail = slowlight.box_gas.polylog_tail
+    monkeypatch.setattr(
+        slowlight.box_gas, "polylog_tail", lambda nu, f, l_start: tails.append(l_start) or polylog_tail(nu, f, l_start)
+    )
+    for scale in (10, 20):
+        config = detuned_config("box", k_g_per_m=scale * 2.0 * math.pi / 589e-9)
+        tc = tc_box(config.species, config.geometry.number_density_per_m3)
+        for theta in (0.5, 1.001, 1.2):
+            tails.clear()
+            resp = chi_box_exact(config, theta * tc)
+            assert tails and min(tails) > 0, (scale, theta)
+            chi_q, dchi_q = chi_box_by_quadrature(config, theta * tc)
+            assert rel(resp.chi, chi_q) < 1e-8, (scale, theta)
+            assert rel(resp.dchi_domega, dchi_q) < 1e-8, (scale, theta)
+
+
+def test_default_box_response_needs_no_faddeeva_terms(monkeypatch, capsys):
+    # at the sodium EIT defaults |zeta/A| >= 150, so the large-|y| tail is the
+    # whole Doppler series from l = 1
+    calls = []
+    for name in ("faddeeva_w", "faddeeva_w_prime"):
+        exact = getattr(slowlight.box_gas, name)
+        monkeypatch.setattr(slowlight.box_gas, name, lambda y, name=name, exact=exact: calls.append(name) or exact(y))
+    for theta in (0.5, 1.0 + 1e-4, 2.0):
+        chi_box_exact(CONFIG, theta * TC)
+    assert main(["chi", "--geometry", "box", "--temperature-nk", "200"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_large_y_tail_coefficients_match_faddeeva():
+    # the four-term expansions of w and w' that replace the exact terms from
+    # |y| = 70 on; measured worst case 1.2e-14 for w and 1.03e-13 for w' (the
+    # fifth w' term, 59/|y|^8), both at |y| = 70
+    sqrt_pi = math.sqrt(math.pi)
+    for modulus in (slowlight.box_gas._TAIL_MIN_ABS_Y, 150.0, 1e3, 1e4):
+        for arg in (0.05, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi - 0.05):
+            y = cmath.rect(modulus, arg)
+            w_tail = (1j / sqrt_pi) * sum(c * y ** -(2 * k + 1) for k, c in enumerate(slowlight.box_gas._W_TAIL))
+            wp_tail = (-1j / sqrt_pi) * sum(
+                c * y ** -(2 * k + 2) for k, c in enumerate(slowlight.box_gas._WPRIME_TAIL)
+            )
+            assert rel(w_tail, complex(wofz(y))) <= 1e-13, y
+            assert rel(wp_tail, faddeeva_w_prime(y)) <= 2e-13, y
 
 
 def test_far_detuned_dispersive_limit():

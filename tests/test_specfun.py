@@ -125,6 +125,15 @@ def test_polylog_scalar_and_array_agree():
     assert polylog(2.5, square)[1, 0] == polylog(2.5, np.array([0.9]))[0]
 
 
+def test_polylog_short_direct_series_matches_mpmath():
+    # a float f <= 1/2 sums only the terms above 1e-16 relative: 2 at
+    # f = 1e-300, 7 at 1e-3, 55 at 1/2
+    for nu in (1.5, 3.0, 4.0):
+        for f in (1e-300, 1e-3, 0.05, 0.3, 0.5):
+            assert rel(polylog(nu, f), polylog_mp(nu, f)) <= 1e-15, (nu, f)
+        assert polylog(nu, 0.0) == 0.0
+
+
 def test_polylog_series_cap_is_an_error():
     with pytest.raises(SeriesCapError, match="did not converge within 300 terms"):
         polylog_tail(1.1, 0.99, 0, rel_tol=1e-15, l_max=300)
