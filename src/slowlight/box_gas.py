@@ -23,6 +23,7 @@ from .eit_core import ComplexResponse, group_velocity_from_response, zeta
 from .errors import DomainError, SeriesCapError, ValidityWarning
 from .specfun import (
     SQRT_PI,
+    W_LARGE_Y,
     ZETA_3,
     ZETA_3_2,
     Fugacity,
@@ -44,12 +45,8 @@ from .units_params import (
 
 _SERIES_CHUNK = 512
 _SERIES_CAP = 10**6
-# large-|y| expansions (Im y > 0), four terms each:
-# w(y) ~ (i/sqrt(pi)) sum_k _W_TAIL[k] y^-(2k+1),
-# w'(y) ~ -(i/sqrt(pi)) sum_k _WPRIME_TAIL[k] y^-(2k+2);
+# the first four terms of the large-|y| expansions of w and w' (W_LARGE_Y);
 # with y = sqrt(l) zeta/A the l-sums become g_nu(u) for nu in _TAIL_ORDERS
-_W_TAIL = (1.0, 0.5, 0.75, 1.875)
-_WPRIME_TAIL = (1.0, 1.5, 3.75, 13.125)
 _TAIL_ORDERS = (1.5, 2.5, 3.5, 4.5)
 # the 4-term tail is ~1e-13 accurate once |y| = sqrt(l)|zeta|/A >= 70
 _TAIL_MIN_ABS_Y = 70.0
@@ -207,8 +204,8 @@ def thermal_response_series(fugacity_value, zeta_value, a_param):
         if math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
             g = [polylog(nu, u) if l0 == 1 else polylog_tail(nu, u, l0 - 1) for nu in _TAIL_ORDERS]
             r = 1.0 / z_over_a  # A/zeta
-            s_w += (1j / SQRT_PI) * sum(c * r ** (2 * k + 1) * g[k] for k, c in enumerate(_W_TAIL))
-            s_wp += (-1j / SQRT_PI) * sum(c * r ** (2 * k + 2) * g[k] for k, c in enumerate(_WPRIME_TAIL))
+            s_w += (1j / SQRT_PI) * sum(c * r ** (2 * k + 1) * g[k] for k, c in enumerate(W_LARGE_Y[:4]))
+            s_wp += (-1j / SQRT_PI) * sum((2 * k + 1) * c * r ** (2 * k + 2) * g[k] for k, c in enumerate(W_LARGE_Y[:4]))
             return s_w, s_wp
         hi = min(l0 + _SERIES_CHUNK - 1, _SERIES_CAP)
         l = np.arange(l0, hi + 1, dtype=float)

@@ -1,8 +1,9 @@
 """Special functions for the statistical sums: Bose-Einstein polylogarithms
 g_nu(f) = sum_{l>=1} f^l / l^nu on floats and arrays (a Horner direct series
 for f <= 1/2, Robinson's expansion in alpha = -ln f above), their partial
-tails, the Faddeeva function w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y|
-expansion, and inversion of the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu.
+tails (to about 1e-15 of g_nu(f), not of the tail), the Faddeeva function
+w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y| expansion, and inversion of
+the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from scipy import optimize
 from scipy import special as sc
 
-from .errors import DomainError, SeriesCapError
+from .errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -33,11 +34,15 @@ _DIRECT_TERMS = 63
 _DIRECT_LOG_TOL = 36.8
 _ROBINSON_TERMS = 24
 
-# below this fugacity a polylog tail is geometric enough to sum directly;
-# above it a 2000-term head plus an Euler-Maclaurin tail is used
-_DIRECT_SERIES_MAX_F = 0.99
+# a polylog tail after fewer head terms is g_nu less the head, after more an
+# Euler-Maclaurin sum: past 2000 terms the Doppler series weights the tail by
+# |A/zeta|^(2k+1) > 0.64^(2k+1), which would magnify the subtraction's ulp
 _EM_HEAD_TERMS = 2000
-_CHUNK = 256
+
+# large-|y| expansion of w (Abramowitz & Stegun 7.1.23), for Im y > 0:
+# w(y) ~ (i/sqrt(pi)) sum_k c_k y^-(2k+1) with c_k = (2k-1)!!/2^k, and
+# dw/dy ~ -(i/sqrt(pi)) sum_k (2k+1) c_k y^-(2k+2); every product is exact
+W_LARGE_Y = (1.0, 0.5, 0.75, 1.875, 6.5625)
 
 # |y| boundary above which dw/dy = -2 y w + 2i/sqrt(pi) is evaluated through
 # the large-|y| series instead (the direct form loses ~|y|^2 eps to
@@ -84,7 +89,7 @@ def _upper_gamma(s, z):
 
 
 def _em_tail(nu, f, l_start):
-    """sum_{l > l_start} f^l / l^nu by Euler-Maclaurin (f in (0.99, 1])."""
+    """sum_{l > l_start} f^l / l^nu by Euler-Maclaurin (0 < f <= 1)."""
     length = float(l_start)
     alpha = -math.log(f) if f < 1.0 else 0.0
     if alpha == 0.0:
@@ -101,25 +106,6 @@ def _em_tail(nu, f, l_start):
         + nu * (nu + 1.0) * (nu + 2.0) * length ** -(nu + 3.0)
     )
     return integral - h / 2.0 - hp / 12.0 + hppp / 720.0
-
-
-def _direct_series(nu, f, l_start, rel_tol, l_max):
-    """sum_{l > l_start} f^l / l^nu by chunked summation (f <= 0.99)."""
-    total = 0.0
-    l0 = l_start + 1
-    while l0 <= l_max:
-        hi = min(l0 + _CHUNK - 1, l_max)
-        l = np.arange(l0, hi + 1, dtype=float)
-        terms = f**l / l**nu
-        total += float(terms.sum())
-        # remainder bound: l^-nu decreasing, geometric envelope in f
-        bound = float(terms[-1]) * f / (1.0 - f)
-        if bound <= rel_tol * abs(total) or bound == 0.0:
-            return total
-        l0 = hi + 1
-    raise SeriesCapError(
-        "polylog(%g, %g) did not converge within %d terms" % (nu, f, l_max)
-    )
 
 
 def _check_polylog_args(nu, f):
@@ -212,20 +198,33 @@ def polylog(nu, f):
     return total + _robinson_leading(nu, alpha, lead, harmonic, math.log)
 
 
-def polylog_tail(nu, f, l_start, rel_tol=1e-12, l_max=10**6):
-    """Partial tail sum_{l > l_start} f^l / l^nu (l_start = 0 gives g_nu)."""
+def polylog_tail(nu, f, l_start):
+    """Partial tail sum_{l > l_start} f^l / l^nu (l_start = 0 gives g_nu).
+
+    Below 2000 head terms it is polylog(nu, f) less the head; from 2000 on,
+    an Euler-Maclaurin sum with an upper-incomplete-gamma integral.  The
+    error is about 1e-15 relative to g_nu(f), not to the tail.
+    """
     if isinstance(f, Fugacity):
         f = f.value
     _check_polylog_args(nu, f)
+    if not (l_start >= 0 and float(l_start).is_integer()):
+        raise DomainError("polylog tail start must be a nonnegative integer, got %r" % l_start)
     if f == 0.0:
         return 0.0
-    if f <= _DIRECT_SERIES_MAX_F:
-        return _direct_series(nu, f, l_start, rel_tol, l_max)
     if l_start >= _EM_HEAD_TERMS:
         return _em_tail(nu, f, l_start)
-    l = np.arange(l_start + 1, _EM_HEAD_TERMS + 1, dtype=float)
-    head = float((f**l / l**nu).sum())
-    return head + _em_tail(nu, f, _EM_HEAD_TERMS)
+    l = np.arange(1, l_start + 1, dtype=float)
+    return polylog(nu, f) - float((f**l / l**nu).sum())
+
+
+def _finite_w(out, y, shape, name):
+    """out in the shape of the input y (a complex for a scalar), or a
+    DomainError naming the first y where it is not finite."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise DomainError("%s is not finite at y = %r" % (name, complex(y[bad][0])))
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def faddeeva_w(y, mode="exact"):
@@ -233,9 +232,9 @@ def faddeeva_w(y, mode="exact"):
 
     mode "exact" evaluates everywhere; "asymptotic" returns the two-term
     expansion i/(sqrt(pi) y) (1 + 1/(2 y^2)), valid for |y| >= 2, Im y > 0.
+    A w that is not finite (deep below the real axis) is a DomainError.
     """
     arr = np.asarray(y, dtype=complex)
-    scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
     if mode == "exact":
         out = sc.wofz(a)
@@ -244,33 +243,33 @@ def faddeeva_w(y, mode="exact"):
             raise DomainError("two-term w expansion requires |y| >= 2")
         if np.any(a.imag <= 0.0):
             raise DomainError("w expansion requires Im y > 0")
-        out = (1j / (SQRT_PI * a)) * (1.0 + 0.5 / (a * a))
+        out = (1j / (SQRT_PI * a)) * (W_LARGE_Y[0] + W_LARGE_Y[1] / (a * a))
     else:
         raise ValueError("mode must be 'exact' or 'asymptotic'")
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+    return _finite_w(out, a, arr.shape, "w")
 
 
 def faddeeva_w_prime(y):
     """dw/dy = -2 y w(y) + 2i/sqrt(pi), stabilized at large |y|.
 
-    Beyond |y| = 35 the identity is evaluated through the expansion
-    -(i/sqrt(pi)) (y^-2 + 3/2 y^-4 + 15/4 y^-6 + 105/8 y^-8 + 945/16 y^-10)
-    to avoid the cancellation of the two O(1) terms.
+    Beyond |y| = 35 with Im y >= 0 the identity is evaluated through the
+    five-term expansion -(i/sqrt(pi)) sum_k (2k+1) W_LARGE_Y[k] y^-(2k+2) to
+    avoid the cancellation of the two O(1) terms.  A w' that is not finite
+    is a DomainError.
     """
     arr = np.asarray(y, dtype=complex)
-    scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
     out = np.empty_like(a)
-    big = np.abs(a) >= _W_PRIME_ASYMPTOTIC_RADIUS
+    big = (np.abs(a) >= _W_PRIME_ASYMPTOTIC_RADIUS) & (a.imag >= 0.0)
     if big.any():
         y2 = 1.0 / (a[big] * a[big])
-        out[big] = (-1j / SQRT_PI) * y2 * (
-            1.0 + y2 * (1.5 + y2 * (3.75 + y2 * (13.125 + y2 * 59.0625)))
-        )
+        series = _horner([(2 * k + 1) * c for k, c in reversed(list(enumerate(W_LARGE_Y)))], y2)
+        out[big] = (-1j / SQRT_PI) * y2 * series
     small = ~big
     if small.any():
-        out[small] = -2.0 * a[small] * sc.wofz(a[small]) + 2j / SQRT_PI
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[small] = -2.0 * a[small] * sc.wofz(a[small]) + 2j / SQRT_PI
+    return _finite_w(out, a, arr.shape, "dw/dy")
 
 
 def fugacity_from_temperature(geometry_kind, t_over_tc):
