@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .box_gas import box_response, gas_state, tc_box, tc_trap
-from .eit_core import group_velocity_from_response
+from .eit_core import group_velocity_from_response, warn_if_dense
 from .errors import ConfigError, DomainError, PhysicsError, PoleError, UsageError
 from .tf_model import hau_group_velocity, ideal_t0_density, tf_geometry, tf_t0_density
 from .trap_gas import PinholeSpec, ground_state_size, trap_mean_delay, trap_response
@@ -146,6 +146,7 @@ def cmd_sweep(args):
                 row = (theta, temperature, state.fugacity.value, resp.chi.real, resp.chi.imag, 0.0, 0.0, v_g)
             else:
                 resp = trap_response(state, config.fields, 0.0)
+                warn_if_dense(resp.chi)
                 delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode)
                 row = (
                     theta,

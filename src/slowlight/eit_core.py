@@ -177,15 +177,21 @@ def bloch_steady_oracle(fields, probe_rabi, detuning_g, detuning_r):
     )
 
 
-def group_velocity_from_response(resp, probe_omega):
-    """v_g = c / (1 + 2 pi Re chi + 2 pi omega Re dchi/domega) (m/s)."""
-    if abs(resp.chi) >= 0.1:
+def warn_if_dense(chi):
+    """ValidityWarning, attributed to the caller's caller, when |chi| >= 0.1:
+    the group velocity and the delays assume a dilute response, |chi| << 1."""
+    if abs(chi) >= 0.1:
         warnings.warn(
             "|chi| = %.3g: beyond the dilute-response validity of the "
-            "group-velocity formula" % abs(resp.chi),
+            "group-velocity formula" % abs(chi),
             ValidityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def group_velocity_from_response(resp, probe_omega):
+    """v_g = c / (1 + 2 pi Re chi + 2 pi omega Re dchi/domega) (m/s)."""
+    warn_if_dense(resp.chi)
     denom = 1.0 + TWO_PI * resp.chi.real + TWO_PI * probe_omega * resp.dchi_domega.real
     if denom <= 0.0:
         raise UnphysicalDispersionError(

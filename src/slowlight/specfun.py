@@ -3,7 +3,11 @@ g_nu(f) = sum_{l>=1} f^l / l^nu on floats and arrays (a Horner direct series
 for f <= 1/2, Robinson's expansion in alpha = -ln f above), their partial
 tails (to about 1e-15 of g_nu(f), not of the tail), the Faddeeva function
 w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y| expansion, and inversion of
-the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu.
+the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu by Newton's method.
+
+The zeta values behind g_nu(1) and Robinson's expansion come from Borwein's
+series, so importing this module imports no scipy; scipy.special is imported
+on the first exact Faddeeva evaluation or Euler-Maclaurin tail.
 """
 
 import math
@@ -11,19 +15,50 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
-from scipy import special as sc
 
-from .errors import DomainError
+from .errors import DomainError, SeriesCapError
 
 SQRT_PI = math.sqrt(math.pi)
 
+# Borwein's series for the alternating zeta function (P. Borwein, "An
+# efficient algorithm for the Riemann zeta function", CMS Conf. Proc. 27,
+# 2000): eta(s) = sum_{k<n} w_k (k+1)^-s with w_k = (-1)^k (1 - d_k/d_n) and
+# the integers d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!); for real s
+# the truncation error is about 3 (3 + sqrt 8)^-n = 1e-30 at n = 40
+_BORWEIN_TERMS = 40
+
+
+def _borwein_weights(n):
+    partial, d = 0, []
+    for i in range(n + 1):
+        partial += n * math.factorial(n + i - 1) * 4**i // (math.factorial(n - i) * math.factorial(2 * i))
+        d.append(partial)
+    # integer true division rounds each weight correctly
+    return tuple((-1) ** k * (d[n] - d[k]) / d[n] for k in range(n))
+
+
+_BORWEIN_WEIGHTS = _borwein_weights(_BORWEIN_TERMS)
+
+
+def _zeta(s):
+    """Riemann zeta(s) for real s != 1: Borwein's series for s >= 1/2, the
+    reflection formula below, with zeta(0) = -1/2 and the zeros at the
+    negative even integers exact.  Within 2.4e-14 of 40-digit mpmath at every
+    s = nu - k of the polylog tables (worst far out on the negative axis)."""
+    if s >= 0.5:
+        eta = math.fsum(w * (k + 1.0) ** -s for k, w in enumerate(_BORWEIN_WEIGHTS))
+        return eta / (1.0 - 2.0 ** (1.0 - s))
+    if s == 0.0:
+        return -0.5
+    if s % 2.0 == 0.0:
+        return 0.0
+    return 2.0**s * math.pi ** (s - 1.0) * math.sin(0.5 * math.pi * s) * math.gamma(1.0 - s) * _zeta(1.0 - s)
+
+
 # Riemann zeta values g_nu(1) used by the thermodynamic relations
-ZETA_3_2 = float(sc.zeta(1.5))
-ZETA_2 = float(sc.zeta(2.0))
-ZETA_5_2 = float(sc.zeta(2.5))
-ZETA_3 = float(sc.zeta(3.0))
-ZETA_4 = float(sc.zeta(4.0))
+ZETA_3_2 = _zeta(1.5)
+ZETA_2 = _zeta(2.0)
+ZETA_3 = _zeta(3.0)
 
 # g_nu(f) for f <= 1/2 truncates the direct series after 63 terms (remainder
 # below 2^-63 relative); above 1/2 it sums 24 terms of Robinson's expansion,
@@ -49,10 +84,13 @@ W_LARGE_Y = (1.0, 0.5, 0.75, 1.875, 6.5625)
 # cancellation; at 35 both branches are accurate to ~5e-13)
 _W_PRIME_ASYMPTOTIC_RADIUS = 35.0
 
-# fugacity solve: the tightest relative tolerance brentq accepts (4 ulp), and
-# an absolute one below every normal float
-_F_RTOL = 4.0 * np.finfo(float).eps
-_F_XTOL = np.finfo(float).tiny
+# below this target g_nu(f) = f (1 + f/2^nu + ...) rounds to f, so f = target
+_BOLTZMANN_TARGET = 1e-17
+# Newton's iteration for the fugacity stops once a step moves alpha = -ln f
+# by at most this relative amount, or by a few ulp of f near 1 (2^-50), and
+# fails after _NEWTON_STEPS steps (it takes at most 5)
+_NEWTON_RTOL = 1e-9
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -76,10 +114,12 @@ def _upper_gamma(s, z):
         raise ValueError("recursion written for s <= 1")
     steps = int(math.ceil(-s)) if s <= 0 else 0
     s0 = s + steps
+    from scipy import special
+
     if s0 == 0.0:
-        g = float(sc.exp1(z))
+        g = float(special.exp1(z))
     else:
-        g = float(sc.gammaincc(s0, z)) * float(sc.gamma(s0))
+        g = float(special.gammaincc(s0, z)) * float(special.gamma(s0))
     t = s0
     expz = math.exp(-z)
     for _ in range(steps):
@@ -132,7 +172,7 @@ def _polylog_tables(nu):
     direct = tuple(float(l) ** -nu for l in range(_DIRECT_TERMS, 0, -1))
     n = int(nu) if float(nu).is_integer() else None
     robinson = tuple(
-        float(sc.zeta(nu - k)) * (-1.0) ** k / math.factorial(k) if nu - k != 1.0 else 0.0
+        _zeta(nu - k) * (-1.0) ** k / math.factorial(k) if nu - k != 1.0 else 0.0
         for k in range(_ROBINSON_TERMS - 1, -1, -1)
     )
     if n is None:
@@ -237,7 +277,9 @@ def faddeeva_w(y, mode="exact"):
     arr = np.asarray(y, dtype=complex)
     a = np.atleast_1d(arr)
     if mode == "exact":
-        out = sc.wofz(a)
+        from scipy import special
+
+        out = special.wofz(a)
     elif mode == "asymptotic":
         if np.any(np.abs(a) < 2.0):
             raise DomainError("two-term w expansion requires |y| >= 2")
@@ -267,8 +309,10 @@ def faddeeva_w_prime(y):
         out[big] = (-1j / SQRT_PI) * y2 * series
     small = ~big
     if small.any():
+        from scipy import special
+
         with np.errstate(over="ignore", invalid="ignore"):
-            out[small] = -2.0 * a[small] * sc.wofz(a[small]) + 2j / SQRT_PI
+            out[small] = -2.0 * a[small] * special.wofz(a[small]) + 2j / SQRT_PI
     return _finite_w(out, a, arr.shape, "dw/dy")
 
 
@@ -276,9 +320,13 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
     """Invert g_{3/2}(f) = g_{3/2}(1) (Tc/T)^{3/2} (box) or
     g_3(f) = g_3(1) (Tc/T)^3 (trap) for the fugacity; f = 1 below Tc.
 
-    Brent's method on f in [0, 1] to a few ulp; the absolute tolerance is
-    below the smallest normal float, so a fugacity far below 1 keeps its
-    relative precision too.
+    Newton's method on ln g_nu in x = alpha = -ln f (trap) or x = sqrt(alpha)
+    (box), in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}.  It
+    starts from the larger of two underestimates: the tangent at Tc,
+    g_nu ~ g_nu(1) - g_{nu-1}(1) alpha (trap) or g_{3/2}(1) - 2 sqrt(pi) x
+    (box), and the Boltzmann limit g_nu ~ f.  A last Newton step in f itself
+    puts f within a few ulp of the root.  f = 1 where exp(-alpha) rounds to
+    1, and f = target where the target is so small that g_nu(f) rounds to f.
     """
     if geometry_kind not in ("box", "trap"):
         raise ValueError("geometry_kind must be 'box' or 'trap', got %r" % geometry_kind)
@@ -286,13 +334,31 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
         raise DomainError("t_over_tc must be positive, got %r" % t_over_tc)
     if t_over_tc <= 1.0:
         return Fugacity(1.0)
-    nu = 1.5 if geometry_kind == "box" else 3.0
-    g_at_one = ZETA_3_2 if geometry_kind == "box" else ZETA_3
-    target = g_at_one * t_over_tc**-nu
-
-    def excess(f):
-        # the exact g_nu(1) at the upper end keeps the bracket valid even
-        # when T/Tc is within rounding of 1
-        return (polylog(nu, f) if f < 1.0 else g_at_one) - target
-
-    return Fugacity(optimize.brentq(excess, 0.0, 1.0, xtol=_F_XTOL, rtol=_F_RTOL))
+    if geometry_kind == "box":
+        nu, power, g_at_one, slope_at_one = 1.5, 2, ZETA_3_2, 2.0 * SQRT_PI
+    else:
+        nu, power, g_at_one, slope_at_one = 3.0, 1, ZETA_3, ZETA_2
+    target = float(g_at_one * t_over_tc**-nu)
+    if target < _BOLTZMANN_TARGET:
+        return Fugacity(target)
+    log_target = math.log(target)
+    x = max((g_at_one - target) / slope_at_one, max(-log_target, 0.0) ** (1.0 / power))
+    alpha = x**power
+    for _ in range(_NEWTON_STEPS):
+        f = math.exp(-alpha)
+        if f == 1.0:
+            return Fugacity(1.0)
+        g = polylog(nu, f)
+        # d ln g / dx = -g_{nu-1}/g dalpha/dx
+        x += (math.log(g) - log_target) * g / (polylog(nu - 1.0, f) * power * x ** (power - 1))
+        alpha, previous = x**power, alpha
+        if abs(alpha - previous) <= _NEWTON_RTOL * alpha + 2.0**-50:
+            break
+    else:
+        raise SeriesCapError("fugacity solve did not converge at T/Tc = %r" % t_over_tc)
+    f = math.exp(-alpha)
+    if f == 1.0:
+        return Fugacity(1.0)
+    # dg_nu/df = g_{nu-1}/f
+    f -= (polylog(nu, f) - target) * f / polylog(nu - 1.0, f)
+    return Fugacity(min(f, 1.0))

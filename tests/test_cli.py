@@ -4,13 +4,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import slowlight
 import slowlight.box_gas
 from slowlight import C_M_S, ValidityWarning, serialize_config
 from slowlight.cli import main
@@ -115,6 +120,25 @@ def test_semiclassical_warning_once_per_row(capsys):
     semiclassical = [w for w in caught if "semiclassical statistics" in str(w.message)]
     assert len(semiclassical) == 3
     assert all(issubclass(w.category, ValidityWarning) for w in semiclassical)
+
+
+def test_dense_trap_rows_warn_on_large_chi(tmp_path, capsys):
+    # 100x the reference atom number puts |chi| at r = 0 above 0.1 on the
+    # rows below Tc only
+    path = tmp_path / "dense.cfg"
+    path.write_text(DOC.replace("atom_count = 8.3e6", "atom_count = 8.3e8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, _ = run(capsys, ["sweep", "--config", str(path), "--t-min", "0.5", "--t-max", "1.5", "--t-points", "6"])
+    assert rc == 0
+    dense = [w for w in caught if "dilute-response" in str(w.message)]
+    assert all(issubclass(w.category, ValidityWarning) for w in dense)
+    chis = [abs(complex(row[3], row[4])) for row in parse_csv(out, SWEEP_HEADER)]
+    large = [chi for chi in chis if chi >= 0.1]
+    assert len(large) == 3
+    assert [str(w.message) for w in dense] == [
+        "|chi| = %.3g: beyond the dilute-response validity of the group-velocity formula" % chi for chi in large
+    ]
 
 
 def test_sweep_log_scale(capsys):
@@ -256,6 +280,47 @@ def test_sweep_rows_are_admissible_or_exit_2(geometry, log_thetas, log_coupling,
             assert 0.0 < row[7] < C_M_S, argv
             if geometry == "trap":
                 assert row[5] > 0.0, argv
+
+
+# runs the CLI on each argv of argv[1] (JSON), with scipy unimportable when
+# argv[2] is "block", and prints the (status, stdout) of each run and the
+# scipy modules imported, as JSON
+_CLI_RUNS = """\
+import contextlib, io, json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
+import slowlight, slowlight.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([slowlight.cli.main(argv), out.getvalue()])
+imported = sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None)
+print(json.dumps({"runs": runs, "scipy": imported}))
+"""
+
+
+@pytest.mark.parametrize("block", ["block", "allow"])
+def test_default_path_imports_no_scipy(capsys, block):
+    argvs = [
+        ["sweep"],
+        ["sweep", "--geometry", "box"],
+        ["sweep", "--geometry", "box", "--mode", "asymptotic"],
+        ["chi", "--temperature-nk", "200"],
+        ["chi", "--geometry", "box", "--temperature-nk", "200"],
+        ["tf"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(slowlight.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_RUNS, json.dumps(argvs), block],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["scipy"] == []
+    for argv, (rc, out) in zip(argvs, result["runs"]):
+        assert rc == 0, argv
+        assert out == run(capsys, argv)[1], argv
 
 
 def test_chi_scan_csv(capsys):

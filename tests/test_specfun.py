@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
+from scipy.special import zeta as scipy_zeta
 
+from slowlight import specfun
 from slowlight import (
     DomainError,
     Fugacity,
@@ -218,6 +220,32 @@ def test_fugacity_solver_edges():
         fugacity_from_temperature("lattice", 2.0)
     with pytest.raises(DomainError):
         fugacity_from_temperature("box", 0.0)
+
+
+def test_zeta_tables_match_scipy():
+    # Borwein's series and the reflection formula at every s = nu - k that
+    # Robinson's tables read, for the orders the package and its tests use
+    for nu in (0.5, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
+        for k in range(specfun._ROBINSON_TERMS):
+            s = nu - k
+            if s == 1.0 or (s <= 0.0 and s % 2.0 == 0.0):
+                continue
+            assert rel(specfun._zeta(s), float(scipy_zeta(s))) <= 1e-13, s
+    assert specfun._zeta(0.0) == -0.5
+    for k in range(1, 12):
+        assert specfun._zeta(-2.0 * k) == 0.0
+    assert polylog(1.5, 1.0) == specfun.ZETA_3_2 and polylog(3.0, 1.0) == specfun.ZETA_3
+
+
+def test_fugacity_monotone_from_tc_to_extreme_temperatures():
+    thetas = np.concatenate(([1.0], 1.0 + np.geomspace(1e-15, 0.1, 300), np.geomspace(1.11, 1e3, 300)))
+    for kind in ("box", "trap"):
+        values = [fugacity_from_temperature(kind, theta).value for theta in thetas]
+        assert values[0] == 1.0
+        assert all(a >= b for a, b in zip(values, values[1:])), kind
+        # far above Tc the target g_nu(1) (Tc/T)^nu is its own fugacity, 0 at T = inf
+        for theta in (1e150, 1e300, math.inf):
+            assert 0.0 <= fugacity_from_temperature(kind, theta).value <= 1.0, (kind, theta)
 
 
 def test_faddeeva_exact_vs_quadrature_oracle():
