@@ -4,7 +4,10 @@ Local susceptibility chi(r, z), per-ray probe delays Delta_t(r) through the
 cloud, uniform pinhole averages over a circular section of radius R, cloud
 sizes, and the experimental group velocity v_g = D_z / <Delta_t>.
 All closed forms are first order in (A/zeta)^2 (Doppler width over
-generalized linewidth), the regime of the underlying expansion.
+generalized linewidth), the regime of the underlying expansion.  A finite
+path integrates the same local response on one fixed (r, z) Gauss-Legendre
+grid, where it is one real weighted sum of g_{3/2} and g_{5/2} of the local
+fugacity (specfun.polylog_sum) plus the condensate density.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 
 from .box_gas import finite_response, gas_state, in_float_range, tc_trap, zeta_and_width
 from .errors import DomainError
-from .specfun import polylog
+from .specfun import polylog, polylog_sum
 from .units_params import (
     C_M_S,
     HBAR_J_S,
@@ -98,8 +101,7 @@ def cloud_size(config, temperature):
 
 
 def _local_response(state, zv, a_param, r, z):
-    """(chi, dchi/domega) at (r, z); r and z are floats or arrays that
-    broadcast, and the result has their broadcast shape."""
+    """(chi, dchi/domega) at the point (r, z)."""
     species = state.species
     trap = state.geometry
     temperature = state.temperature_k
@@ -112,7 +114,7 @@ def _local_response(state, zv, a_param, r, z):
         mass = species.mass_kg
         beta = 1.0 / (KB_J_PER_K * temperature)
         potential = 0.5 * mass * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
-        u = state.fugacity.value * np.exp(-beta * potential)
+        u = state.fugacity.value * math.exp(-beta * potential)
         g32 = polylog(1.5, u)
         g52 = polylog(2.5, u)
         a_sq = a_param**2
@@ -126,7 +128,7 @@ def _local_response(state, zv, a_param, r, z):
         n0 = (
             trap.atom_count
             * state.condensate_fraction
-            * np.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
+            * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
             / (math.pi**1.5 * a0r**2 * a0z)
         )
         chi += -x0 * n0 / zval
@@ -167,15 +169,52 @@ def _z_panels(state, path_half_length_m):
     return nodes.ravel(), (half[:, None] * _Z_GL_WEIGHTS).ravel()
 
 
+def _excess_inverse_speed(state, zv, a_param, r, z):
+    """1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c of the local
+    response on the grid of the radii r and the heights z (1-D arrays).
+
+    It is linear in g_{3/2}(u), g_{5/2}(u) and the condensate density n_0,
+    so it is one polylog_sum with real weights fixed by zeta and A, plus a
+    multiple of n_0.  u = f e^{-beta m nu_r^2 r^2/2} e^{-beta m nu_z^2 z^2/2}
+    and n_0 are outer products of two 1-D exponentials.
+    """
+    species = state.species
+    trap = state.geometry
+    temperature = state.temperature_k
+    zval = zv.value
+    omega_dz = probe_omega(species) * zv.d_domega
+    scale = TWO_PI * chi0(species) / C_M_S
+    # Re chi + omega Re dchi/domega per unit density, with chi = -chi0 n/zeta
+    density_weight = scale * (-1.0 / zval + omega_dz / zval**2).real
+    errstate = np.errstate(over="raise", divide="raise", invalid="raise")
+    with in_float_range("the finite-path delay", temperature), errstate:
+        if temperature > 0.0:
+            mass = species.mass_kg
+            half_beta_m = 0.5 * mass / (KB_J_PER_K * temperature)
+            u = np.outer(
+                state.fugacity.value * np.exp(-half_beta_m * trap.nu_r_rad_s**2 * r**2),
+                np.exp(-half_beta_m * trap.nu_z_rad_s**2 * z**2),
+            )
+            # thermal density (m K_B T/2 pi hbar^2)^{3/2} g_{3/2}(u); the
+            # g_{5/2} term carries the (A/zeta)^2 Doppler correction
+            lam = (mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
+            doppler_weight = scale * lam * a_param**2 * (-0.5 / zval**3 + 1.5 * omega_dz / zval**4).real
+            excess = polylog_sum(((1.5, density_weight * lam), (2.5, doppler_weight)), u)
+        else:
+            excess = np.zeros((r.size, z.size))
+        if state.condensate_fraction > 0.0:
+            a0r = ground_state_size(species, trap.nu_r_rad_s)
+            a0z = ground_state_size(species, trap.nu_z_rad_s)
+            peak = trap.atom_count * state.condensate_fraction / (math.pi**1.5 * a0r**2 * a0z)
+            excess += np.outer(density_weight * peak * np.exp(-((r / a0r) ** 2)), np.exp(-((z / a0z) ** 2)))
+    return excess
+
+
 def _finite_path_delays(state, zv, a_param, r, path_half_length_m):
-    """Delays 2 int_0^L (1/v_g - 1/c) dz at the radii r (an array): the
-    vacuum-subtracted 1/v_g - 1/c = (2 pi Re chi + 2 pi omega Re dchi/domega)/c
-    on one (r, z) grid."""
+    """Delays 2 int_0^L (1/v_g - 1/c) dz at the radii r (an array), on the
+    composite Gauss-Legendre z panels of _z_panels."""
     z, w = _z_panels(state, path_half_length_m)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        chi, dchi = _local_response(state, zv, a_param, r[:, None], z[None, :])
-    excess = TWO_PI * (chi.real + probe_omega(state.species) * dchi.real) / C_M_S
-    return 2.0 * (excess @ w)
+    return 2.0 * (_excess_inverse_speed(state, zv, a_param, r, z) @ w)
 
 
 def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
@@ -222,8 +261,11 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0 Re{zeta'(omega)(g_2(y_r)/zeta^2
     + (3/2) A^2 g_3(y_r)/zeta^4)}, y_r = f e^{-beta m nu_r^2 r^2/2}, plus the
     condensate line integral below Tc.  Finite path: 2 int_0^L (1/v_g - 1/c) dz
-    on composite 16-point Gauss-Legendre panels (see _z_panels); the L/c
-    vacuum term is subtracted by construction.
+    on composite 16-point Gauss-Legendre panels (see _z_panels), with the
+    integrand a g_{3/2}(u) + b g_{5/2}(u) + w_0 n_0 of the local fugacity u
+    and condensate density n_0, whose real weights follow from zeta and A
+    (see _excess_inverse_speed); the L/c vacuum term is subtracted by
+    construction.
     """
     _require_trap(config.geometry)
     if r < 0.0:
@@ -257,10 +299,11 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
     Re{zeta'(omega)([g_3(f)-g_3(f e^{-c})]/zeta^2
     + (3/2)(A^2/zeta^4)[g_4(f)-g_4(f e^{-c})])}, c = beta m nu_r^2 R^2/2;
     below Tc f = 1 plus the condensate term with the selected F_C mode.
-    Finite path: the local response on one fixed grid, 64 Gauss-Legendre
-    radii times the composite Gauss-Legendre z panels of delay_at_radius
-    (vacuum-subtracted; the condensate enters pointwise, so fc_mode does not
-    apply).
+    Finite path: the vacuum-subtracted local 1/v_g - 1/c on one fixed grid,
+    64 Gauss-Legendre radii times the composite Gauss-Legendre z panels of
+    delay_at_radius, evaluated as one polylog_sum of g_{3/2} and g_{5/2}
+    with real weights over the separable Boltzmann factors, plus the
+    condensate density (it enters pointwise, so fc_mode does not apply).
 
     Raises DomainError when the pinhole is so small (c < 1e-9) that the
     closed form loses its digits, or when the delay is zero, non-finite or

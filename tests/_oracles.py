@@ -128,10 +128,13 @@ def _thermal_kernel(u, a_param, zv, zp, coeff):
 
 
 def _invert_polylog(nu, target):
+    # f <= g_nu(f) <= zeta(nu) f brackets the root at every target, and the
+    # tiny xtol leaves the relative tolerance in charge however small f is
     hi = 1.0 - 1e-16
     if polylog_mp(nu, hi) <= target:
         return 1.0
-    return brentq(lambda f: polylog_mp(nu, f) - target, 1e-12, hi, xtol=1e-16, rtol=8.9e-16)
+    lo = target / float(mpmath.zeta(nu))
+    return brentq(lambda f: polylog_mp(nu, f) - target, lo, min(target, hi), xtol=1e-300, rtol=8.9e-16)
 
 
 def box_fugacity_oracle(theta):

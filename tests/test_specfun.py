@@ -20,6 +20,7 @@ from slowlight import (
     faddeeva_w_prime,
     fugacity_from_temperature,
     polylog,
+    polylog_sum,
     polylog_tail,
 )
 
@@ -149,6 +150,31 @@ def test_polylog_scalar_and_array_agree():
     assert polylog(2.5, square)[1, 0] == polylog(2.5, np.array([0.9]))[0]
 
 
+def test_polylog_sum_matches_mpmath():
+    # each band edge of the array direct series and the switch to Robinson's
+    # expansion at 1/2, one ulp to either side, and the ends; the error is
+    # relative to sum_k |w_k g_k|, since mixed-sign weights can cancel
+    grid = [0.0, 1e-300, 1.0 - 1e-12, 1.0]
+    for edge, _ in specfun._DIRECT_BANDS:
+        grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    grid = np.array(grid)
+    for terms in (
+        ((1.5, 0.7), (2.5, -1.3)),
+        ((2.0, -2.0), (3.0, 0.5)),
+        ((1.5, 1.0), (2.5, -3.0), (3.5, 2.0), (4.5, -0.25)),
+    ):
+        values = polylog_sum(terms, grid)
+        for f, value in zip(grid, values):
+            with mpmath.workdps(30):
+                parts = [w * mpmath.polylog(nu, f) for nu, w in terms]
+                error = float(abs(value - sum(parts)))
+                scale = float(sum(abs(p) for p in parts))
+            assert error <= 1e-15 * scale, (terms, f)
+    square = grid[:12].reshape(3, 4)
+    assert polylog_sum(((1.5, 2.0),), square).shape == (3, 4)
+    assert np.array_equal(polylog_sum(((1.5, 2.0),), square), 2.0 * polylog(1.5, square))
+
+
 def test_polylog_short_direct_series_matches_mpmath():
     # a float f <= 1/2 sums only the terms above 1e-16 relative: 2 at
     # f = 1e-300, 7 at 1e-3, 55 at 1/2
@@ -208,6 +234,22 @@ def test_fugacity_solver_matches_mpmath_oracle():
     for kind, oracle in (("box", box_fugacity_oracle), ("trap", trap_fugacity_oracle)):
         for theta in thetas:
             assert rel(fugacity_from_temperature(kind, theta).value, oracle(theta)) <= 2e-12, (kind, theta)
+
+
+def test_fugacity_far_above_tc_matches_mpmath_oracle():
+    # f down to 1e-15 (trap T/Tc = 1e5): the oracle's root solves its
+    # relation to 1e-14 relative, and the solver agrees with it
+    for kind, nu, oracle, thetas in (
+        ("trap", 3.0, trap_fugacity_oracle, (1e3, 1e4, 1e5)),
+        ("box", 1.5, box_fugacity_oracle, (1e3, 1e6)),
+    ):
+        for theta in thetas:
+            f = oracle(theta)
+            target = zeta_constant(nu) * theta**-nu
+            with mpmath.workdps(30):
+                residual = float((mpmath.polylog(nu, f) - target) / target)
+            assert abs(residual) <= 1e-14, (kind, theta)
+            assert rel(fugacity_from_temperature(kind, theta).value, f) <= 1e-13, (kind, theta)
 
 
 def test_fugacity_solver_edges():

@@ -29,6 +29,8 @@ from slowlight import (
     vg_trap,
     zeta,
 )
+from slowlight import trap_gas
+from slowlight.box_gas import zeta_and_width
 
 from _configs import box_config, detuned_config, fixed_pinhole, trap_config
 from _oracles import chi_trap_point_by_quadrature, mean_delay_by_quadrature
@@ -215,6 +217,32 @@ def test_finite_path_mean_delay_matches_quadrature():
             result = mean_delay(CONFIG, t, pinhole)
             oracle = mean_delay_by_quadrature(CONFIG, t, radius, path_half_length_m=half_length)
             assert rel(result.mean_delay_s, oracle) < 1e-6, (theta, half_length / z_th, mode)
+
+
+def test_finite_path_weights_match_local_response():
+    # the finite path's real weights of g_{3/2}, g_{5/2} and n_0 on the
+    # separable grid give 2 pi (Re chi + omega Re dchi/domega)/c of the local
+    # response, on the axis, beyond the pinhole (R = 15 um) and up to 12 z_th.
+    # The two round the Boltzmann exponent x = beta V differently, and e^-x
+    # turns that into about x ulp, so the bound is 1e-14 + 4 eps x
+    omega = probe_omega(SPECIES)
+    fast = trap_config(k_g_per_m=10.0 * CONFIG.fields.k_g_per_m)
+    r = np.array([0.0, 2e-6, 15e-6, 40e-6])
+    for config in (CONFIG, fast):
+        for theta in (0.5, 1.0, 1.5):
+            t = theta * TC
+            state = gas_state(config, t)
+            zv, a_param = zeta_and_width(state, config.fields)
+            z_th = math.sqrt(KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))
+            z = z_th * np.array([0.0, 0.05, 0.5, 1.0, 3.0, 6.0, 12.0])
+            grid = trap_gas._excess_inverse_speed(state, zv, a_param, r, z)
+            assert grid.shape == (r.size, z.size)
+            for i, j in np.ndindex(grid.shape):
+                chi, dchi = trap_gas._local_response(state, zv, a_param, float(r[i]), float(z[j]))
+                point = 2.0 * math.pi * (chi.real + omega * dchi.real) / C_M_S
+                exponent = 0.5 * SPECIES.mass_kg * (TRAP.nu_r_rad_s**2 * r[i] ** 2 + TRAP.nu_z_rad_s**2 * z[j] ** 2)
+                bound = 1e-14 + 4.0 * np.finfo(float).eps * exponent / (KB_J_PER_K * t)
+                assert rel(grid[i, j], point) <= bound, (theta, r[i], z[j] / z_th)
 
 
 def test_mean_delay_thermal_pinhole():
