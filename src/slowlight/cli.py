@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text):
+    """argparse type of every float flag: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
+
+
 def _add_config_options(parser):
     parser.add_argument("--config", metavar="PATH", help="config document (default: built-in sodium reference)")
     parser.add_argument(
@@ -267,8 +278,8 @@ def _build_parser():
 
     sweep = sub.add_parser("sweep", help="temperature sweep (CSV)")
     _add_config_options(sweep)
-    sweep.add_argument("--t-min", type=float, default=0.2, help="lowest T/Tc (default 0.2)")
-    sweep.add_argument("--t-max", type=float, default=2.0, help="highest T/Tc (default 2.0)")
+    sweep.add_argument("--t-min", type=_finite_float, default=0.2, help="lowest T/Tc (default 0.2)")
+    sweep.add_argument("--t-max", type=_finite_float, default=2.0, help="highest T/Tc (default 2.0)")
     sweep.add_argument("--t-points", type=int, default=50, help="grid size (default 50)")
     sweep.add_argument("--t-scale", choices=("linear", "log"), default="linear")
     sweep.add_argument(
@@ -279,27 +290,27 @@ def _build_parser():
     )
     sweep.add_argument("--fc-mode", choices=("paper", "exact"), default="paper", help="condensate section factor")
     pin = sweep.add_mutually_exclusive_group()
-    pin.add_argument("--pinhole-radius-um", type=float, help="fixed pinhole radius in um (default 15)")
+    pin.add_argument("--pinhole-radius-um", type=_finite_float, help="fixed pinhole radius in um (default 15)")
     pin.add_argument("--pinhole-thermal", action="store_true", help="pinhole at the thermal radius sqrt(K_B T/m nu_r^2)")
-    sweep.add_argument("--omega-coupling-gamma", type=float, help="override coupling Rabi frequency, in units of gamma")
+    sweep.add_argument("--omega-coupling-gamma", type=_finite_float, help="override coupling Rabi frequency, in units of gamma")
     sweep.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
     sweep.set_defaults(func=cmd_sweep)
 
     chi = sub.add_parser("chi", help="detuning scan of the susceptibility (CSV)")
     _add_config_options(chi)
-    chi.add_argument("--temperature-nk", type=float, required=True, help="temperature in nK")
-    chi.add_argument("--d-min-gamma", dest="d_min", type=float, default=-2.0, help="lowest probe detuning, in units of gamma")
-    chi.add_argument("--d-max-gamma", dest="d_max", type=float, default=2.0, help="highest probe detuning, in units of gamma")
+    chi.add_argument("--temperature-nk", type=_finite_float, required=True, help="temperature in nK")
+    chi.add_argument("--d-min-gamma", dest="d_min", type=_finite_float, default=-2.0, help="lowest probe detuning, in units of gamma")
+    chi.add_argument("--d-max-gamma", dest="d_max", type=_finite_float, default=2.0, help="highest probe detuning, in units of gamma")
     chi.add_argument("--d-points", type=int, default=201, help="grid size (default 201)")
-    chi.add_argument("--omega-coupling-gamma", type=float, help="override coupling Rabi frequency, in units of gamma")
+    chi.add_argument("--omega-coupling-gamma", type=_finite_float, help="override coupling Rabi frequency, in units of gamma")
     chi.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
     chi.set_defaults(func=cmd_chi)
 
     tf = sub.add_parser("tf", help="T=0 ideal vs Thomas-Fermi estimates (JSON)")
     _add_config_options(tf)
-    tf.add_argument("--atom-count", type=float, help="condensate atom number (default: geometry.atom_count)")
-    tf.add_argument("--scattering-length-nm", type=float, default=2.75, help="s-wave scattering length in nm (default 2.75)")
-    tf.add_argument("--omega-coupling-gamma", type=float, help="override coupling Rabi frequency, in units of gamma")
+    tf.add_argument("--atom-count", type=_finite_float, help="condensate atom number (default: geometry.atom_count)")
+    tf.add_argument("--scattering-length-nm", type=_finite_float, default=2.75, help="s-wave scattering length in nm (default 2.75)")
+    tf.add_argument("--omega-coupling-gamma", type=_finite_float, help="override coupling Rabi frequency, in units of gamma")
     tf.add_argument("--output", metavar="PATH", help="write JSON here instead of stdout")
     tf.set_defaults(func=cmd_tf)
 

@@ -41,15 +41,15 @@ DEFAULT_OMEGA_COUPLING_GAMMA = 0.56
 class AtomSpecies:
     """Atomic constants of the g-e optical transition.
 
-    gamma_total is the radiative decay rate of |e> and splits exactly into
-    the two branch rates: gamma_g_rad_s + gamma_r_rad_s == gamma_total_rad_s.
+    gamma_total is the radiative decay rate gamma of |e>.  It sets the field
+    defaults (Gamma_ge = gamma/2, Omega = 0.56 gamma) and the unit of the
+    CLI's detunings and couplings; how |e> branches to |g> and |r> does not
+    enter the weak-probe response, so it is not configured.
     """
 
     mass_kg: float
     wavelength_ge_m: float
     gamma_total_rad_s: float
-    gamma_g_rad_s: float
-    gamma_r_rad_s: float
 
     def __post_init__(self):
         if not self.mass_kg > 0:
@@ -58,41 +58,34 @@ class AtomSpecies:
             raise ConfigError("species.wavelength_ge_m must be positive")
         if not self.gamma_total_rad_s > 0:
             raise ConfigError("species.gamma_total_rad must be positive")
-        if self.gamma_g_rad_s < 0 or self.gamma_r_rad_s < 0:
-            raise ConfigError("species.gamma_g_rad and species.gamma_r_rad must be nonnegative")
-        if self.gamma_g_rad_s + self.gamma_r_rad_s != self.gamma_total_rad_s:
-            raise ConfigError(
-                "species.gamma_g_rad + species.gamma_r_rad must equal species.gamma_total_rad exactly"
-            )
 
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Coupling field, detunings, wave numbers and coherence decay rates.
+    """Coupling field, detunings, probe wave number and coherence decay rates.
 
     omega_coupling is the Rabi frequency of the |r> -> |e> coupling beam;
     detuning_g0/detuning_r0 are the bare laser detunings Delta_j^0
-    (omega_e - omega_j - omega_laser_j); gamma_ge/gamma_re/gamma_gr are the
-    coherence loss rates (ideal case: gamma_ge = gamma_re = gamma_total/2,
-    gamma_gr limited by ground-state decoherence only).
+    (omega_e - omega_j - omega_laser_j); gamma_ge/gamma_gr are the coherence
+    loss rates of the probe and two-photon coherences (defaults:
+    Gamma_ge = gamma/2, Gamma_gr limited by ground-state decoherence only).
+    To first order in the probe no other rate of the Bloch equations enters
+    the response, so none is configured.
     """
 
     omega_coupling_rad_s: float
     detuning_g0_rad_s: float
     detuning_r0_rad_s: float
     gamma_ge_rad_s: float
-    gamma_re_rad_s: float
     gamma_gr_rad_s: float
     k_g_per_m: float
 
     def __post_init__(self):
         if not self.gamma_ge_rad_s > 0:
             raise ConfigError("fields.gamma_ge_rad must be positive")
-        if self.gamma_gr_rad_s < 0:
+        if not self.gamma_gr_rad_s >= 0.0:
             raise ConfigError("fields.gamma_gr_rad must be nonnegative")
-        if self.gamma_re_rad_s < 0:
-            raise ConfigError("fields.gamma_re_rad must be nonnegative")
-        if self.omega_coupling_rad_s < 0:
+        if not self.omega_coupling_rad_s >= 0.0:
             raise ConfigError("fields.omega_coupling_rad must be nonnegative")
         if not self.k_g_per_m > 0:
             raise ConfigError("fields.k_g_per_m must be positive")
@@ -170,8 +163,6 @@ _SPECIES_KEYS = {
     "species.mass_kg": "float",
     "species.wavelength_ge_m": "float",
     "species.gamma_total": "freq",
-    "species.gamma_g": "freq",
-    "species.gamma_r": "freq",
 }
 _FIELDS_KEYS = {
     "fields.omega_coupling": "freq",
@@ -179,7 +170,6 @@ _FIELDS_KEYS = {
     "fields.detuning_g0": "freq",
     "fields.detuning_r0": "freq",
     "fields.gamma_ge": "freq",
-    "fields.gamma_re": "freq",
     "fields.gamma_gr": "freq",
     "fields.k_g_per_m": "float",
 }
@@ -246,7 +236,7 @@ def load_config(text, geometry_kind=None):
 
     Missing optional keys take the defaults of the reference sodium
     experiment (resonant probe and coupling, Omega = 0.56 gamma,
-    Gamma_ge = Gamma_re = gamma/2, Gamma_gr = 2 pi x 1000 rad/s).
+    Gamma_ge = gamma/2, Gamma_gr = 2 pi x 1000 rad/s).
     ``geometry_kind`` ("box" or "trap") overrides geometry.kind, e.g. for a
     document that carries parameters for both geometries.
     """
@@ -279,22 +269,11 @@ def load_config(text, geometry_kind=None):
         raise ConfigError("geometry.kind must be 'box' or 'trap', got %r" % kind)
 
     # species (defaults: sodium)
-    gamma_total = parsed.get("species.gamma_total")
-    gamma_g = parsed.get("species.gamma_g")
-    gamma_r = parsed.get("species.gamma_r")
-    if gamma_total is None:
-        gamma_total = gamma_g + gamma_r if (gamma_g is not None and gamma_r is not None) else SODIUM_GAMMA_RAD_S
-    if gamma_g is None and gamma_r is None:
-        gamma_g = gamma_total / 2.0
-        gamma_r = gamma_total / 2.0
-    elif gamma_g is None or gamma_r is None:
-        raise ConfigError("species.gamma_g and species.gamma_r must be given together")
+    gamma_total = parsed.get("species.gamma_total", SODIUM_GAMMA_RAD_S)
     species = AtomSpecies(
         mass_kg=parsed.get("species.mass_kg", SODIUM_MASS_KG),
         wavelength_ge_m=parsed.get("species.wavelength_ge_m", SODIUM_WAVELENGTH_M),
         gamma_total_rad_s=gamma_total,
-        gamma_g_rad_s=gamma_g,
-        gamma_r_rad_s=gamma_r,
     )
 
     # fields (defaults: resonant, Omega = 0.56 gamma, Gamma_gr = 2 pi kHz)
@@ -309,7 +288,6 @@ def load_config(text, geometry_kind=None):
         detuning_g0_rad_s=parsed.get("fields.detuning_g0", 0.0),
         detuning_r0_rad_s=parsed.get("fields.detuning_r0", 0.0),
         gamma_ge_rad_s=parsed.get("fields.gamma_ge", gamma_total / 2.0),
-        gamma_re_rad_s=parsed.get("fields.gamma_re", gamma_total / 2.0),
         gamma_gr_rad_s=parsed.get("fields.gamma_gr", DEFAULT_GAMMA_GR_RAD_S),
         k_g_per_m=parsed.get("fields.k_g_per_m", TWO_PI / species.wavelength_ge_m),
     )
@@ -369,13 +347,10 @@ def serialize_config(config):
     lines.append("species.mass_kg = %r" % config.species.mass_kg)
     lines.append("species.wavelength_ge_m = %r" % config.species.wavelength_ge_m)
     lines.append("species.gamma_total_rad = %r" % config.species.gamma_total_rad_s)
-    lines.append("species.gamma_g_rad = %r" % config.species.gamma_g_rad_s)
-    lines.append("species.gamma_r_rad = %r" % config.species.gamma_r_rad_s)
     lines.append("fields.omega_coupling_rad = %r" % config.fields.omega_coupling_rad_s)
     lines.append("fields.detuning_g0_rad = %r" % config.fields.detuning_g0_rad_s)
     lines.append("fields.detuning_r0_rad = %r" % config.fields.detuning_r0_rad_s)
     lines.append("fields.gamma_ge_rad = %r" % config.fields.gamma_ge_rad_s)
-    lines.append("fields.gamma_re_rad = %r" % config.fields.gamma_re_rad_s)
     lines.append("fields.gamma_gr_rad = %r" % config.fields.gamma_gr_rad_s)
     lines.append("fields.k_g_per_m = %r" % config.fields.k_g_per_m)
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 """Independent numerical oracles.
 
-Everything here is built from brute-force sums, adaptive quadrature, or
+Everything here is built from brute-force sums, adaptive quadrature, dense
+linear algebra (the full Bloch steady state of one atom, with no weak-probe
+approximation and with the Gamma_re that the library does not model), or
 mpmath, and recomputes physical constants and thermodynamics from scratch;
 none of it calls the closed-form code paths under test.  Oracle accuracy is
 well beyond the comparison tolerances used in the tests (notes inline).
@@ -8,6 +10,7 @@ well beyond the comparison tolerances used in the tests (notes inline).
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -84,6 +87,102 @@ def zeta_by_formula(fields, recoil):
         gamma_ge * (fields.gamma_gr_rad_s + 1j * delta2) ** 2
     )
     return value, d_domega
+
+
+@dataclass(frozen=True)
+class BlochSteadyState:
+    """Steady state of one momentum class; rho_eg etc. follow by Hermiticity."""
+
+    rho_gg: float
+    rho_rr: float
+    rho_ee: float
+    rho_ge: complex
+    rho_re: complex
+    rho_gr: complex
+
+    @property
+    def rho_eg(self):
+        return self.rho_ge.conjugate()
+
+    @property
+    def trace(self):
+        return self.rho_gg + self.rho_rr + self.rho_ee
+
+
+def bloch_steady_oracle(fields, probe_rabi, detuning_g, detuning_r, gamma_re=None):
+    """Steady state of the full Bloch equations of one momentum class.
+
+    Solves the 9x9 linear system (populations + 6 coherences, trace row in
+    place of the redundant rho_gg equation) with dense linear algebra; no
+    weak-probe approximation.  gamma_re, the |r>-|e> coherence rate, defaults
+    to Gamma_ge; to first order in the probe rho_eg does not depend on it.
+    """
+    g = probe_rabi
+    om = fields.omega_coupling_rad_s
+    gge = fields.gamma_ge_rad_s
+    gre = gge if gamma_re is None else gamma_re
+    ggr = fields.gamma_gr_rad_s
+    # radiative case: the population decay of |e> and its branch rates
+    # follow from the coherence rates, Gamma = Gamma_ge + Gamma_re
+    gamma_total = gge + gre
+    gamma_r = gre
+    dg = detuning_g
+    dr = detuning_r
+    d2 = dg - dr
+
+    # unknowns: [rho_gg, rho_rr, rho_ee, x_ge, x_eg, x_re, x_er, x_gr, x_rg]
+    a = np.zeros((9, 9), dtype=complex)
+    b = np.zeros(9, dtype=complex)
+    a[0, 0] = a[0, 1] = a[0, 2] = 1.0  # trace
+    b[0] = 1.0
+    # d rho_rr = gamma_r rho_ee + i Om/2 (x_er - x_re)
+    a[1, 2] = gamma_r
+    a[1, 6] = 1j * om / 2.0
+    a[1, 5] = -1j * om / 2.0
+    # d rho_ee = -gamma rho_ee + i g/2 (x_ge - x_eg) + i Om/2 (x_re - x_er)
+    a[2, 2] = -gamma_total
+    a[2, 3] = 1j * g / 2.0
+    a[2, 4] = -1j * g / 2.0
+    a[2, 5] = 1j * om / 2.0
+    a[2, 6] = -1j * om / 2.0
+    # d x_ge = (i dg - Gge) x_ge + i g/2 (rho_ee - rho_gg) - i Om/2 x_gr
+    a[3, 3] = 1j * dg - gge
+    a[3, 2] = 1j * g / 2.0
+    a[3, 0] = -1j * g / 2.0
+    a[3, 7] = -1j * om / 2.0
+    # conjugate
+    a[4, 4] = -1j * dg - gge
+    a[4, 2] = -1j * g / 2.0
+    a[4, 0] = 1j * g / 2.0
+    a[4, 8] = 1j * om / 2.0
+    # d x_re = (i dr - Gre) x_re + i Om/2 (rho_ee - rho_rr) - i g/2 x_rg
+    a[5, 5] = 1j * dr - gre
+    a[5, 2] = 1j * om / 2.0
+    a[5, 1] = -1j * om / 2.0
+    a[5, 8] = -1j * g / 2.0
+    # conjugate
+    a[6, 6] = -1j * dr - gre
+    a[6, 2] = -1j * om / 2.0
+    a[6, 1] = 1j * om / 2.0
+    a[6, 7] = 1j * g / 2.0
+    # d x_gr = (i d2 - Ggr) x_gr + i g/2 x_er - i Om/2 x_ge
+    a[7, 7] = 1j * d2 - ggr
+    a[7, 6] = 1j * g / 2.0
+    a[7, 3] = -1j * om / 2.0
+    # conjugate
+    a[8, 8] = -1j * d2 - ggr
+    a[8, 5] = -1j * g / 2.0
+    a[8, 4] = 1j * om / 2.0
+
+    x = np.linalg.solve(a, b)
+    return BlochSteadyState(
+        rho_gg=float(x[0].real),
+        rho_rr=float(x[1].real),
+        rho_ee=float(x[2].real),
+        rho_ge=complex(x[3]),
+        rho_re=complex(x[5]),
+        rho_gr=complex(x[7]),
+    )
 
 
 def _chi0(species):

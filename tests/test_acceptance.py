@@ -13,7 +13,6 @@ from scipy.special import wofz
 
 from slowlight import (
     C_M_S,
-    bloch_steady_oracle,
     chi_box_asymptotic,
     chi_box_exact,
     chi_trap_local,
@@ -39,6 +38,7 @@ from slowlight import (
 
 from _configs import box_config, detuned_config, fixed_pinhole, temperature_for_doppler_a, trap_config
 from _oracles import (
+    bloch_steady_oracle,
     chi_box_by_quadrature,
     faddeeva_by_quadrature,
     mean_delay_by_quadrature,

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import slowlight
 import slowlight.box_gas
 from slowlight import C_M_S, ValidityWarning, serialize_config
-from slowlight.cli import main
+from slowlight.cli import DEFAULT_CONFIG_TEXT, main
+from slowlight.units_params import _SCHEMA
 
 from _configs import DOC, detuned_config, temperature_for_doppler_a
 
@@ -177,6 +178,11 @@ def test_sweep_usage_errors(capsys):
         ["sweep", "--t-min", "2.0", "--t-max", "1.0"],
         ["sweep", "--pinhole-radius-um", "-5.0"],
         ["sweep", "--t-points", "nope"],
+        # every float flag refuses nan and +-inf before any row runs
+        ["sweep", "--t-max", "inf"],
+        ["sweep", "--t-min", "nan"],
+        ["sweep", "--pinhole-radius-um", "inf"],
+        ["sweep", "--omega-coupling-gamma", "-inf"],
     ):
         rc, _, err = run(capsys, argv)
         assert rc == 1, argv
@@ -197,6 +203,56 @@ def test_config_file_errors(tmp_path, capsys):
     rc, _, err = run(capsys, ["sweep", "--config", str(tmp_path / "missing.cfg"), "--t-points", "2"])
     assert rc == 1
     assert err.startswith("error:")
+
+
+# canonical key -> the document line that moves it about 10% off the default
+# (geometry.kind only selects the branch, so it is not listed)
+_PERTURBED_LINES = {
+    "species.mass_kg": "species.mass_kg = 4.2e-26",
+    "species.wavelength_ge_m": "species.wavelength_ge_m = 6.5e-7",
+    "species.gamma_total": "species.gamma_total_hz = 1.08e7",
+    "fields.omega_coupling": "fields.omega_coupling_hz = 6.0e6",
+    "fields.omega_coupling_gamma": "fields.omega_coupling_gamma = 0.62",
+    "fields.detuning_g0": "fields.detuning_g0_hz = 1.0e5",
+    "fields.detuning_r0": "fields.detuning_r0_hz = 1.0e5",
+    "fields.gamma_ge": "fields.gamma_ge_hz = 5.4e6",
+    "fields.gamma_gr": "fields.gamma_gr_hz = 1100.0",
+    "fields.k_g_per_m": "fields.k_g_per_m = 1.17e7",
+    "geometry.number_density_per_m3": "geometry.number_density_per_m3 = 4.2e18",
+    "geometry.nu_r": "geometry.nu_r_hz = 77.0",
+    "geometry.nu_z": "geometry.nu_z_hz = 22.0",
+    "geometry.atom_count": "geometry.atom_count = 9.1e6",
+}
+_KEY_PROBES = (
+    ["sweep", "--t-points", "6"],
+    ["sweep", "--geometry", "box", "--t-points", "6"],
+    ["chi", "--temperature-nk", "200", "--d-points", "5"],
+    ["chi", "--geometry", "box", "--temperature-nk", "200", "--d-points", "5"],
+    ["tf"],
+)
+
+
+def _results(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 0, (argv, err)
+    return [line for line in out.splitlines() if not line.startswith("# config_sha256=")]
+
+
+def test_every_config_key_changes_an_output(tmp_path, capsys):
+    # a key that no output reads is dead and belongs out of the schema
+    assert set(_PERTURBED_LINES) == set(_SCHEMA) - {"geometry.kind"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        defaults = [_results(capsys, argv) for argv in _KEY_PROBES]
+        for key, line in _PERTURBED_LINES.items():
+            doc_key = line.split(" = ")[0]
+            kept = [old for old in DEFAULT_CONFIG_TEXT.splitlines() if not old.startswith(doc_key + " =")]
+            path = tmp_path / "perturbed.cfg"
+            path.write_text("\n".join(kept + [line]) + "\n")
+            assert any(
+                _results(capsys, argv + ["--config", str(path)]) != default
+                for argv, default in zip(_KEY_PROBES, defaults)
+            ), key
 
 
 def test_config_file_geometry_override(tmp_path, capsys):
@@ -372,6 +428,10 @@ def test_chi_usage_errors(capsys):
         ["chi", "--temperature-nk", "500", "--d-min-gamma", "2", "--d-max-gamma", "-2"],
         ["chi", "--temperature-nk", "-5"],
         ["chi"],
+        ["chi", "--temperature-nk", "500", "--d-max-gamma", "inf"],
+        ["chi", "--temperature-nk", "500", "--d-min-gamma", "-inf"],
+        ["chi", "--temperature-nk", "nan"],
+        ["chi", "--temperature-nk", "200", "--omega-coupling-gamma", "nan"],
     ):
         rc, _, err = run(capsys, argv)
         assert rc == 1, argv
@@ -403,3 +463,12 @@ def test_tf_usage_errors(capsys):
     rc, _, err = run(capsys, ["tf", "--scattering-length-nm", "0"])
     assert rc == 1
     assert "--scattering-length-nm must be positive" in err
+    for argv in (
+        ["tf", "--atom-count", "inf"],
+        ["tf", "--scattering-length-nm", "inf"],
+        ["tf", "--omega-coupling-gamma", "nan"],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1, argv
+        assert out == ""
+        assert err.startswith("error: argument %s: expected a finite number" % argv[1]), err

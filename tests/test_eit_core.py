@@ -14,7 +14,6 @@ from slowlight import (
     PoleError,
     UnphysicalDispersionError,
     ValidityWarning,
-    bloch_steady_oracle,
     chi0,
     coherence_steady_state,
     dipole_moment_sq,
@@ -27,7 +26,7 @@ from slowlight import (
 )
 
 from _configs import trap_config
-from _oracles import zeta_by_formula
+from _oracles import bloch_steady_oracle, zeta_by_formula
 
 CONFIG = trap_config()
 SPECIES = CONFIG.species
@@ -117,6 +116,23 @@ def test_coherence_matches_bloch_steady_state():
         analytic = coherence_steady_state(fields, probe, d_g, d_r)
         oracle = bloch_steady_oracle(fields, probe, d_g, d_r).rho_eg
         worst = max(worst, rel(analytic, oracle))
+    assert worst < 1e-10
+
+
+def test_coherence_does_not_depend_on_gamma_re():
+    # the library has no Gamma_re: to first order in the probe rho_eg is the
+    # same whatever the |r>-|e> coherence rate (same draws as above)
+    rng = np.random.default_rng(7)
+    probe = 1e-8 * GAMMA
+    worst = 0.0
+    for _ in range(100):
+        fields = _draw_fields(rng, omega_lo=0.2)
+        d_g = rng.uniform(-2.0, 2.0) * GAMMA
+        d_r = rng.uniform(-2.0, 2.0) * GAMMA
+        analytic = coherence_steady_state(fields, probe, d_g, d_r)
+        for gamma_re in (GAMMA / 4.0, 1.5 * GAMMA):
+            oracle = bloch_steady_oracle(fields, probe, d_g, d_r, gamma_re=gamma_re).rho_eg
+            worst = max(worst, rel(analytic, oracle))
     assert worst < 1e-10
 
 
