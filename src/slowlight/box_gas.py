@@ -1,5 +1,5 @@
-"""Thermodynamic state of the ideal Bose gas, and susceptibility and group
-velocity of the gas in a box.
+"""Thermodynamic state of the ideal Bose gas, the Doppler kernel of a thermal
+cloud, and susceptibility and group velocity of the gas in a box.
 
 The state at one temperature (Tc, fugacity, condensate fraction) serves
 both geometries.  Above Tc the Doppler-averaged response of the thermal
@@ -9,13 +9,16 @@ units; below Tc the f = 1 series plus the zero-momentum condensate term
 -(chi0/zeta) n (1 - (T/Tc)^{3/2}).  Terms with sqrt(l)|zeta/A| < 70 use the
 exact w; from the first l beyond, the large-|y| expansion of w turns the rest
 of the series into polylogs in closed form, which at the sodium EIT defaults
-(|zeta/A| >= 150) is the whole series.
+(|zeta/A| >= 150) is the whole series.  With a factor l^-p per term and a
+section factor it is also the trap's column and pinhole response (trap_gas).
 """
 
 import cmath
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,11 +48,17 @@ from .units_params import (
 
 _SERIES_CHUNK = 512
 _SERIES_CAP = 10**6
-# the first four terms of the large-|y| expansions of w and w' (W_LARGE_Y);
-# with y = sqrt(l) zeta/A the l-sums become g_nu(u) for nu in _TAIL_ORDERS
-_TAIL_ORDERS = (1.5, 2.5, 3.5, 4.5)
+# the large-|y| tail keeps term k >= 1 of W_LARGE_Y while (2k+1) c_k
+# |A/zeta|^2k >= 2^-60, that is while |A/zeta|^2 reaches these, up to k = 3
+_TAIL_THRESHOLDS = tuple((2.0**-60 / ((2 * k + 1) * c)) ** (1.0 / k) for k, c in enumerate(W_LARGE_Y[:4]) if k)
+# the tail's terms S = (i/sqrt(pi)) sum_k c_k (A/zeta)^(2k+1) G_k and
+# S' = (-i/sqrt(pi)) sum_k (2k+1) c_k (A/zeta)^(2k+2) G_k, G_k = sum_l s_l u^l/l^(k+3/2+p),
+# as (c_k, (2k+1) c_k, 2k+1, 2k+2)
+TAIL_TABLE = tuple((c, (2 * k + 1) * c, 2 * k + 1, 2 * k + 2) for k, c in enumerate(W_LARGE_Y[:4]))
 # the 4-term tail is ~1e-13 accurate once |y| = sqrt(l)|zeta|/A >= 70
 _TAIL_MIN_ABS_Y = 70.0
+_ASYMPTOTIC_MIN_RATIO = 5.0
+_I_OVER_SQRT_PI = 1j / SQRT_PI
 # uniform bounds on |w|, |dw/dy| in the upper half plane (for remainder bounds)
 _W_BOUND = 1.0
 _WPRIME_BOUND = 2.0
@@ -99,26 +108,10 @@ def doppler_width_param(species, fields, temperature):
     return speed * fields.k_g_per_m / fields.gamma_ge_rad_s
 
 
-class in_float_range:
-    """Context that turns an overflow, a division by zero or (under
-    np.errstate) an invalid operation inside it into a DomainError that
-    names the quantity and the temperature."""
-
-    __slots__ = ("quantity", "temperature")
-
-    def __init__(self, quantity, temperature):
-        self.quantity = quantity
-        self.temperature = temperature
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, traceback):
-        if kind is not None and issubclass(kind, ArithmeticError):
-            raise DomainError(
-                "%s leaves the floating-point range at T = %.3g K (%s)" % (self.quantity, self.temperature, exc)
-            ) from exc
-        return False
+def out_of_float_range(quantity, temperature, exc):
+    """The DomainError for an overflow, a division by zero or (under
+    np.errstate) an invalid operation exc met while computing the quantity."""
+    return DomainError("%s leaves the floating-point range at T = %.3g K (%s)" % (quantity, temperature, exc))
 
 
 def finite_response(chi, dchi, temperature):
@@ -136,8 +129,10 @@ def finite_response(chi, dchi, temperature):
 def zeta_and_width(state, fields):
     """zeta of the fields and the Doppler width A at the state's temperature."""
     species = state.species
-    with in_float_range("zeta", state.temperature_k):
+    try:
         zv = zeta(fields, recoil_frequency(species, fields))
+    except ArithmeticError as exc:
+        raise out_of_float_range("zeta", state.temperature_k, exc) from exc
     return zv, doppler_width_param(species, fields, state.temperature_k)
 
 
@@ -184,15 +179,45 @@ def gas_state(config, temperature):
     )
 
 
-def thermal_response_series(fugacity_value, zeta_value, a_param):
-    """Doppler series of one thermal cloud: returns (S, S') with
-    S = sum_l u^l/l w(sqrt(l) zeta/A) and S' = sum_l u^l/sqrt(l) w'(sqrt(l) zeta/A).
+def check_mode(mode):
+    if mode not in ("exact", "asymptotic"):
+        raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
+
+
+def tail_terms(z_over_a, mode="exact"):
+    """How many terms k of TAIL_TABLE the kernel's large-|y| tail keeps:
+    those with (2k+1) c_k |A/zeta|^2k >= 2^-60, or in mode "asymptotic" k <= 1,
+    which needs |zeta/A| >= 5."""
+    ratio = abs(z_over_a)
+    if mode == "asymptotic" and ratio < _ASYMPTOTIC_MIN_RATIO:
+        raise DomainError("asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % ratio)
+    terms = 1 + bisect_right(_TAIL_THRESHOLDS, ratio**-2)
+    return min(terms, 2) if mode == "asymptotic" else terms
+
+
+@lru_cache(maxsize=256)
+def _tail_polylogs(terms, power, u, head, section):
+    """G_k = sum_{l > head} s_l u^l / l^(k+3/2+p) for k < terms (for a section
+    c > 0, two tails of order one higher over c).  Cached: the G_k depend on
+    neither zeta nor the fields, so a chi scan computes them once."""
+    tail = polylog if head == 0 else lambda nu, f: polylog_tail(nu, f, head)
+    if section == 0.0:
+        return tuple([tail(k + 1.5 + power, u) for k in range(terms)])
+    shrunk = u * math.exp(-section)
+    return tuple([(tail(k + 2.5 + power, u) - tail(k + 2.5 + power, shrunk)) / section for k in range(terms)])
+
+
+def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, section=0.0, mode="exact"):
+    """Doppler kernel of one thermal cloud: returns (S, S') with
+    S = sum_l s_l u^l/l^(1+p) w(sqrt(l) zeta/A), S' = sum_l s_l u^l/l^(1/2+p) w'(sqrt(l) zeta/A),
+    p = power, s_l = (1 - e^{-lc})/(lc) for section = c > 0 and 1 for c = 0.
 
     Chunks of exact w while |y| = sqrt(l)|zeta/A| < 70, with a geometric early
     stop for u < 1.  From the first l where |y| >= 70 the rest of the series is
-    the four-term large-|y| expansion, summed in closed form over polylogs
-    g_{3/2 ... 9/2} (the whole of g_nu when that is l = 1, as at the sodium
-    EIT defaults; a polylog tail otherwise).
+    the large-|y| tail of TAIL_TABLE, summed in closed form over polylogs
+    g_{k+3/2+p} (the whole of g_nu when that is l = 1, as at the sodium EIT
+    defaults; a polylog tail otherwise).  Mode "asymptotic" is that tail from
+    l = 1, cut after k = 1.
     """
     u = fugacity_value
     z_over_a = zeta_value / a_param
@@ -201,16 +226,20 @@ def thermal_response_series(fugacity_value, zeta_value, a_param):
     s_wp = 0.0 + 0.0j
     l0 = 1
     while l0 <= _SERIES_CAP:
-        if math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
-            g = [polylog(nu, u) if l0 == 1 else polylog_tail(nu, u, l0 - 1) for nu in _TAIL_ORDERS]
+        if mode == "asymptotic" or math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
             r = 1.0 / z_over_a  # A/zeta
-            s_w += (1j / SQRT_PI) * sum(c * r ** (2 * k + 1) * g[k] for k, c in enumerate(W_LARGE_Y[:4]))
-            s_wp += (-1j / SQRT_PI) * sum((2 * k + 1) * c * r ** (2 * k + 2) * g[k] for k, c in enumerate(W_LARGE_Y[:4]))
-            return s_w, s_wp
+            sum_a = sum_b = 0
+            g = _tail_polylogs(tail_terms(z_over_a, mode), power, u, l0 - 1, section)
+            for (c, d, m, n), g_k in zip(TAIL_TABLE, g):
+                sum_a += c * r**m * g_k
+                sum_b += d * r**n * g_k
+            return s_w + _I_OVER_SQRT_PI * sum_a, s_wp - _I_OVER_SQRT_PI * sum_b
         hi = min(l0 + _SERIES_CHUNK - 1, _SERIES_CAP)
         l = np.arange(l0, hi + 1, dtype=float)
         y = np.sqrt(l) * z_over_a
-        ul = u**l
+        ul = u**l / l**power
+        if section > 0.0:
+            ul *= -np.expm1(-l * section) / (l * section)
         s_w += complex((ul / l * faddeeva_w(y)).sum())
         s_wp += complex((ul / np.sqrt(l) * faddeeva_w_prime(y)).sum())
         if u < 1.0:
@@ -238,54 +267,46 @@ def thermal_series_prefactor(species, temperature, a_param):
     )
 
 
-def _condensate_response(species, zeta_value, condensate_density):
-    chi_c = -chi0(species) * condensate_density / zeta_value.value
-    dchi_c = chi0(species) * condensate_density * zeta_value.d_domega / zeta_value.value**2
-    return chi_c, dchi_c
+def thermal_response(state, zv, a_param, fugacity_value, power=0.0, section=0.0, mode="exact"):
+    """(chi, dchi/domega) = (P S, P (zeta'/A) S') of the thermal cloud at the
+    state's temperature and the given (local) fugacity."""
+    try:
+        pref = thermal_series_prefactor(state.species, state.temperature_k, a_param)
+    except ArithmeticError as exc:
+        prefactor = "the thermal prefactor chi0 (2 m K_B T/hbar^2)^{3/2}/(8 pi A)"
+        raise out_of_float_range(prefactor, state.temperature_k, exc) from exc
+    s_w, s_wp = thermal_response_series(fugacity_value, zv.value, a_param, power, section, mode)
+    return pref * s_w, pref * (zv.d_domega / a_param) * s_wp
+
+
+def condensate_response(species, zv, density):
+    """(chi, dchi/domega) = (-chi0 n/zeta, chi0 n zeta'/zeta^2) of a condensate
+    density (or column density) n at rest."""
+    x0 = chi0(species)
+    return -x0 * density / zv.value, x0 * density * zv.d_domega / zv.value**2
 
 
 def box_response(state, fields, mode="exact"):
-    """Susceptibility of the box gas in the given state under the given fields.
-
-    mode "exact" sums the Doppler series of the thermal cloud and adds the
-    condensate; "asymptotic" is the closed-form expansion in (A/zeta)^2
-    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2],
-    with f = 1 below Tc (condensate term already folded in).
+    """Susceptibility of the box gas in the given state under the given fields:
+    the Doppler kernel at the fugacity f (1 below Tc) plus the condensate.
+    Mode "asymptotic" stops the kernel at (A/zeta)^2, the closed form
+    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2].
     """
     if not isinstance(state.geometry, Box):
         raise ValueError("box response requires a box geometry")
-    if mode not in ("exact", "asymptotic"):
-        raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
-    species = state.species
-    temperature = state.temperature_k
+    check_mode(mode)
     zv, a = zeta_and_width(state, fields)
-    n = state.geometry.number_density_per_m3
-    if mode == "asymptotic":
-        x0 = chi0(species)
-        if a > 0.0:
-            ratio = abs(zv.value) / a
-            if ratio < 5.0:
-                raise DomainError(
-                    "asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % ratio
-                )
-        theta = temperature / state.t_c_k
-        correction = theta**1.5 * polylog(2.5, state.fugacity.value) / (2.0 * ZETA_3_2) * a**2
-        chi = -n * x0 * (1.0 / zv.value + correction / zv.value**3)
-        dchi = n * x0 * (1.0 / zv.value**2 + 3.0 * correction / zv.value**4) * zv.d_domega
-        return finite_response(chi, dchi, temperature)
     chi = 0.0 + 0.0j
     dchi = 0.0 + 0.0j
-    if temperature > 0.0:
-        with in_float_range("the thermal prefactor chi0 (2 m K_B T/hbar^2)^{3/2}/(8 pi A)", temperature):
-            pref = thermal_series_prefactor(species, temperature, a)
-        s_w, s_wp = thermal_response_series(state.fugacity.value, zv.value, a)
-        chi += pref * s_w
-        dchi += pref * (zv.d_domega / a) * s_wp
+    if state.temperature_k > 0.0:
+        chi, dchi = thermal_response(state, zv, a, state.fugacity.value, mode=mode)
     if state.condensate_fraction > 0.0:
-        chi_c, dchi_c = _condensate_response(species, zv, n * state.condensate_fraction)
+        chi_c, dchi_c = condensate_response(
+            state.species, zv, state.geometry.number_density_per_m3 * state.condensate_fraction
+        )
         chi += chi_c
         dchi += dchi_c
-    return finite_response(chi, dchi, temperature)
+    return finite_response(chi, dchi, state.temperature_k)
 
 
 def chi_box_exact(config, temperature):

@@ -130,9 +130,9 @@ def _annotate(exc, where):
     return DomainError("at %s: %s: %s" % (where, type(exc).__name__, exc))
 
 
-def _check_finite(row, where):
+def _check_finite(row):
     if not all(math.isfinite(value) for value in row):
-        raise DomainError("at %s: non-finite value in the row %r" % (where, row))
+        raise DomainError("non-finite value in the row %r" % (row,))
 
 
 def cmd_sweep(args):
@@ -148,7 +148,6 @@ def cmd_sweep(args):
 
     def _point(theta):
         temperature = theta * t_c
-        where = "t_over_tc=%.6g (T=%.6g K)" % (theta, temperature)
         try:
             state = gas_state(config, temperature)
             if is_box:
@@ -156,9 +155,9 @@ def cmd_sweep(args):
                 v_g = group_velocity_from_response(resp, probe_omega(config.species))
                 row = (theta, temperature, state.fugacity.value, resp.chi.real, resp.chi.imag, 0.0, 0.0, v_g)
             else:
-                resp = trap_response(state, config.fields, 0.0)
+                resp = trap_response(state, config.fields, 0.0, mode=args.mode)
                 warn_if_dense(resp.chi)
-                delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode)
+                delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode, mode=args.mode)
                 row = (
                     theta,
                     temperature,
@@ -171,9 +170,9 @@ def cmd_sweep(args):
                 )
             if not 0.0 < row[-1] < C_M_S:
                 raise DomainError("group velocity %.6g m/s is not in (0, c)" % row[-1])
+            _check_finite(row)
         except (PhysicsError, ArithmeticError) as exc:
-            raise _annotate(exc, where) from exc
-        _check_finite(row, where)
+            raise _annotate(exc, "t_over_tc=%.6g (T=%.6g K)" % (theta, temperature)) from exc
         return row
 
     rows = [_point(theta) for theta in thetas]
@@ -205,24 +204,22 @@ def cmd_chi(args):
     rows = []
     for d_gamma in detunings.tolist():
         fields = replace(config.fields, detuning_g0_rad_s=d_gamma * gamma_total)
-        where = "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature)
         try:
-            if isinstance(config.geometry, Box):
-                resp = box_response(state, fields)
-            else:
-                resp = trap_response(state, fields, 0.0)
-            chi = resp.chi
-        except PoleError as exc:
-            # Gamma_gr = 0 on the exact two-photon resonance is the
-            # transparency limit: the singularity is removable and chi -> 0.
-            if fields.gamma_gr_rad_s == 0.0 and fields.detuning_g0_rad_s == fields.detuning_r0_rad_s:
+            try:
+                if isinstance(config.geometry, Box):
+                    chi = box_response(state, fields).chi
+                else:
+                    chi = trap_response(state, fields, 0.0).chi
+            except PoleError:
+                # Gamma_gr = 0 on the exact two-photon resonance is the
+                # transparency limit: the singularity is removable and chi -> 0.
+                if not (fields.gamma_gr_rad_s == 0.0 and fields.detuning_g0_rad_s == fields.detuning_r0_rad_s):
+                    raise
                 chi = 0.0j
-            else:
-                raise _annotate(exc, where) from exc
+            row = (d_gamma, d_gamma * gamma_total, chi.real, chi.imag)
+            _check_finite(row)
         except (PhysicsError, ArithmeticError) as exc:
-            raise _annotate(exc, where) from exc
-        row = (d_gamma, d_gamma * gamma_total, chi.real, chi.imag)
-        _check_finite(row, where)
+            raise _annotate(exc, "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature)) from exc
         rows.append(row)
 
     lines = [_metadata_line(digest), "detuning_gamma,detuning_rad_s,re_chi,im_chi"]
@@ -263,6 +260,9 @@ def cmd_tf(args):
             "vg_ideal": hau_group_velocity(omega, rabi, n_ideal, dipole_sq),
             "vg_tf": hau_group_velocity(omega, rabi, n_tf, dipole_sq),
         }
+        for key in ("vg_ideal", "vg_tf"):
+            if not 0.0 < result[key] < C_M_S:
+                raise DomainError("%s = %.6g m/s is not in (0, c)" % (key, result[key]))
     except PhysicsError as exc:
         raise type(exc)("tf estimate: %s" % exc) from exc
     _write_text(args.output, json.dumps(result, sort_keys=True, indent=2) + "\n")
@@ -286,7 +286,7 @@ def _build_parser():
         "--mode",
         choices=("exact", "asymptotic"),
         default="exact",
-        help="box susceptibility: full series or first Doppler correction (trap rows always use the first-order local form)",
+        help="Doppler kernel of the susceptibility and the trap delays: full series or first Doppler correction",
     )
     sweep.add_argument("--fc-mode", choices=("paper", "exact"), default="paper", help="condensate section factor")
     pin = sweep.add_mutually_exclusive_group()

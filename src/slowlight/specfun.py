@@ -244,7 +244,9 @@ def polylog(nu, f):
     if isinstance(f, np.ndarray):
         return polylog_sum(((nu, 1.0),), f)
     f = float(f)
-    _check_polylog_args((nu,), f)
+    # the full check, which names the fault, only where one of its tests fails
+    if not (nu > 0.0 and 0.0 <= f <= 1.0) or (f == 1.0 and nu <= 1.0):
+        _check_polylog_args((nu,), f)
     direct, robinson, lead, harmonic = _polylog_tables(nu)
     if f <= 0.5:
         if f == 0.0:

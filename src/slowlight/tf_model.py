@@ -22,17 +22,17 @@ class TfGeometry:
 
 
 def hau_group_velocity(probe_omega_rad_s, omega_coupling_rad_s, density_per_m3, dipole_sq):
-    """v_g = hbar c Omega^2 / (8 pi omega n |d_ge|^2) (m/s)."""
+    """v_g = hbar c Omega^2 / (8 pi omega n |d_ge|^2) (m/s); an Omega^2 beyond
+    the float range is a DomainError."""
     if not density_per_m3 > 0.0:
         raise DomainError("density must be positive, got %r" % density_per_m3)
     if not omega_coupling_rad_s > 0.0:
         raise DomainError("coupling Rabi frequency must be positive, got %r" % omega_coupling_rad_s)
-    return (
-        HBAR_J_S
-        * C_M_S
-        * omega_coupling_rad_s**2
-        / (8.0 * math.pi * probe_omega_rad_s * density_per_m3 * dipole_sq)
-    )
+    try:
+        rabi_sq = omega_coupling_rad_s**2
+    except OverflowError as exc:
+        raise DomainError("Omega^2 overflows at Omega = %.3g rad/s" % omega_coupling_rad_s) from exc
+    return HBAR_J_S * C_M_S * rabi_sq / (8.0 * math.pi * probe_omega_rad_s * density_per_m3 * dipole_sq)
 
 
 def _mean_ellipsoid_density(n_atoms, r_radial, r_axial):

@@ -2,12 +2,13 @@
 
 Local susceptibility chi(r, z), per-ray probe delays Delta_t(r) through the
 cloud, uniform pinhole averages over a circular section of radius R, cloud
-sizes, and the experimental group velocity v_g = D_z / <Delta_t>.
-All closed forms are first order in (A/zeta)^2 (Doppler width over
-generalized linewidth), the regime of the underlying expansion.  A finite
-path integrates the same local response on one fixed (r, z) Gauss-Legendre
-grid, where it is one real weighted sum of g_{3/2} and g_{5/2} of the local
-fugacity (specfun.polylog_sum) plus the condensate density.
+sizes, and the experimental group velocity v_g = D_z / <Delta t>.
+The thermal cloud at (r, z) is a box gas at the local fugacity f e^{-beta V},
+so every thermal response is the box Doppler kernel: at p = 0 for chi, at
+p = 1/2 for a column, with the section factor for a pinhole average.  Every
+delay integrates 1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c; a
+finite path does so on one fixed (r, z) Gauss-Legendre grid, where the
+kernel's tail is one real weighted polylog_sum of the local fugacity.
 """
 
 import math
@@ -15,24 +16,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box_gas import finite_response, gas_state, in_float_range, tc_trap, zeta_and_width
-from .errors import DomainError
-from .specfun import polylog, polylog_sum
-from .units_params import (
-    C_M_S,
-    HBAR_J_S,
-    KB_J_PER_K,
-    TWO_PI,
-    HarmonicTrap,
-    chi0,
-    probe_omega,
+from .box_gas import (
+    TAIL_TABLE,
+    check_mode,
+    condensate_response,
+    finite_response,
+    gas_state,
+    out_of_float_range,
+    tail_terms,
+    tc_trap,
+    thermal_response,
+    thermal_series_prefactor,
+    zeta_and_width,
 )
+from .errors import DomainError
+from .specfun import SQRT_PI, polylog_sum
+from .units_params import C_M_S, HBAR_J_S, KB_J_PER_K, TWO_PI, HarmonicTrap, probe_omega
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _Z_GL_NODES, _Z_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
 # of the infinite-path average keeps fewer than about six digits
 _MIN_SECTION_EXPONENT = 1e-9
+# the finite path sums the kernel's large-|y| tail without the exact head;
+# its remainder, about 9 c_4 |A/zeta|^8, exceeds 1e-6 below |zeta/A| = 10
+_FINITE_PATH_MIN_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -100,52 +108,48 @@ def cloud_size(config, temperature):
     return _cloud_size(config.species, config.geometry, temperature, tc_trap(config.species, config.geometry))
 
 
-def _local_response(state, zv, a_param, r, z):
+def _excess(chi, dchi, omega):
+    """1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c of a dilute response."""
+    return TWO_PI * (chi.real + omega * dchi.real) / C_M_S
+
+
+def _condensate_peak(state):
+    """Peak condensate density N_0/(pi^{3/2} a_0r^2 a_0z), with a_0r and a_0z."""
+    a0r = ground_state_size(state.species, state.geometry.nu_r_rad_s)
+    a0z = ground_state_size(state.species, state.geometry.nu_z_rad_s)
+    return state.geometry.atom_count * state.condensate_fraction / (math.pi**1.5 * a0r**2 * a0z), a0r, a0z
+
+
+def _local_response(state, zv, a_param, r, z, mode="exact"):
     """(chi, dchi/domega) at the point (r, z)."""
-    species = state.species
     trap = state.geometry
     temperature = state.temperature_k
-    x0 = chi0(species)
-    zval = zv.value
-    dz_domega = zv.d_domega
     chi = 0.0 + 0.0j
     dchi = 0.0 + 0.0j
     if temperature > 0.0:
-        mass = species.mass_kg
         beta = 1.0 / (KB_J_PER_K * temperature)
-        potential = 0.5 * mass * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
-        u = state.fugacity.value * math.exp(-beta * potential)
-        g32 = polylog(1.5, u)
-        g52 = polylog(2.5, u)
-        a_sq = a_param**2
-        with in_float_range("the thermal density (m K_B T/2 pi hbar^2)^{3/2} g_{3/2}", temperature):
-            lam = (mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
-            chi += -x0 * lam * (g32 / zval + 0.5 * g52 * a_sq / zval**3)
-            dchi += x0 * lam * dz_domega * (g32 / zval**2 + 1.5 * g52 * a_sq / zval**4)
+        potential = 0.5 * state.species.mass_kg * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
+        chi, dchi = thermal_response(state, zv, a_param, state.fugacity.value * math.exp(-beta * potential), mode=mode)
     if state.condensate_fraction > 0.0:
-        a0r = ground_state_size(species, trap.nu_r_rad_s)
-        a0z = ground_state_size(species, trap.nu_z_rad_s)
-        n0 = (
-            trap.atom_count
-            * state.condensate_fraction
-            * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
-            / (math.pi**1.5 * a0r**2 * a0z)
-        )
-        chi += -x0 * n0 / zval
-        dchi += x0 * n0 * dz_domega / zval**2
+        peak, a0r, a0z = _condensate_peak(state)
+        chi_c, dchi_c = condensate_response(state.species, zv, peak * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2))
+        chi += chi_c
+        dchi += dchi_c
     return chi, dchi
 
 
-def trap_response(state, fields, r):
+def trap_response(state, fields, r, mode="exact"):
     """Susceptibility of the trapped gas in the given state, in the plane
-    z = 0 at radial distance r:
-    -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2}(f e^{-beta V}) +
-    g_{5/2}(f e^{-beta V}) A^2/(2 zeta^2)] plus the condensate term below Tc."""
+    z = 0 at radial distance r: the box response at the local fugacity
+    f e^{-beta V}, -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2} +
+    g_{5/2} A^2/(2 zeta^2) + ...] (mode "asymptotic" stops at A^2), plus the
+    condensate term below Tc."""
     _require_trap(state.geometry)
     if r < 0.0:
         raise DomainError("radial position must be nonnegative, got %r" % r)
+    check_mode(mode)
     zv, a_param = zeta_and_width(state, fields)
-    chi, dchi = _local_response(state, zv, a_param, r, 0.0)
+    chi, dchi = _local_response(state, zv, a_param, r, 0.0, mode)
     return finite_response(chi, dchi, state.temperature_k)
 
 
@@ -169,103 +173,81 @@ def _z_panels(state, path_half_length_m):
     return nodes.ravel(), (half[:, None] * _Z_GL_WEIGHTS).ravel()
 
 
-def _excess_inverse_speed(state, zv, a_param, r, z):
-    """1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c of the local
-    response on the grid of the radii r and the heights z (1-D arrays).
-
-    It is linear in g_{3/2}(u), g_{5/2}(u) and the condensate density n_0,
-    so it is one polylog_sum with real weights fixed by zeta and A, plus a
-    multiple of n_0.  u = f e^{-beta m nu_r^2 r^2/2} e^{-beta m nu_z^2 z^2/2}
-    and n_0 are outer products of two 1-D exponentials.
+def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
+    """1/v_g - 1/c of the local response on the grid of the radii r and the
+    heights z (1-D arrays): the kernel's large-|y| tail from l = 1, one
+    polylog_sum of g_{k+3/2} of u = f e^{-beta m nu_r^2 r^2/2} e^{-beta m nu_z^2 z^2/2}
+    with real weights fixed by zeta and A, plus a multiple of the condensate
+    density.  Without the exact head it needs |zeta/A| >= 10 in mode "exact".
     """
     species = state.species
     trap = state.geometry
     temperature = state.temperature_k
-    zval = zv.value
-    omega_dz = probe_omega(species) * zv.d_domega
-    scale = TWO_PI * chi0(species) / C_M_S
-    # Re chi + omega Re dchi/domega per unit density, with chi = -chi0 n/zeta
-    density_weight = scale * (-1.0 / zval + omega_dz / zval**2).real
-    errstate = np.errstate(over="raise", divide="raise", invalid="raise")
-    with in_float_range("the finite-path delay", temperature), errstate:
-        if temperature > 0.0:
-            mass = species.mass_kg
-            half_beta_m = 0.5 * mass / (KB_J_PER_K * temperature)
-            u = np.outer(
-                state.fugacity.value * np.exp(-half_beta_m * trap.nu_r_rad_s**2 * r**2),
-                np.exp(-half_beta_m * trap.nu_z_rad_s**2 * z**2),
+    omega = probe_omega(species)
+    if temperature > 0.0:
+        z_over_a = zv.value / a_param
+        if mode == "exact" and abs(z_over_a) < _FINITE_PATH_MIN_RATIO:
+            raise DomainError(
+                "the finite-path delay has no exact Doppler head and needs |zeta/A| >= 10, "
+                "got |zeta/A| = %.3g" % abs(z_over_a)
             )
-            # thermal density (m K_B T/2 pi hbar^2)^{3/2} g_{3/2}(u); the
-            # g_{5/2} term carries the (A/zeta)^2 Doppler correction
-            lam = (mass * KB_J_PER_K * temperature / (TWO_PI * HBAR_J_S**2)) ** 1.5
-            doppler_weight = scale * lam * a_param**2 * (-0.5 / zval**3 + 1.5 * omega_dz / zval**4).real
-            excess = polylog_sum(((1.5, density_weight * lam), (2.5, doppler_weight)), u)
-        else:
-            excess = np.zeros((r.size, z.size))
-        if state.condensate_fraction > 0.0:
-            a0r = ground_state_size(species, trap.nu_r_rad_s)
-            a0z = ground_state_size(species, trap.nu_z_rad_s)
-            peak = trap.atom_count * state.condensate_fraction / (math.pi**1.5 * a0r**2 * a0z)
-            excess += np.outer(density_weight * peak * np.exp(-((r / a0r) ** 2)), np.exp(-((z / a0z) ** 2)))
+        half_beta_m = 0.5 * species.mass_kg / (KB_J_PER_K * temperature)
+        u = np.outer(
+            state.fugacity.value * np.exp(-half_beta_m * trap.nu_r_rad_s**2 * r**2),
+            np.exp(-half_beta_m * trap.nu_z_rad_s**2 * z**2),
+        )
+        pref = (1j / SQRT_PI) * thermal_series_prefactor(species, temperature, a_param)
+        pref_d = pref * zv.d_domega / a_param
+        a_over_z = 1.0 / z_over_a
+        terms = [
+            (k + 1.5, _excess(pref * c * a_over_z**m, -pref_d * d * a_over_z**n, omega))
+            for k, (c, d, m, n) in enumerate(TAIL_TABLE[: tail_terms(z_over_a, mode)])
+        ]
+        excess = polylog_sum(terms, u)
+    else:
+        excess = np.zeros((r.size, z.size))
+    if state.condensate_fraction > 0.0:
+        peak, a0r, a0z = _condensate_peak(state)
+        density_weight = _excess(*condensate_response(species, zv, peak), omega)
+        excess += np.outer(density_weight * np.exp(-((r / a0r) ** 2)), np.exp(-((z / a0z) ** 2)))
     return excess
 
 
-def _finite_path_delays(state, zv, a_param, r, path_half_length_m):
+def _finite_path_delays(state, zv, a_param, r, path_half_length_m, mode="exact"):
     """Delays 2 int_0^L (1/v_g - 1/c) dz at the radii r (an array), on the
     composite Gauss-Legendre z panels of _z_panels."""
     z, w = _z_panels(state, path_half_length_m)
-    return 2.0 * (_excess_inverse_speed(state, zv, a_param, r, z) @ w)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return 2.0 * (_excess_inverse_speed(state, zv, a_param, r, z, mode) @ w)
+    except ArithmeticError as exc:
+        raise out_of_float_range("the finite-path delay", state.temperature_k, exc) from exc
 
 
-def _delay_at_radius(state, zv, a_param, r, path_half_length_m):
+def _infinite_path_delay(state, zv, a_param, fugacity_value, section, condensate_column, mode):
+    """2 int_0^inf (1/v_g - 1/c) dz: the kernel at p = 1/2 (and section c)
+    times the column length sqrt(2 pi K_B T/m)/nu_z, plus the condensate."""
     species = state.species
-    trap = state.geometry
-    temperature = state.temperature_k
     omega = probe_omega(species)
-    if not math.isinf(path_half_length_m):
-        return float(_finite_path_delays(state, zv, a_param, np.array([r]), path_half_length_m)[0])
-    x0 = chi0(species)
-    zval = zv.value
     delay = 0.0
-    if temperature > 0.0:
-        beta = 1.0 / (KB_J_PER_K * temperature)
-        y_r = state.fugacity.value * math.exp(-0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * r**2)
-        g2 = polylog(2.0, y_r)
-        g3 = polylog(3.0, y_r)
-        kernel = zv.d_domega * (g2 / zval**2 + 1.5 * a_param**2 * g3 / zval**4)
-        with in_float_range("the thermal column delay m (K_B T)^2/(hbar^3 nu_z)", temperature):
-            delay += (
-                (omega / C_M_S)
-                * species.mass_kg
-                * (KB_J_PER_K * temperature) ** 2
-                / (HBAR_J_S**3 * trap.nu_z_rad_s)
-                * x0
-                * kernel.real
-            )
-    if state.condensate_fraction > 0.0:
-        a0r = ground_state_size(species, trap.nu_r_rad_s)
-        column = (
-            trap.atom_count
-            * state.condensate_fraction
-            * math.exp(-(r / a0r) ** 2)
-            / (math.pi * a0r**2)
-        )
-        delay += TWO_PI * (omega / C_M_S) * x0 * (zv.d_domega / zval**2).real * column
+    if state.temperature_k > 0.0:
+        length = math.sqrt(TWO_PI * KB_J_PER_K * state.temperature_k / species.mass_kg) / state.geometry.nu_z_rad_s
+        delay += length * _excess(*thermal_response(state, zv, a_param, fugacity_value, 0.5, section, mode), omega)
+    if condensate_column > 0.0:
+        delay += _excess(*condensate_response(species, zv, condensate_column), omega)
     return delay
 
 
 def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     """Probe delay accumulated along the line of sight at radius r (s).
 
-    Infinite path: the closed form
+    Infinite path: the Doppler kernel at p = 1/2 (the z integral multiplies
+    term l by l^-1/2) of y_r = f e^{-beta m nu_r^2 r^2/2}, to first order
     (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0 Re{zeta'(omega)(g_2(y_r)/zeta^2
-    + (3/2) A^2 g_3(y_r)/zeta^4)}, y_r = f e^{-beta m nu_r^2 r^2/2}, plus the
-    condensate line integral below Tc.  Finite path: 2 int_0^L (1/v_g - 1/c) dz
-    on composite 16-point Gauss-Legendre panels (see _z_panels), with the
-    integrand a g_{3/2}(u) + b g_{5/2}(u) + w_0 n_0 of the local fugacity u
-    and condensate density n_0, whose real weights follow from zeta and A
-    (see _excess_inverse_speed); the L/c vacuum term is subtracted by
-    construction.
+    + (3/2) A^2 g_3(y_r)/zeta^4)}, plus the condensate line integral below
+    Tc.  Finite path: 2 int_0^L (1/v_g - 1/c) dz on composite 16-point
+    Gauss-Legendre panels (see _z_panels and _excess_inverse_speed); the L/c
+    vacuum term is subtracted by construction.
     """
     _require_trap(config.geometry)
     if r < 0.0:
@@ -274,7 +256,18 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
         raise DomainError("path_half_length_m must be positive")
     state = gas_state(config, temperature)
     zv, a_param = zeta_and_width(state, config.fields)
-    return _delay_at_radius(state, zv, a_param, r, path_half_length_m)
+    if not math.isinf(path_half_length_m):
+        return float(_finite_path_delays(state, zv, a_param, np.array([r]), path_half_length_m)[0])
+    trap = state.geometry
+    y_r = 0.0
+    if temperature > 0.0:
+        beta = 1.0 / (KB_J_PER_K * temperature)
+        y_r = state.fugacity.value * math.exp(-0.5 * beta * state.species.mass_kg * trap.nu_r_rad_s**2 * r**2)
+    column = 0.0
+    if state.condensate_fraction > 0.0:
+        a0r = ground_state_size(state.species, trap.nu_r_rad_s)
+        column = trap.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
+    return _infinite_path_delay(state, zv, a_param, y_r, 0.0, column, "exact")
 
 
 def _condensate_section_factor(state, radius, path_half_length_m, fc_mode):
@@ -289,29 +282,30 @@ def _condensate_section_factor(state, radius, path_half_length_m, fc_mode):
     return (1.0 - math.exp(-(radius / a0r) ** 2)) * erf_term / (math.pi * radius**2)
 
 
-def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
+def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
     """Uniform average of the delay over the section of radius R in the
     given state: <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a
     DelayResult.
 
-    Infinite path, thermal part: the closed form
+    Infinite path: the Doppler kernel at p = 1/2 with the section factor
+    (1 - e^{-lc})/(lc), c = beta m nu_r^2 R^2/2, to first order
     2 pi (omega/c) chi0 ((K_B T)^3/(hbar^3 nu_z nu_r^2)) (1/(pi R^2))
     Re{zeta'(omega)([g_3(f)-g_3(f e^{-c})]/zeta^2
-    + (3/2)(A^2/zeta^4)[g_4(f)-g_4(f e^{-c})])}, c = beta m nu_r^2 R^2/2;
-    below Tc f = 1 plus the condensate term with the selected F_C mode.
-    Finite path: the vacuum-subtracted local 1/v_g - 1/c on one fixed grid,
-    64 Gauss-Legendre radii times the composite Gauss-Legendre z panels of
-    delay_at_radius, evaluated as one polylog_sum of g_{3/2} and g_{5/2}
-    with real weights over the separable Boltzmann factors, plus the
-    condensate density (it enters pointwise, so fc_mode does not apply).
+    + (3/2)(A^2/zeta^4)[g_4(f)-g_4(f e^{-c})])}; below Tc f = 1 plus the
+    condensate term with the selected F_C mode.  Finite path: the local
+    1/v_g - 1/c of delay_at_radius on 64 Gauss-Legendre radii, with the
+    condensate density entering pointwise (fc_mode does not apply).
+    mode "asymptotic" stops the kernel at A^2 on either path.
 
     Raises DomainError when the pinhole is so small (c < 1e-9) that the
-    closed form loses its digits, or when the delay is zero, non-finite or
-    so short that v_g = D_z/<Delta t> would reach c.
+    closed form loses its digits, when a finite path in mode "exact" meets
+    |zeta/A| < 10, or when the delay is zero, non-finite or so short that
+    v_g = D_z/<Delta t> would reach c.
     """
     _require_trap(state.geometry)
     if fc_mode not in ("paper", "exact"):
         raise ValueError("fc_mode must be 'paper' or 'exact', got %r" % fc_mode)
+    check_mode(mode)
     species = state.species
     trap = state.geometry
     temperature = state.temperature_k
@@ -325,14 +319,11 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
     if not math.isinf(half_length):
         # average = (2/R^2) int_0^R r dt(r) dr on a fixed Gauss-Legendre rule
         r = 0.5 * radius * (_GL_NODES + 1.0)
-        delay = float(np.sum(_GL_WEIGHTS * r * _finite_path_delays(state, zv, a_param, r, half_length))) / radius
+        delays = _finite_path_delays(state, zv, a_param, r, half_length, mode)
+        delay = float(np.sum(_GL_WEIGHTS * r * delays)) / radius
     else:
-        omega = probe_omega(species)
-        x0 = chi0(species)
-        zval = zv.value
-        delay = 0.0
+        exponent = 0.0
         if temperature > 0.0:
-            f = state.fugacity.value
             beta = 1.0 / (KB_J_PER_K * temperature)
             exponent = 0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2
             if exponent < _MIN_SECTION_EXPONENT:
@@ -341,31 +332,11 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper"):
                     "closed-form average (beta m nu_r^2 R^2/2 = %.3g < %g)"
                     % (radius, temperature, exponent, _MIN_SECTION_EXPONENT)
                 )
-            shrink = math.exp(-exponent)
-            g3_diff = polylog(3.0, f) - polylog(3.0, f * shrink)
-            g4_diff = polylog(4.0, f) - polylog(4.0, f * shrink)
-            kernel = zv.d_domega * (g3_diff / zval**2 + 1.5 * a_param**2 * g4_diff / zval**4)
-            with in_float_range("the thermal section delay (K_B T)^3/(hbar^3 nu_z nu_r^2 pi R^2)", temperature):
-                delay += (
-                    TWO_PI
-                    * (omega / C_M_S)
-                    * x0
-                    * (KB_J_PER_K * temperature) ** 3
-                    / (HBAR_J_S**3 * trap.nu_z_rad_s * trap.nu_r_rad_s**2)
-                    / (math.pi * radius**2)
-                    * kernel.real
-                )
+        column = 0.0
         if state.condensate_fraction > 0.0:
             section = _condensate_section_factor(state, radius, half_length, fc_mode)
-            delay += (
-                TWO_PI
-                * (omega / C_M_S)
-                * x0
-                * (zv.d_domega / zval**2).real
-                * trap.atom_count
-                * state.condensate_fraction
-                * section
-            )
+            column = trap.atom_count * state.condensate_fraction * section
+        delay = _infinite_path_delay(state, zv, a_param, state.fugacity.value, exponent, column, mode)
 
     d_z = _cloud_size(species, trap, temperature, state.t_c_k)
     # a negative delay is anomalous dispersion and comes back as v_g < 0

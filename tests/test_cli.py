@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from slowlight import C_M_S, ValidityWarning, serialize_config
 from slowlight.cli import DEFAULT_CONFIG_TEXT, main
 from slowlight.units_params import _SCHEMA
 
-from _configs import DOC, detuned_config, temperature_for_doppler_a
+from _configs import DOC, detuned_config, temperature_for_doppler_a, trap_config
 
 METADATA_RE = re.compile(r"^# config_sha256=[0-9a-f]{64} tool_version=0\.1\.0$")
 FIELD_RE = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -451,6 +453,72 @@ def test_tf_json(capsys):
     # serialization is deterministic
     _, again, _ = run(capsys, ["tf", "--atom-count", "1e6"])
     assert again == out
+
+
+def test_tf_group_velocities_are_admissible_or_exit_2(capsys):
+    # Omega^2 overflows at 1e200 gamma, Omega itself is inf at 1e305 gamma,
+    # and at 1e5 gamma the Thomas-Fermi estimate is faster than light
+    for coupling, message in (
+        ("1e200", "Omega^2 overflows at Omega = 6.15e+207 rad/s"),
+        ("1e305", "vg_ideal = inf m/s is not in (0, c)"),
+        ("1e5", "vg_tf = 1.17413e+11 m/s is not in (0, c)"),
+    ):
+        rc, out, err = run(capsys, ["tf", "--omega-coupling-gamma", coupling])
+        assert rc == 2, coupling
+        assert out == ""
+        assert err == "physics error: tf estimate: %s\n" % message
+
+
+# sha256 of stdout of each default-path command: a change that moves any of
+# these outputs by one printed digit must update the digest on purpose
+_PINNED_STDOUT = (
+    (["sweep"], "40e71e65b4ff1bbbc0feaea828f9b89c4f3e51940a4a8aba0fde3fd35c770c36"),
+    (["sweep", "--geometry", "box"], "59ca4876f615eaae4ddc7da5f1e91a6572164649eaa9bd0762885edd806cb1d8"),
+    (["sweep", "--geometry", "box", "--t-points", "200"],
+     "3498b9cb14401f7f66a235724bfbf1bfa7843e7bb45d60f0b3296ce770f7cd76"),
+    (["sweep", "--fc-mode", "exact", "--pinhole-thermal"],
+     "abf3f8d7256c31cbee1b5915a65ccd5881ef9cfcd89552dbaf83a7e96f92f44d"),
+    (["sweep", "--geometry", "box", "--t-min", "0.99", "--t-max", "1.01", "--t-points", "101"],
+     "36de238db0a269fd4943d97649c75cf5e6a2c5e5d7013ac13537f85ac11703f8"),
+    (["sweep", "--geometry", "box", "--mode", "asymptotic", "--t-scale", "log"],
+     "69d556eefeb36fc8d2b4b0058935f51f096167bcf7c9913c0359547eae8d61f4"),
+    (["chi", "--geometry", "box", "--temperature-nk", "200"],
+     "02368c8a7c9aefb2af6120e30352e4de4965a1545e06248801e6912680c370cc"),
+    (["chi", "--geometry", "box", "--temperature-nk", "500", "--omega-coupling-gamma", "0"],
+     "7024541b52800037d4d6f4f4a3478e48bae45a678a5f0a015cebc5fc51144f56"),
+    (["tf"], "456ff43fd30c6d743437635848d28f2d7445b11f2b76b5cdb5466d6c222c307e"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_STDOUT, ids=[" ".join(argv) for argv, _ in _PINNED_STDOUT])
+def test_default_outputs_are_pinned(capsys, argv, digest):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sweep_mode_applies_to_trap_rows(tmp_path, capsys):
+    # the two-level point two half-widths off resonance (normal dispersion,
+    # so v_g > 0) with a probe wave number 10x the sodium one: |zeta/A| is
+    # 30 at 1.5 Tc, where the kernel's (A/zeta)^4 terms show in every row
+    config = detuned_config("trap", k_g_per_m=10.0 * trap_config().fields.k_g_per_m)
+    fields = config.fields
+    config = replace(config, fields=replace(fields, detuning_g0_rad_s=fields.detuning_g0_rad_s - 2.0 * fields.gamma_ge_rad_s))
+    path = tmp_path / "slow.cfg"
+    path.write_text(serialize_config(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for extra, all_rows_move in ((["--config", str(path)], True), ([], False)):
+            _, exact, _ = run(capsys, ["sweep", "--mode", "exact"] + extra)
+            _, asymptotic, _ = run(capsys, ["sweep", "--mode", "asymptotic"] + extra)
+            exact_rows = parse_csv(exact, SWEEP_HEADER)
+            asymptotic_rows = parse_csv(asymptotic, SWEEP_HEADER)
+            assert len(exact_rows) == len(asymptotic_rows) == 50
+            if all_rows_move:
+                assert all(a[5] != b[5] and a[7] != b[7] for a, b in zip(exact_rows, asymptotic_rows))
+            else:
+                # at the sodium EIT defaults |zeta/A| ~ 2e5: the two coincide
+                assert exact == asymptotic
 
 
 def test_tf_usage_errors(capsys):

@@ -40,6 +40,10 @@ SPECIES = CONFIG.species
 TRAP = CONFIG.geometry
 TC = tc_trap(SPECIES, TRAP)
 PINHOLE = fixed_pinhole(15e-6)
+# the two-level point with a probe wave number 10x the sodium one:
+# |zeta/A| = 19.7 at 0.7 Tc and 13.5 at 1.5 Tc, where the (A/zeta)^4 terms of
+# the Doppler kernel reach 1e-4 of the delay
+SLOW = detuned_config("trap", k_g_per_m=10.0 * CONFIG.fields.k_g_per_m)
 
 
 def rel(a, b):
@@ -142,6 +146,8 @@ def test_chi_trap_local_matches_point_quadrature():
         (CONFIG, 0.8 * TC, 0.0),
         (CONFIG, 0.8 * TC, 3.8e-6),
         (long_k, 1.5 * TC, 0.0),
+        (SLOW, 0.7 * TC, 0.0),
+        (SLOW, 1.5 * TC, 0.0),
     )
     for config, t, r in cases:
         resp = chi_trap_local(config, t, r)
@@ -195,6 +201,8 @@ def test_mean_delay_matches_quadrature():
         (0.8, CONFIG),
         (1.5, CONFIG),
         (2.0, detuned_config("trap")),
+        (0.7, SLOW),
+        (1.5, SLOW),
     )
     for theta, config in cases:
         t = theta * tc_trap(config.species, config.geometry)
@@ -217,6 +225,44 @@ def test_finite_path_mean_delay_matches_quadrature():
             result = mean_delay(CONFIG, t, pinhole)
             oracle = mean_delay_by_quadrature(CONFIG, t, radius, path_half_length_m=half_length)
             assert rel(result.mean_delay_s, oracle) < 1e-6, (theta, half_length / z_th, mode)
+    # and where the kernel's (A/zeta)^4 terms matter, |zeta/A| = 19.7 and 13.5
+    for theta in (0.7, 1.5):
+        t = theta * TC
+        half_length = 3.0 * math.sqrt(KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))
+        result = mean_delay(SLOW, t, PinholeSpec(radius_mode="fixed", radius_m=PINHOLE.radius_m,
+                                                 path_half_length_m=half_length))
+        oracle = mean_delay_by_quadrature(SLOW, t, PINHOLE.radius_m, path_half_length_m=half_length)
+        assert rel(result.mean_delay_s, oracle) < 1e-6, theta
+
+
+def test_expansion_only_paths_refuse_small_zeta_over_a():
+    # the finite path sums the kernel's large-|y| tail without its exact
+    # head: at |zeta/A| = 4.5 and 2.25 it would be 0.79% and 11% off, so it
+    # refuses |zeta/A| < 10; the head-free two-term expansion refuses < 5 in
+    # both the local response and the delays
+    t = 1.5 * TC
+    finite = PinholeSpec(radius_mode="fixed", radius_m=PINHOLE.radius_m, path_half_length_m=1e-3)
+    for scale, ratio in ((30.0, "4.5"), (60.0, "2.25")):
+        config = detuned_config("trap", k_g_per_m=scale * CONFIG.fields.k_g_per_m)
+        with pytest.raises(DomainError, match=r"needs \|zeta/A\| >= 10, got \|zeta/A\| = %s" % ratio):
+            mean_delay(config, t, finite)
+        with pytest.raises(DomainError, match=r"needs \|zeta/A\| >= 10"):
+            delay_at_radius(config, t, 0.0, path_half_length_m=1e-3)
+        # the infinite path keeps the exact head and stays on the oracle
+        assert rel(mean_delay(config, t, PINHOLE).mean_delay_s, mean_delay_by_quadrature(config, t, PINHOLE.radius_m)) < 1e-6
+    config = detuned_config("trap", k_g_per_m=60.0 * CONFIG.fields.k_g_per_m)
+    state = gas_state(config, t)
+    for call in (
+        lambda: trap_gas.trap_response(state, config.fields, 0.0, mode="asymptotic"),
+        lambda: trap_gas.trap_mean_delay(state, config.fields, PINHOLE, mode="asymptotic"),
+        lambda: trap_gas.trap_mean_delay(state, config.fields, finite, mode="asymptotic"),
+    ):
+        with pytest.raises(DomainError, match=r"asymptotic expansion requires \|zeta/A\| >= 5, got \|zeta/A\| = 2.25"):
+            call()
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
+        trap_gas.trap_response(state, config.fields, 0.0, mode="series")
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
+        trap_gas.trap_mean_delay(state, config.fields, PINHOLE, mode="series")
 
 
 def test_finite_path_weights_match_local_response():
