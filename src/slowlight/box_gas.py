@@ -20,8 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .eit_core import ComplexResponse, group_velocity_from_response, zeta
 from .errors import DomainError, SeriesCapError, ValidityWarning
 from .specfun import (
@@ -234,6 +232,8 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, sect
                 sum_a += c * r**m * g_k
                 sum_b += d * r**n * g_k
             return s_w + _I_OVER_SQRT_PI * sum_a, s_wp - _I_OVER_SQRT_PI * sum_b
+        import numpy as np
+
         hi = min(l0 + _SERIES_CHUNK - 1, _SERIES_CAP)
         l = np.arange(l0, hi + 1, dtype=float)
         y = np.sqrt(l) * z_over_a

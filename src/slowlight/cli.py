@@ -15,10 +15,10 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import replace
-
-import numpy as np
+from functools import lru_cache
 
 from . import __version__
 from .box_gas import box_response, gas_state, tc_box, tc_trap
@@ -44,6 +44,11 @@ _CSV_HEADER = (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents: -1e-1 would read as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -101,6 +106,15 @@ def _write_text(path, text):
             fh.write(text)
 
 
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num).tolist() for num >= 2, in numpy's own
+    arithmetic: start + i*step (i/div*delta for a step that underflows to 0),
+    with the last point exactly stop."""
+    div = num - 1
+    step = (stop - start) / div
+    return [start + (i * step if step else i / div * (stop - start)) for i in range(div)] + [stop]
+
+
 def _theta_grid(args):
     if args.t_points < 2:
         raise UsageError("--t-points must be at least 2")
@@ -109,8 +123,10 @@ def _theta_grid(args):
     if not args.t_max > args.t_min:
         raise UsageError("--t-max must exceed --t-min")
     if args.t_scale == "log":
-        return np.geomspace(args.t_min, args.t_max, args.t_points)
-    return np.linspace(args.t_min, args.t_max, args.t_points)
+        import numpy as np
+
+        return np.geomspace(args.t_min, args.t_max, args.t_points).tolist()
+    return _linspace(args.t_min, args.t_max, args.t_points)
 
 
 def _pinhole_from_args(args):
@@ -195,14 +211,14 @@ def cmd_chi(args):
         raise UsageError("--temperature-nk must be nonnegative")
     temperature = args.temperature_nk * 1e-9
     gamma_total = config.species.gamma_total_rad_s
-    detunings = np.linspace(args.d_min, args.d_max, args.d_points)
+    detunings = _linspace(args.d_min, args.d_max, args.d_points)
     try:
         state = gas_state(config, temperature)
     except (PhysicsError, ArithmeticError) as exc:
         raise _annotate(exc, "T=%.6g K" % temperature) from exc
 
     rows = []
-    for d_gamma in detunings.tolist():
+    for d_gamma in detunings:
         fields = replace(config.fields, detuning_g0_rad_s=d_gamma * gamma_total)
         try:
             try:
@@ -269,6 +285,7 @@ def cmd_tf(args):
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
     parser = _Parser(
         prog="slowlight",

@@ -9,14 +9,15 @@ g_nu(f) = g_nu(1) (Tc/T)^nu by Newton's method.
 
 The zeta values behind g_nu(1) and Robinson's expansion come from Borwein's
 series, so importing this module imports no scipy; scipy.special is imported
-on the first exact Faddeeva evaluation or Euler-Maclaurin tail.
+on the first exact Faddeeva evaluation or Euler-Maclaurin tail.  numpy, too,
+is imported only by the functions that take or build arrays: float
+arguments run on math alone.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DomainError, SeriesCapError
 
@@ -157,13 +158,19 @@ def _em_tail(nu, f, l_start):
     return integral - h / 2.0 - hp / 12.0 + hppp / 720.0
 
 
+def _is_array(f):
+    """Whether f is an ndarray; none exists before numpy is imported."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(f, numpy.ndarray)
+
+
 def _check_polylog_args(orders, f):
     for nu in orders:
         if not nu > 0.0:
             raise DomainError("polylog order must be positive, got %r" % nu)
-    if isinstance(f, np.ndarray):
-        inside = bool(np.all((f >= 0.0) & (f <= 1.0)))
-        at_one = min(orders) <= 1.0 and bool(np.any(f == 1.0))
+    if _is_array(f):
+        inside = bool(((f >= 0.0) & (f <= 1.0)).all())
+        at_one = min(orders) <= 1.0 and bool((f == 1.0).any())
     else:
         inside = 0.0 <= f <= 1.0
         at_one = f == 1.0 and min(orders) <= 1.0
@@ -196,6 +203,8 @@ def _stacked_tables(orders):
     """The tables of _polylog_tables for several orders: the direct and the
     Robinson coefficients as arrays with one row per order, and each order's
     (nu, lead, harmonic)."""
+    import numpy as np
+
     tables = [_polylog_tables(nu) for nu in orders]
     leading = tuple((nu, lead, harmonic) for nu, (_, _, lead, harmonic) in zip(orders, tables))
     return np.array([t[0] for t in tables]), np.array([t[1] for t in tables]), leading
@@ -212,6 +221,8 @@ def _horner(coefficients, x):
 
 def _horner_in_place(coefficients, x):
     """_horner on a float array, with one accumulator updated in place."""
+    import numpy as np
+
     acc = np.full_like(x, coefficients[0])
     for c in coefficients[1:]:
         acc *= x
@@ -241,7 +252,7 @@ def polylog(nu, f):
     """
     if isinstance(f, Fugacity):
         f = f.value
-    if isinstance(f, np.ndarray):
+    if _is_array(f):
         return polylog_sum(((nu, 1.0),), f)
     f = float(f)
     # the full check, which names the fault, only where one of its tests fails
@@ -270,6 +281,8 @@ def polylog_sum(terms, f):
     above 1/2, plus each order's leading term (with its harmonic number for
     integer nu).
     """
+    import numpy as np
+
     orders = tuple(float(nu) for nu, _ in terms)
     weights = np.array([w for _, w in terms], dtype=float)
     f = np.asarray(f, dtype=float)
@@ -318,6 +331,8 @@ def polylog_tail(nu, f, l_start):
         return 0.0
     if l_start >= _EM_HEAD_TERMS:
         return _em_tail(nu, f, l_start)
+    import numpy as np
+
     l = np.arange(1, l_start + 1, dtype=float)
     return polylog(nu, f) - float((f**l / l**nu).sum())
 
@@ -325,6 +340,8 @@ def polylog_tail(nu, f, l_start):
 def _finite_w(out, y, shape, name):
     """out in the shape of the input y (a complex for a scalar), or a
     DomainError naming the first y where it is not finite."""
+    import numpy as np
+
     bad = ~np.isfinite(out)
     if bad.any():
         raise DomainError("%s is not finite at y = %r" % (name, complex(y[bad][0])))
@@ -338,6 +355,8 @@ def faddeeva_w(y, mode="exact"):
     expansion i/(sqrt(pi) y) (1 + 1/(2 y^2)), valid for |y| >= 2, Im y > 0.
     A w that is not finite (deep below the real axis) is a DomainError.
     """
+    import numpy as np
+
     arr = np.asarray(y, dtype=complex)
     a = np.atleast_1d(arr)
     if mode == "exact":
@@ -363,6 +382,8 @@ def faddeeva_w_prime(y):
     avoid the cancellation of the two O(1) terms.  A w' that is not finite
     is a DomainError.
     """
+    import numpy as np
+
     arr = np.asarray(y, dtype=complex)
     a = np.atleast_1d(arr)
     out = np.empty_like(a)

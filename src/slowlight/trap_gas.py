@@ -13,8 +13,7 @@ kernel's tail is one real weighted polylog_sum of the local fugacity.
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .box_gas import (
     TAIL_TABLE,
@@ -33,8 +32,6 @@ from .errors import DomainError
 from .specfun import SQRT_PI, polylog_sum
 from .units_params import C_M_S, HBAR_J_S, KB_J_PER_K, TWO_PI, HarmonicTrap, probe_omega
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_Z_GL_NODES, _Z_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
 # of the infinite-path average keeps fewer than about six digits
 _MIN_SECTION_EXPONENT = 1e-9
@@ -158,10 +155,23 @@ def chi_trap_local(config, temperature, r):
     return trap_response(gas_state(config, temperature), config.fields, r)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(points):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _z_panels(state, path_half_length_m):
     """Composite 16-point Gauss-Legendre rule on [0, L]: panel edges at
     a0_z, 4 a0_z, 6 a0_z (condensate) and (0.25 ... 9) z_th (thermal cloud),
     z_th = sqrt(K_B T / m nu_z^2), clipped to L and closed at L."""
+    import numpy as np
+
+    gl_nodes, gl_weights = _gauss_legendre(16)
     species = state.species
     a0z = ground_state_size(species, state.geometry.nu_z_rad_s)
     z_th = math.sqrt(KB_J_PER_K * state.temperature_k / (species.mass_kg * state.geometry.nu_z_rad_s**2))
@@ -169,8 +179,8 @@ def _z_panels(state, path_half_length_m):
     inner.update(c * z_th for c in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0))
     edges = np.array([0.0] + sorted(e for e in inner if 0.0 < e < path_half_length_m) + [path_half_length_m])
     half = 0.5 * np.diff(edges)
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _Z_GL_NODES
-    return nodes.ravel(), (half[:, None] * _Z_GL_WEIGHTS).ravel()
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * gl_nodes
+    return nodes.ravel(), (half[:, None] * gl_weights).ravel()
 
 
 def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
@@ -180,6 +190,8 @@ def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
     with real weights fixed by zeta and A, plus a multiple of the condensate
     density.  Without the exact head it needs |zeta/A| >= 10 in mode "exact".
     """
+    import numpy as np
+
     species = state.species
     trap = state.geometry
     temperature = state.temperature_k
@@ -216,6 +228,8 @@ def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
 def _finite_path_delays(state, zv, a_param, r, path_half_length_m, mode="exact"):
     """Delays 2 int_0^L (1/v_g - 1/c) dz at the radii r (an array), on the
     composite Gauss-Legendre z panels of _z_panels."""
+    import numpy as np
+
     z, w = _z_panels(state, path_half_length_m)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -257,6 +271,8 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     state = gas_state(config, temperature)
     zv, a_param = zeta_and_width(state, config.fields)
     if not math.isinf(path_half_length_m):
+        import numpy as np
+
         return float(_finite_path_delays(state, zv, a_param, np.array([r]), path_half_length_m)[0])
     trap = state.geometry
     y_r = 0.0
@@ -318,9 +334,10 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
 
     if not math.isinf(half_length):
         # average = (2/R^2) int_0^R r dt(r) dr on a fixed Gauss-Legendre rule
-        r = 0.5 * radius * (_GL_NODES + 1.0)
+        nodes, weights = _gauss_legendre(64)
+        r = 0.5 * radius * (nodes + 1.0)
         delays = _finite_path_delays(state, zv, a_param, r, half_length, mode)
-        delay = float(np.sum(_GL_WEIGHTS * r * delays)) / radius
+        delay = float((weights * r * delays).sum()) / radius
     else:
         exponent = 0.0
         if temperature > 0.0:

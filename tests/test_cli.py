@@ -13,13 +13,14 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slowlight
 import slowlight.box_gas
-from slowlight import C_M_S, ValidityWarning, serialize_config
+from slowlight import C_M_S, ValidityWarning, cli, serialize_config
 from slowlight.cli import DEFAULT_CONFIG_TEXT, main
 from slowlight.units_params import _SCHEMA
 
@@ -340,45 +341,85 @@ def test_sweep_rows_are_admissible_or_exit_2(geometry, log_thetas, log_coupling,
                 assert row[5] > 0.0, argv
 
 
-# runs the CLI on each argv of argv[1] (JSON), with scipy unimportable when
-# argv[2] is "block", and prints the (status, stdout) of each run and the
-# scipy modules imported, as JSON
+# runs the CLI on each argv of argv[1] (JSON), with scipy and numpy
+# unimportable when argv[2] is "block", and prints the (status, stdout) of
+# each run and the scipy and numpy modules imported, as JSON
 _CLI_RUNS = """\
 import contextlib, io, json, sys
 if sys.argv[2] == "block":
-    sys.modules["scipy"] = None
+    sys.modules["scipy"] = sys.modules["numpy"] = None
 import slowlight, slowlight.cli
 runs = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         runs.append([slowlight.cli.main(argv), out.getvalue()])
-imported = sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None)
-print(json.dumps({"runs": runs, "scipy": imported}))
+imported = {
+    package: sorted(name for name, module in sys.modules.items() if name.split(".")[0] == package and module is not None)
+    for package in ("scipy", "numpy")
+}
+print(json.dumps({"runs": runs, "imported": imported}))
 """
 
 
-@pytest.mark.parametrize("block", ["block", "allow"])
-def test_default_path_imports_no_scipy(capsys, block):
-    argvs = [
-        ["sweep"],
-        ["sweep", "--geometry", "box"],
-        ["sweep", "--geometry", "box", "--mode", "asymptotic"],
-        ["chi", "--temperature-nk", "200"],
-        ["chi", "--geometry", "box", "--temperature-nk", "200"],
-        ["tf"],
-    ]
+def _fresh_interpreter(code, *args):
+    """stdout of code run with args in a fresh interpreter that imports this
+    slowlight, as JSON."""
     env = dict(os.environ, PYTHONPATH=str(Path(slowlight.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", _CLI_RUNS, json.dumps(argvs), block],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["scipy"] == []
-    for argv, (rc, out) in zip(argvs, result["runs"]):
-        assert rc == 0, argv
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("block", ["block", "allow"])
+def test_default_path_imports_no_scipy(capsys, monkeypatch, block):
+    # the width of --help follows COLUMNS, here and in the child
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        (["sweep"], 0),
+        (["sweep", "--geometry", "box"], 0),
+        (["sweep", "--geometry", "box", "--mode", "asymptotic"], 0),
+        (["sweep", "--fc-mode", "exact", "--pinhole-thermal"], 0),
+        (["chi", "--temperature-nk", "200"], 0),
+        (["chi", "--geometry", "box", "--temperature-nk", "200"], 0),
+        (["tf"], 0),
+        (["--help"], 0),
+        (["sweep", "--t-points", "1"], 1),
+        (["tf", "--omega-coupling-gamma", "1e5"], 2),
+    ]
+    result = _fresh_interpreter(_CLI_RUNS, json.dumps([argv for argv, _ in argvs]), block)
+    assert result["imported"] == {"scipy": [], "numpy": []}
+    for (argv, status), (rc, out) in zip(argvs, result["runs"]):
+        assert rc == status, argv
         assert out == run(capsys, argv)[1], argv
+
+
+# a log-scale sweep and the calls that import numpy on first use (the
+# finite-path delays, the exact head of the Doppler kernel), with the status,
+# the stdout and the reprs of the results as JSON in `result`
+_LAZY_CALLS = """\
+import contextlib, io, json
+import slowlight, slowlight.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    status = slowlight.cli.main(["sweep", "--t-scale", "log"])
+config = slowlight.load_config(slowlight.cli.DEFAULT_CONFIG_TEXT)
+t_c = slowlight.tc_trap(config.species, config.geometry)
+finite = slowlight.PinholeSpec(radius_mode="fixed", radius_m=15e-6, path_half_length_m=1e-3)
+values = [slowlight.mean_delay(config, theta * t_c, finite).mean_delay_s for theta in (0.6, 1.4)]
+values.append(slowlight.delay_at_radius(config, 1.4 * t_c, 5e-6, path_half_length_m=1e-3))
+values.extend(slowlight.thermal_response_series(0.5, 3.0 + 1.0j, 1.0))
+result = json.dumps([status, out.getvalue()] + [repr(value) for value in values])
+"""
+
+
+def test_lazy_numpy_imports_work_from_cold():
+    namespace = {}
+    exec(_LAZY_CALLS, namespace)
+    assert _fresh_interpreter(_LAZY_CALLS + "print(result)\n") == json.loads(namespace["result"])
 
 
 def test_chi_scan_csv(capsys):
@@ -438,6 +479,68 @@ def test_chi_usage_errors(capsys):
         rc, _, err = run(capsys, argv)
         assert rc == 1, argv
         assert err.startswith("error:")
+
+
+def test_negative_flag_values_in_exponent_notation(capsys):
+    base = ["chi", "--temperature-nk", "200", "--d-max-gamma", "1"]
+    rc, decimal, err = run(capsys, base + ["--d-min-gamma", "-0.1"])
+    assert rc == 0 and err == ""
+    for text in ("-1e-1", "-1E-1", "-.1e0", "-0.01e+1"):
+        assert run(capsys, base + ["--d-min-gamma", text]) == (0, decimal, ""), text
+    # the value reaches the config check, not argparse
+    rc, _, err = run(capsys, ["sweep", "--omega-coupling-gamma", "-2e0"])
+    assert rc == 1
+    assert err == "error: fields.omega_coupling_rad must be nonnegative\n"
+    # a dash word that is no number is still an option, and an unknown one
+    # is a usage error
+    for argv, message in (
+        (base + ["--d-min-gamma", "-x"], "argument --d-min-gamma: expected one argument"),
+        (base + ["--d-min-gamma", "-1e"], "argument --d-min-gamma: expected one argument"),
+        (base + ["--bogus"], "unrecognized arguments: --bogus"),
+        (base + ["-x"], "unrecognized arguments: -x"),
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1, argv
+        assert out == ""
+        assert err == "error: %s\n" % message, argv
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = (
+        (["sweep", "--fc-mode", "exact", "--pinhole-thermal"], 0),
+        (["sweep"], 0),
+        (["sweep", "--t-points", "1"], 1),
+        (["--help"], 0),
+        (["chi", "--d-points", "5"], 1),
+        (["chi", "--temperature-nk", "200", "--d-points", "5"], 0),
+        (["chi", "--temperature-nk", "200"], 0),
+        (["tf", "--atom-count", "1e6"], 0),
+        (["tf"], 0),
+    )
+    cli._build_parser.cache_clear()
+    reused = [run(capsys, argv)[:2] for argv, _ in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _ in reused] == [status for _, status in argvs]
+    for (argv, _), result in zip(argvs, reused):
+        cli._build_parser.cache_clear()
+        assert run(capsys, argv)[:2] == result, argv
+
+
+def test_linear_grid_is_numpy_linspace():
+    # the sweep and chi grids are numpy's linspace arithmetic, without numpy
+    rng = np.random.default_rng(13)
+    cases = [(-2.0, 2.0, 201), (0.2, 2.0, 50), (0.2, 2.0, 200), (0.99, 1.01, 101), (-1e-1, 1.0, 2), (5e-324, 1e-323, 49)]
+    for _ in range(2000):
+        a, b = sorted(rng.uniform(-10.0, 10.0, 2) * 10.0 ** rng.integers(-6, 6, 2))
+        cases.append((float(a), float(b), int(rng.integers(2, 400))))
+    for a, b, n in cases:
+        assert cli._linspace(a, b, n) == np.linspace(a, b, n).tolist(), (a, b, n)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", "--geometry", "box", "--t-points", "200"]) == 0
+    thetas = [float(line.split(",")[0]) for line in out.getvalue().splitlines()[2:]]
+    assert thetas == [float("%.11e" % theta) for theta in np.linspace(0.2, 2.0, 200)]
 
 
 def test_tf_json(capsys):

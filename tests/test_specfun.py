@@ -148,6 +148,20 @@ def test_polylog_scalar_and_array_agree():
     square = np.array([[0.1, 0.6], [0.9, 1.0]])
     assert polylog(2.5, square).shape == (2, 2)
     assert polylog(2.5, square)[1, 0] == polylog(2.5, np.array([0.9]))[0]
+    # every real that is not an ndarray takes the float path, and an ndarray
+    # of any shape keeps its shape
+    for f in (0, 1, np.float64(0.9), Fugacity(0.9)):
+        assert type(polylog(2.5, f)) is float, f
+    assert polylog(2.5, np.float64(0.9)) == polylog(2.5, Fugacity(0.9)) == polylog(2.5, 0.9)
+    assert polylog(2.5, np.array(0.9)).shape == ()
+    assert polylog(2.5, np.array(0.9)) == polylog(2.5, square)[1, 0]
+    outside = np.array([[0.5, 1.5]])
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        polylog_tail(2.5, outside, 3)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        specfun._check_polylog_args((2.5,), outside)
+    with pytest.raises(DomainError, match="diverges"):
+        specfun._check_polylog_args((1.0, 2.5), square)
 
 
 def test_polylog_sum_matches_mpmath():
