@@ -12,8 +12,6 @@ Exit status: 0 success, 1 configuration/usage/file errors, 2 physics errors
 """
 
 import argparse
-import hashlib
-import json
 import math
 import re
 import sys
@@ -64,38 +62,19 @@ def _finite_float(text):
     return value
 
 
-def _add_config_options(parser):
-    parser.add_argument("--config", metavar="PATH", help="config document (default: built-in sodium reference)")
-    parser.add_argument(
-        "--geometry",
-        choices=("box", "trap"),
-        help="override geometry.kind of the config document",
-    )
-
-
 def _load(args):
-    """Read the config document, return (config, sha256 hex of the text)."""
+    """The config document with --geometry and --omega-coupling-gamma
+    applied, and the document's text."""
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = DEFAULT_CONFIG_TEXT
     config = load_config(text, geometry_kind=args.geometry)
-    return config, hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _apply_omega_override(config, omega_coupling_gamma):
-    if omega_coupling_gamma is None:
-        return config
-    fields = replace(
-        config.fields,
-        omega_coupling_rad_s=omega_coupling_gamma * config.species.gamma_total_rad_s,
-    )
-    return replace(config, fields=fields)
-
-
-def _metadata_line(config_sha256):
-    return "# config_sha256=%s tool_version=%s" % (config_sha256, __version__)
+    if args.omega_coupling_gamma is not None:
+        rabi = args.omega_coupling_gamma * config.species.gamma_total_rad_s
+        config = replace(config, fields=replace(config.fields, omega_coupling_rad_s=rabi))
+    return config, text
 
 
 def _write_text(path, text):
@@ -139,21 +118,36 @@ def _pinhole_from_args(args):
 
 
 def _annotate(exc, where):
-    """The row's error as a PhysicsError that names the row; an arithmetic
-    fault (overflow, division by zero) becomes a DomainError."""
+    """The error as a PhysicsError prefixed with where; an arithmetic fault
+    (overflow, division by zero) becomes a DomainError."""
     if isinstance(exc, PhysicsError):
-        return type(exc)("at %s: %s" % (where, exc))
-    return DomainError("at %s: %s: %s" % (where, type(exc).__name__, exc))
+        return type(exc)("%s: %s" % (where, exc))
+    return DomainError("%s: %s: %s" % (where, type(exc).__name__, exc))
 
 
-def _check_finite(row):
-    if not all(math.isfinite(value) for value in row):
-        raise DomainError("non-finite value in the row %r" % (row,))
+def _write_csv(output, text, header, points, row, label):
+    """Evaluate row(point) at every point and write the rows as CSV, under a
+    metadata line and the header, to the output path (None: stdout).  A row
+    that fails or is not finite raises a PhysicsError naming label(point),
+    and nothing is written."""
+    import hashlib
+
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    lines = ["# config_sha256=%s tool_version=%s" % (digest, __version__), header]
+    for point in points:
+        try:
+            values = row(point)
+            if not all(math.isfinite(value) for value in values):
+                raise DomainError("non-finite value in the row %r" % (values,))
+        except (PhysicsError, ArithmeticError) as exc:
+            raise _annotate(exc, "at " + label(point)) from exc
+        lines.append(",".join("%.11e" % value for value in values))
+    _write_text(output, "\n".join(lines) + "\n")
+    return 0
 
 
 def cmd_sweep(args):
-    config, digest = _load(args)
-    config = _apply_omega_override(config, args.omega_coupling_gamma)
+    config, text = _load(args)
     thetas = _theta_grid(args)
     is_box = isinstance(config.geometry, Box)
     if is_box:
@@ -162,47 +156,29 @@ def cmd_sweep(args):
         t_c = tc_trap(config.species, config.geometry)
         pinhole = _pinhole_from_args(args)
 
-    def _point(theta):
+    def row(theta):
         temperature = theta * t_c
-        try:
-            state = gas_state(config, temperature)
-            if is_box:
-                resp = box_response(state, config.fields, mode=args.mode)
-                v_g = group_velocity_from_response(resp, probe_omega(config.species))
-                row = (theta, temperature, state.fugacity.value, resp.chi.real, resp.chi.imag, 0.0, 0.0, v_g)
-            else:
-                resp = trap_response(state, config.fields, 0.0, mode=args.mode)
-                warn_if_dense(resp.chi)
-                delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode, mode=args.mode)
-                row = (
-                    theta,
-                    temperature,
-                    state.fugacity.value,
-                    resp.chi.real,
-                    resp.chi.imag,
-                    delays.mean_delay_s,
-                    delays.cloud_size_m,
-                    delays.group_velocity_m_s,
-                )
-            if not 0.0 < row[-1] < C_M_S:
-                raise DomainError("group velocity %.6g m/s is not in (0, c)" % row[-1])
-            _check_finite(row)
-        except (PhysicsError, ArithmeticError) as exc:
-            raise _annotate(exc, "t_over_tc=%.6g (T=%.6g K)" % (theta, temperature)) from exc
-        return row
+        state = gas_state(config, temperature)
+        if is_box:
+            resp = box_response(state, config.fields, mode=args.mode)
+            delay = size = 0.0
+            v_g = group_velocity_from_response(resp, probe_omega(config.species))
+        else:
+            resp = trap_response(state, config.fields, mode=args.mode)
+            warn_if_dense(resp.chi)
+            delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode, mode=args.mode)
+            delay, size, v_g = delays.mean_delay_s, delays.cloud_size_m, delays.group_velocity_m_s
+        if not 0.0 < v_g < C_M_S:
+            raise DomainError("group velocity %.6g m/s is not in (0, c)" % v_g)
+        return (theta, temperature, state.fugacity.value, resp.chi.real, resp.chi.imag, delay, size, v_g)
 
-    rows = [_point(theta) for theta in thetas]
-
-    lines = [_metadata_line(digest), _CSV_HEADER]
-    for row in rows:
-        lines.append(",".join("%.11e" % value for value in row))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    return _write_csv(
+        args.output, text, _CSV_HEADER, thetas, row, lambda theta: "t_over_tc=%.6g (T=%.6g K)" % (theta, theta * t_c)
+    )
 
 
 def cmd_chi(args):
-    config, digest = _load(args)
-    config = _apply_omega_override(config, args.omega_coupling_gamma)
+    config, text = _load(args)
     if args.d_points < 2:
         raise UsageError("--d-points must be at least 2")
     if not args.d_max > args.d_min:
@@ -211,43 +187,36 @@ def cmd_chi(args):
         raise UsageError("--temperature-nk must be nonnegative")
     temperature = args.temperature_nk * 1e-9
     gamma_total = config.species.gamma_total_rad_s
-    detunings = _linspace(args.d_min, args.d_max, args.d_points)
     try:
         state = gas_state(config, temperature)
     except (PhysicsError, ArithmeticError) as exc:
-        raise _annotate(exc, "T=%.6g K" % temperature) from exc
+        raise _annotate(exc, "at T=%.6g K" % temperature) from exc
+    response = box_response if isinstance(config.geometry, Box) else trap_response
 
-    rows = []
-    for d_gamma in detunings:
+    def row(d_gamma):
         fields = replace(config.fields, detuning_g0_rad_s=d_gamma * gamma_total)
         try:
-            try:
-                if isinstance(config.geometry, Box):
-                    chi = box_response(state, fields).chi
-                else:
-                    chi = trap_response(state, fields, 0.0).chi
-            except PoleError:
-                # Gamma_gr = 0 on the exact two-photon resonance is the
-                # transparency limit: the singularity is removable and chi -> 0.
-                if not (fields.gamma_gr_rad_s == 0.0 and fields.detuning_g0_rad_s == fields.detuning_r0_rad_s):
-                    raise
-                chi = 0.0j
-            row = (d_gamma, d_gamma * gamma_total, chi.real, chi.imag)
-            _check_finite(row)
-        except (PhysicsError, ArithmeticError) as exc:
-            raise _annotate(exc, "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature)) from exc
-        rows.append(row)
+            chi = response(state, fields).chi
+        except PoleError:
+            # Gamma_gr = 0 on the exact two-photon resonance is the
+            # transparency limit: the singularity is removable and chi -> 0.
+            if not (fields.gamma_gr_rad_s == 0.0 and fields.detuning_g0_rad_s == fields.detuning_r0_rad_s):
+                raise
+            chi = 0.0j
+        return (d_gamma, d_gamma * gamma_total, chi.real, chi.imag)
 
-    lines = [_metadata_line(digest), "detuning_gamma,detuning_rad_s,re_chi,im_chi"]
-    for row in rows:
-        lines.append(",".join("%.11e" % value for value in row))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    return _write_csv(
+        args.output,
+        text,
+        "detuning_gamma,detuning_rad_s,re_chi,im_chi",
+        _linspace(args.d_min, args.d_max, args.d_points),
+        row,
+        lambda d_gamma: "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature),
+    )
 
 
 def cmd_tf(args):
     config, _ = _load(args)
-    config = _apply_omega_override(config, args.omega_coupling_gamma)
     if isinstance(config.geometry, Box):
         raise UsageError("tf requires a harmonic-trap geometry (use --geometry trap)")
     species = config.species
@@ -261,10 +230,10 @@ def cmd_tf(args):
     omega = probe_omega(species)
     rabi = config.fields.omega_coupling_rad_s
     dipole_sq = dipole_moment_sq(species, config.fields.gamma_ge_rad_s)
-    n_ideal = ideal_t0_density(species, trap, n_atoms)
-    geometry = tf_geometry(species, trap, n_atoms, args.scattering_length_nm * 1e-9)
-    n_tf = tf_t0_density(n_atoms, geometry)
     try:
+        n_ideal = ideal_t0_density(species, trap, n_atoms)
+        geometry = tf_geometry(species, trap, n_atoms, args.scattering_length_nm * 1e-9)
+        n_tf = tf_t0_density(n_atoms, geometry)
         result = {
             "a0_r": ground_state_size(species, trap.nu_r_rad_s),
             "a0_z": ground_state_size(species, trap.nu_z_rad_s),
@@ -279,8 +248,10 @@ def cmd_tf(args):
         for key in ("vg_ideal", "vg_tf"):
             if not 0.0 < result[key] < C_M_S:
                 raise DomainError("%s = %.6g m/s is not in (0, c)" % (key, result[key]))
-    except PhysicsError as exc:
-        raise type(exc)("tf estimate: %s" % exc) from exc
+    except (PhysicsError, ArithmeticError) as exc:
+        raise _annotate(exc, "tf estimate") from exc
+    import json
+
     _write_text(args.output, json.dumps(result, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -291,10 +262,14 @@ def _build_parser():
         prog="slowlight",
         description="EIT susceptibility and slow-light group velocity of an ideal Bose gas",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", metavar="PATH", help="config document (default: built-in sodium reference)")
+    shared.add_argument("--geometry", choices=("box", "trap"), help="override geometry.kind of the config document")
+    shared.add_argument("--omega-coupling-gamma", type=_finite_float, help="override coupling Rabi frequency, in units of gamma")
+    shared.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="temperature sweep (CSV)")
-    _add_config_options(sweep)
+    sweep = sub.add_parser("sweep", parents=[shared], help="temperature sweep (CSV)")
     sweep.add_argument("--t-min", type=_finite_float, default=0.2, help="lowest T/Tc (default 0.2)")
     sweep.add_argument("--t-max", type=_finite_float, default=2.0, help="highest T/Tc (default 2.0)")
     sweep.add_argument("--t-points", type=int, default=50, help="grid size (default 50)")
@@ -309,26 +284,18 @@ def _build_parser():
     pin = sweep.add_mutually_exclusive_group()
     pin.add_argument("--pinhole-radius-um", type=_finite_float, help="fixed pinhole radius in um (default 15)")
     pin.add_argument("--pinhole-thermal", action="store_true", help="pinhole at the thermal radius sqrt(K_B T/m nu_r^2)")
-    sweep.add_argument("--omega-coupling-gamma", type=_finite_float, help="override coupling Rabi frequency, in units of gamma")
-    sweep.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
     sweep.set_defaults(func=cmd_sweep)
 
-    chi = sub.add_parser("chi", help="detuning scan of the susceptibility (CSV)")
-    _add_config_options(chi)
+    chi = sub.add_parser("chi", parents=[shared], help="detuning scan of the susceptibility (CSV)")
     chi.add_argument("--temperature-nk", type=_finite_float, required=True, help="temperature in nK")
     chi.add_argument("--d-min-gamma", dest="d_min", type=_finite_float, default=-2.0, help="lowest probe detuning, in units of gamma")
     chi.add_argument("--d-max-gamma", dest="d_max", type=_finite_float, default=2.0, help="highest probe detuning, in units of gamma")
     chi.add_argument("--d-points", type=int, default=201, help="grid size (default 201)")
-    chi.add_argument("--omega-coupling-gamma", type=_finite_float, help="override coupling Rabi frequency, in units of gamma")
-    chi.add_argument("--output", metavar="PATH", help="write CSV here instead of stdout")
     chi.set_defaults(func=cmd_chi)
 
-    tf = sub.add_parser("tf", help="T=0 ideal vs Thomas-Fermi estimates (JSON)")
-    _add_config_options(tf)
+    tf = sub.add_parser("tf", parents=[shared], help="T=0 ideal vs Thomas-Fermi estimates (JSON)")
     tf.add_argument("--atom-count", type=_finite_float, help="condensate atom number (default: geometry.atom_count)")
     tf.add_argument("--scattering-length-nm", type=_finite_float, default=2.75, help="s-wave scattering length in nm (default 2.75)")
-    tf.add_argument("--omega-coupling-gamma", type=_finite_float, help="override coupling Rabi frequency, in units of gamma")
-    tf.add_argument("--output", metavar="PATH", help="write JSON here instead of stdout")
     tf.set_defaults(func=cmd_tf)
 
     return parser

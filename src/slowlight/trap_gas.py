@@ -105,6 +105,15 @@ def cloud_size(config, temperature):
     return _cloud_size(config.species, config.geometry, temperature, tc_trap(config.species, config.geometry))
 
 
+def _beta(temperature):
+    """beta = 1/(K_B T) at T > 0, or a DomainError where it leaves the float range."""
+    k_t = KB_J_PER_K * temperature
+    beta = 1.0 / k_t if k_t > 0.0 else math.inf
+    if math.isinf(beta):
+        raise out_of_float_range("beta = 1/(K_B T)", temperature, "K_B T = %r J" % k_t)
+    return beta
+
+
 def _excess(chi, dchi, omega):
     """1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c of a dilute response."""
     return TWO_PI * (chi.real + omega * dchi.real) / C_M_S
@@ -124,7 +133,7 @@ def _local_response(state, zv, a_param, r, z, mode="exact"):
     chi = 0.0 + 0.0j
     dchi = 0.0 + 0.0j
     if temperature > 0.0:
-        beta = 1.0 / (KB_J_PER_K * temperature)
+        beta = _beta(temperature)
         potential = 0.5 * state.species.mass_kg * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
         chi, dchi = thermal_response(state, zv, a_param, state.fugacity.value * math.exp(-beta * potential), mode=mode)
     if state.condensate_fraction > 0.0:
@@ -135,7 +144,7 @@ def _local_response(state, zv, a_param, r, z, mode="exact"):
     return chi, dchi
 
 
-def trap_response(state, fields, r, mode="exact"):
+def trap_response(state, fields, r=0.0, mode="exact"):
     """Susceptibility of the trapped gas in the given state, in the plane
     z = 0 at radial distance r: the box response at the local fugacity
     f e^{-beta V}, -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2} +
@@ -203,7 +212,7 @@ def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
                 "the finite-path delay has no exact Doppler head and needs |zeta/A| >= 10, "
                 "got |zeta/A| = %.3g" % abs(z_over_a)
             )
-        half_beta_m = 0.5 * species.mass_kg / (KB_J_PER_K * temperature)
+        half_beta_m = 0.5 * species.mass_kg * _beta(temperature)
         u = np.outer(
             state.fugacity.value * np.exp(-half_beta_m * trap.nu_r_rad_s**2 * r**2),
             np.exp(-half_beta_m * trap.nu_z_rad_s**2 * z**2),
@@ -277,13 +286,16 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     trap = state.geometry
     y_r = 0.0
     if temperature > 0.0:
-        beta = 1.0 / (KB_J_PER_K * temperature)
+        beta = _beta(temperature)
         y_r = state.fugacity.value * math.exp(-0.5 * beta * state.species.mass_kg * trap.nu_r_rad_s**2 * r**2)
     column = 0.0
     if state.condensate_fraction > 0.0:
         a0r = ground_state_size(state.species, trap.nu_r_rad_s)
         column = trap.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
-    return _infinite_path_delay(state, zv, a_param, y_r, 0.0, column, "exact")
+    delay = _infinite_path_delay(state, zv, a_param, y_r, 0.0, column, "exact")
+    if not math.isfinite(delay):
+        raise DomainError("the delay at r = %.3g m is %r at T = %.3g K" % (r, delay, temperature))
+    return delay
 
 
 def _condensate_section_factor(state, radius, path_half_length_m, fc_mode):
@@ -341,7 +353,7 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
     else:
         exponent = 0.0
         if temperature > 0.0:
-            beta = 1.0 / (KB_J_PER_K * temperature)
+            beta = _beta(temperature)
             exponent = 0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2
             if exponent < _MIN_SECTION_EXPONENT:
                 raise DomainError(

@@ -165,13 +165,17 @@ def test_sweep_coupling_override(capsys):
 
 
 def test_sweep_output_file(tmp_path, capsys):
-    target = tmp_path / "sweep.csv"
-    argv = ["sweep", "--geometry", "box", "--t-points", "2", "--t-min", "0.5", "--t-max", "1.5"]
-    rc, out, _ = run(capsys, argv + ["--output", str(target)])
-    assert rc == 0
-    assert out == ""
-    _, stdout_text, _ = run(capsys, argv)
-    assert target.read_text() == stdout_text
+    # --output writes exactly the bytes each subcommand prints, and prints nothing
+    for name, argv in (
+        ("sweep.csv", ["sweep", "--geometry", "box", "--t-points", "2", "--t-min", "0.5", "--t-max", "1.5"]),
+        ("chi.csv", ["chi", "--temperature-nk", "200", "--d-points", "5"]),
+        ("tf.json", ["tf", "--atom-count", "1e6"]),
+    ):
+        target = tmp_path / name
+        rc, out, err = run(capsys, argv + ["--output", str(target)])
+        assert (rc, out, err) == (0, "", ""), argv
+        _, stdout_text, _ = run(capsys, argv)
+        assert target.read_bytes() == stdout_text.encode("utf-8"), argv
 
 
 def test_sweep_usage_errors(capsys):
@@ -416,6 +420,24 @@ result = json.dumps([status, out.getvalue()] + [repr(value) for value in values]
 """
 
 
+# the hashlib and json modules imported after --help, and after tf, as JSON
+_CLI_IMPORTS = """\
+import contextlib, io, sys
+import slowlight.cli
+imported = []
+for argv in (["--help"], ["tf"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert slowlight.cli.main(argv) == 0
+    imported.append(sorted(name for name in ("hashlib", "json") if name in sys.modules))
+sys.stdout.write(repr(imported).replace("'", '"'))
+"""
+
+
+def test_help_and_tf_import_no_hashlib():
+    # only the CSV writer hashes the config text, and only tf writes JSON
+    assert _fresh_interpreter(_CLI_IMPORTS) == [[], ["json"]]
+
+
 def test_lazy_numpy_imports_work_from_cold():
     namespace = {}
     exec(_LAZY_CALLS, namespace)
@@ -487,10 +509,11 @@ def test_negative_flag_values_in_exponent_notation(capsys):
     assert rc == 0 and err == ""
     for text in ("-1e-1", "-1E-1", "-.1e0", "-0.01e+1"):
         assert run(capsys, base + ["--d-min-gamma", text]) == (0, decimal, ""), text
-    # the value reaches the config check, not argparse
-    rc, _, err = run(capsys, ["sweep", "--omega-coupling-gamma", "-2e0"])
-    assert rc == 1
-    assert err == "error: fields.omega_coupling_rad must be nonnegative\n"
+    # the value reaches the config check, not argparse, in every subcommand
+    for argv in (["sweep"], ["chi", "--temperature-nk", "200"], ["tf"]):
+        rc, out, err = run(capsys, argv + ["--omega-coupling-gamma", "-2e0"])
+        assert (rc, out) == (1, ""), argv
+        assert err == "error: fields.omega_coupling_rad must be nonnegative\n", argv
     # a dash word that is no number is still an option, and an unknown one
     # is a usage error
     for argv, message in (
@@ -560,14 +583,16 @@ def test_tf_json(capsys):
 
 def test_tf_group_velocities_are_admissible_or_exit_2(capsys):
     # Omega^2 overflows at 1e200 gamma, Omega itself is inf at 1e305 gamma,
-    # and at 1e5 gamma the Thomas-Fermi estimate is faster than light
-    for coupling, message in (
-        ("1e200", "Omega^2 overflows at Omega = 6.15e+207 rad/s"),
-        ("1e305", "vg_ideal = inf m/s is not in (0, c)"),
-        ("1e5", "vg_tf = 1.17413e+11 m/s is not in (0, c)"),
+    # at 1e5 gamma the Thomas-Fermi estimate is faster than light, and the
+    # Thomas-Fermi radii of 5e-324 atoms underflow to 0
+    for flags, message in (
+        (["--omega-coupling-gamma", "1e200"], "Omega^2 overflows at Omega = 6.15e+207 rad/s"),
+        (["--omega-coupling-gamma", "1e305"], "vg_ideal = inf m/s is not in (0, c)"),
+        (["--omega-coupling-gamma", "1e5"], "vg_tf = 1.17413e+11 m/s is not in (0, c)"),
+        (["--atom-count", "5e-324"], "ZeroDivisionError: float division by zero"),
     ):
-        rc, out, err = run(capsys, ["tf", "--omega-coupling-gamma", coupling])
-        assert rc == 2, coupling
+        rc, out, err = run(capsys, ["tf"] + flags)
+        assert rc == 2, flags
         assert out == ""
         assert err == "physics error: tf estimate: %s\n" % message
 

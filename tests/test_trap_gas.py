@@ -1,5 +1,6 @@
 """Harmonic trap: thermodynamics, local response, pinhole-averaged delays."""
 
+import cmath
 import math
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from slowlight import (
     HBAR_J_S,
     KB_J_PER_K,
     DomainError,
+    PhysicsError,
     PinholeSpec,
     ValidityWarning,
     chi0,
@@ -194,6 +196,40 @@ def test_delay_at_radius():
         delay_at_radius(CONFIG, t, -1e-6)
     with pytest.raises(DomainError, match="path_half_length_m must be positive"):
         delay_at_radius(CONFIG, t, 0.0, path_half_length_m=-1.0)
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-310, 1e-300, 1e300])
+def test_extreme_temperatures_give_finite_values_or_physics_errors(temperature):
+    # at the tiny temperatures beta = 1/(K_B T) leaves the float range, and
+    # every error says so; at 1e300 K the Doppler kernel is nan
+    finite_path = PinholeSpec(radius_mode="fixed", radius_m=15e-6, path_half_length_m=1e-3)
+    pinholes = (PINHOLE, PinholeSpec(radius_mode="thermal"), finite_path)
+    calls = [
+        lambda: chi_trap_local(CONFIG, temperature, 0.0),
+        lambda: trap_gas.trap_response(gas_state(CONFIG, temperature), CONFIG.fields),
+        lambda: delay_at_radius(CONFIG, temperature, 0.0),
+        lambda: delay_at_radius(CONFIG, temperature, 0.0, path_half_length_m=1e-3),
+        lambda: cloud_size(CONFIG, temperature),
+        lambda: thermal_radius(SPECIES, TRAP, temperature),
+    ]
+    for pinhole in pinholes:
+        calls.append(lambda pinhole=pinhole: mean_delay(CONFIG, temperature, pinhole))
+        calls.append(lambda pinhole=pinhole: vg_trap(CONFIG, temperature, pinhole))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for call in calls:
+            try:
+                result = call()
+            except PhysicsError as exc:
+                assert temperature > 1.0 or "leaves the floating-point range" in str(exc), exc
+                continue
+            if isinstance(result, trap_gas.DelayResult):
+                result = (result.mean_delay_s, result.cloud_size_m, result.group_velocity_m_s)
+            elif isinstance(result, float):
+                result = (result,)
+            else:
+                result = (result.chi, result.dchi_domega)
+            assert all(cmath.isfinite(value) for value in result), result
 
 
 def test_mean_delay_matches_quadrature():
