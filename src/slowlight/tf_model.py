@@ -40,13 +40,22 @@ def _mean_ellipsoid_density(n_atoms, r_radial, r_axial):
     return n_atoms / (4.0 * math.pi * r_radial**2 * r_axial / 3.0)
 
 
+def _require_in_range(n_atoms, quantity, **values):
+    """Raise a DomainError unless every value is positive and finite."""
+    if not all(0.0 < value < math.inf for value in values.values()):
+        shown = ", ".join("%s = %.3g" % item for item in values.items())
+        raise DomainError("%s leaves the floating-point range at N = %.3g (%s)" % (quantity, n_atoms, shown))
+
+
 def ideal_t0_density(species, trap, n_atoms):
     """Density scale N / (4 pi a_0z a_0r^2 / 3) of the ideal-gas ground state."""
     if not n_atoms > 0:
         raise DomainError("atom count must be positive, got %r" % n_atoms)
     a0_r = math.sqrt(HBAR_J_S / (species.mass_kg * trap.nu_r_rad_s))
     a0_z = math.sqrt(HBAR_J_S / (species.mass_kg * trap.nu_z_rad_s))
-    return _mean_ellipsoid_density(n_atoms, a0_r, a0_z)
+    density = _mean_ellipsoid_density(n_atoms, a0_r, a0_z)
+    _require_in_range(n_atoms, "the ideal-gas density", n=density)
+    return density
 
 
 def tf_geometry(species, trap, n_atoms, scattering_length_m):
@@ -60,10 +69,13 @@ def tf_geometry(species, trap, n_atoms, scattering_length_m):
     nu_ho = (trap.nu_r_rad_s**2 * trap.nu_z_rad_s) ** (1.0 / 3.0)
     a_ho = math.sqrt(HBAR_J_S / (species.mass_kg * nu_ho))
     mu = 0.5 * HBAR_J_S * nu_ho * (15.0 * n_atoms * scattering_length_m / a_ho) ** 0.4
+    r_tf_r = math.sqrt(2.0 * mu / (species.mass_kg * trap.nu_r_rad_s**2))
+    r_tf_z = math.sqrt(2.0 * mu / (species.mass_kg * trap.nu_z_rad_s**2))
+    _require_in_range(n_atoms, "the Thomas-Fermi scale", mu=mu, R_r=r_tf_r, R_z=r_tf_z)
     return TfGeometry(
         chemical_potential_j=mu,
-        r_tf_r_m=math.sqrt(2.0 * mu / (species.mass_kg * trap.nu_r_rad_s**2)),
-        r_tf_z_m=math.sqrt(2.0 * mu / (species.mass_kg * trap.nu_z_rad_s**2)),
+        r_tf_r_m=r_tf_r,
+        r_tf_z_m=r_tf_z,
         nu_ho_rad_s=nu_ho,
         a_ho_m=a_ho,
         scattering_length_m=scattering_length_m,

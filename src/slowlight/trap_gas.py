@@ -298,16 +298,13 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     return delay
 
 
-def _condensate_section_factor(state, radius, path_half_length_m, fc_mode):
-    """F_C: paper mode 2/(pi R^2); exact mode the closed Gaussian integral
-    (1/(pi R^2))(1 - e^{-R^2/a0r^2}) erf(L/a0z)."""
+def _condensate_section_factor(state, radius, fc_mode):
+    """F_C of the infinite path: paper mode 2/(pi R^2); exact mode the closed
+    Gaussian integral (1/(pi R^2))(1 - e^{-R^2/a0r^2})."""
     if fc_mode == "paper":
         return 2.0 / (math.pi * radius**2)
-    species = state.species
-    a0r = ground_state_size(species, state.geometry.nu_r_rad_s)
-    a0z = ground_state_size(species, state.geometry.nu_z_rad_s)
-    erf_term = 1.0 if math.isinf(path_half_length_m) else math.erf(path_half_length_m / a0z)
-    return (1.0 - math.exp(-(radius / a0r) ** 2)) * erf_term / (math.pi * radius**2)
+    a0r = ground_state_size(state.species, state.geometry.nu_r_rad_s)
+    return (1.0 - math.exp(-(radius / a0r) ** 2)) / (math.pi * radius**2)
 
 
 def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
@@ -363,7 +360,7 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
                 )
         column = 0.0
         if state.condensate_fraction > 0.0:
-            section = _condensate_section_factor(state, radius, half_length, fc_mode)
+            section = _condensate_section_factor(state, radius, fc_mode)
             column = trap.atom_count * state.condensate_fraction * section
         delay = _infinite_path_delay(state, zv, a_param, state.fugacity.value, exponent, column, mode)
 

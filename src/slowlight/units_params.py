@@ -28,14 +28,6 @@ C_M_S = 2.99792458e8
 
 TWO_PI = 2.0 * math.pi
 
-# Default experiment: sodium D-line parameters of a slow-light measurement.
-SODIUM_MASS_KG = 3.818e-26
-SODIUM_WAVELENGTH_M = 589e-9
-SODIUM_GAMMA_RAD_S = TWO_PI * 9.79e6
-
-DEFAULT_GAMMA_GR_RAD_S = TWO_PI * 1000.0
-DEFAULT_OMEGA_COUPLING_GAMMA = 0.56
-
 
 @dataclass(frozen=True)
 class AtomSpecies:
@@ -52,12 +44,7 @@ class AtomSpecies:
     gamma_total_rad_s: float
 
     def __post_init__(self):
-        if not self.mass_kg > 0:
-            raise ConfigError("species.mass_kg must be positive")
-        if not self.wavelength_ge_m > 0:
-            raise ConfigError("species.wavelength_ge_m must be positive")
-        if not self.gamma_total_rad_s > 0:
-            raise ConfigError("species.gamma_total_rad must be positive")
+        _check_bounds(self, "species")
 
 
 @dataclass(frozen=True)
@@ -81,14 +68,7 @@ class FieldParams:
     k_g_per_m: float
 
     def __post_init__(self):
-        if not self.gamma_ge_rad_s > 0:
-            raise ConfigError("fields.gamma_ge_rad must be positive")
-        if not self.gamma_gr_rad_s >= 0.0:
-            raise ConfigError("fields.gamma_gr_rad must be nonnegative")
-        if not self.omega_coupling_rad_s >= 0.0:
-            raise ConfigError("fields.omega_coupling_rad must be nonnegative")
-        if not self.k_g_per_m > 0:
-            raise ConfigError("fields.k_g_per_m must be positive")
+        _check_bounds(self, "fields")
 
 
 @dataclass(frozen=True)
@@ -98,8 +78,7 @@ class Box:
     number_density_per_m3: float
 
     def __post_init__(self):
-        if not self.number_density_per_m3 > 0:
-            raise ConfigError("geometry.number_density_per_m3 must be positive")
+        _check_bounds(self, "box")
 
 
 @dataclass(frozen=True)
@@ -111,12 +90,7 @@ class HarmonicTrap:
     atom_count: float
 
     def __post_init__(self):
-        if not self.nu_r_rad_s > 0:
-            raise ConfigError("geometry.nu_r_rad must be positive")
-        if not self.nu_z_rad_s > 0:
-            raise ConfigError("geometry.nu_z_rad must be positive")
-        if not self.atom_count >= 1:
-            raise ConfigError("geometry.atom_count must be at least 1")
+        _check_bounds(self, "trap")
 
 
 @dataclass(frozen=True)
@@ -156,34 +130,75 @@ def dipole_moment_sq(species, gamma_ge_rad_s):
 # configuration documents
 # --------------------------------------------------------------------------
 
-# schema: canonical key -> kind
-#   "freq"  : accepted as <base>_rad or <base>_hz
-#   "float" : plain SI number
-_SPECIES_KEYS = {
-    "species.mass_kg": "float",
-    "species.wavelength_ge_m": "float",
-    "species.gamma_total": "freq",
+# The config format, one row per canonical key: (section, dataclass field,
+# bound, default).  The section is the dataclass the key fills; the key with
+# section None picks the geometry section, "box" or "trap".  A field named
+# *_rad_s is a frequency, written <key>_rad (rad/s) or <key>_hz (times 2 pi);
+# any other key is written as is.  The defaults are the sodium D line of a
+# slow-light measurement; a key without one is required (geometry) or derived
+# from other keys in load_config (fields).
+# serialize_config writes the keys in this order.
+_SCHEMA = {
+    "geometry.kind": (None, None, None, None),
+    "geometry.number_density_per_m3": ("box", "number_density_per_m3", "positive", None),
+    "geometry.nu_r": ("trap", "nu_r_rad_s", "positive", None),
+    "geometry.nu_z": ("trap", "nu_z_rad_s", "positive", None),
+    "geometry.atom_count": ("trap", "atom_count", "at least 1", None),
+    "species.mass_kg": ("species", "mass_kg", "positive", 3.818e-26),
+    "species.wavelength_ge_m": ("species", "wavelength_ge_m", "positive", 589e-9),
+    "species.gamma_total": ("species", "gamma_total_rad_s", "positive", TWO_PI * 9.79e6),
+    "fields.omega_coupling": ("fields", "omega_coupling_rad_s", "nonnegative", None),
+    "fields.omega_coupling_gamma": ("fields", None, None, 0.56),
+    "fields.detuning_g0": ("fields", "detuning_g0_rad_s", None, 0.0),
+    "fields.detuning_r0": ("fields", "detuning_r0_rad_s", None, 0.0),
+    "fields.gamma_ge": ("fields", "gamma_ge_rad_s", "positive", None),
+    "fields.gamma_gr": ("fields", "gamma_gr_rad_s", "nonnegative", TWO_PI * 1000.0),
+    "fields.k_g_per_m": ("fields", "k_g_per_m", "positive", None),
 }
-_FIELDS_KEYS = {
-    "fields.omega_coupling": "freq",
-    "fields.omega_coupling_gamma": "float",
-    "fields.detuning_g0": "freq",
-    "fields.detuning_r0": "freq",
-    "fields.gamma_ge": "freq",
-    "fields.gamma_gr": "freq",
-    "fields.k_g_per_m": "float",
+# written so that nan breaks every bound
+_BOUNDS = {
+    "positive": lambda value: value > 0.0,
+    "nonnegative": lambda value: value >= 0.0,
+    "at least 1": lambda value: value >= 1.0,
 }
-_GEOMETRY_KEYS = {
-    "geometry.kind": "str",
-    "geometry.number_density_per_m3": "float",
-    "geometry.nu_r": "freq",
-    "geometry.nu_z": "freq",
-    "geometry.atom_count": "float",
+
+
+def _written(key):
+    """The key as serialize_config and the bound messages write it."""
+    return key + "_rad" if key in _FREQUENCIES else key
+
+
+def _listed(keys):
+    return ", ".join(key + "_rad|_hz" if key in _FREQUENCIES else key for key in keys)
+
+
+# everything below is derived from _SCHEMA once, at import
+_FREQUENCIES = {key for key, row in _SCHEMA.items() if (row[1] or "").endswith("_rad_s")}
+# document key -> (canonical key, factor to the field's unit)
+_DOCUMENT_KEYS = {
+    written: (key, factor)
+    for key in _SCHEMA
+    for written, factor in (((key + "_rad", 1.0), (key + "_hz", TWO_PI)) if key in _FREQUENCIES else ((key, 1.0),))
 }
-_SCHEMA = {}
-_SCHEMA.update(_SPECIES_KEYS)
-_SCHEMA.update(_FIELDS_KEYS)
-_SCHEMA.update(_GEOMETRY_KEYS)
+# section -> [(field, bound test, message)] in table order
+_BOUNDED = {
+    section: [
+        (field, _BOUNDS[bound], "%s must be %s" % (_written(key), bound))
+        for key, (row_section, field, bound, _) in _SCHEMA.items()
+        if row_section == section and bound
+    ]
+    for section in ("species", "fields", "box", "trap")
+}
+_REQUIRED = {kind: [key for key, row in _SCHEMA.items() if row[0] == kind] for kind in ("box", "trap")}
+_DEFAULTS = {key: row[3] for key, row in _SCHEMA.items() if row[3] is not None}
+_SERIALIZED = [(section, field, _written(key)) for key, (section, field, _, _) in _SCHEMA.items() if field]
+
+
+def _check_bounds(instance, section):
+    """Raise the ConfigError of the first field of a section that breaks its bound."""
+    for field, test, message in _BOUNDED[section]:
+        if not test(getattr(instance, field)):
+            raise ConfigError(message)
 
 
 def _parse_document(text):
@@ -206,29 +221,17 @@ def _parse_document(text):
     return values
 
 
-def _canonical_key(key):
-    """Map a document key to (canonical schema key, rad/s multiplier)."""
-    if key in _SCHEMA and _SCHEMA[key] != "freq":
-        return key, 1.0
-    if key.endswith("_rad"):
-        base = key[: -len("_rad")]
-        if _SCHEMA.get(base) == "freq":
-            return base, 1.0
-    if key.endswith("_hz"):
-        base = key[: -len("_hz")]
-        if _SCHEMA.get(base) == "freq":
-            return base, TWO_PI
-    return None, None
-
-
-def _parse_float(key, text_value):
+def _parse_float(key, text_value, factor):
+    """The finite number of a document value, times the factor to rad/s."""
     try:
         value = float(text_value)
     except ValueError:
         raise ConfigError("%s: malformed number %r" % (key, text_value)) from None
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise ConfigError("%s: malformed number %r" % (key, text_value))
-    return value
+    if math.isinf(value * factor):
+        raise ConfigError("%s: %s Hz overflows when converted to rad/s" % (key, text_value))
+    return value * factor
 
 
 def load_config(text, geometry_kind=None):
@@ -240,77 +243,51 @@ def load_config(text, geometry_kind=None):
     ``geometry_kind`` ("box" or "trap") overrides geometry.kind, e.g. for a
     document that carries parameters for both geometries.
     """
-    raw = _parse_document(text)
-
     parsed = {}
     unknown = []
-    for key, text_value in raw.items():
-        canonical, multiplier = _canonical_key(key)
-        if canonical is None:
+    for key, text_value in _parse_document(text).items():
+        if key not in _DOCUMENT_KEYS:
             unknown.append(key)
             continue
+        canonical, factor = _DOCUMENT_KEYS[key]
         if canonical in parsed:
             raise ConfigError("%s given more than once (rad/Hz variants conflict)" % canonical)
-        if _SCHEMA[canonical] == "str":
-            parsed[canonical] = text_value
-        else:
-            parsed[canonical] = _parse_float(key, text_value) * multiplier
+        parsed[canonical] = text_value if _SCHEMA[canonical][0] is None else _parse_float(key, text_value, factor)
     if unknown:
         raise ConfigError("unknown keys: %s" % ", ".join(sorted(unknown)))
 
     kind = geometry_kind or parsed.get("geometry.kind")
     if kind is None:
         raise ConfigError(
-            "missing keys: geometry.kind (box|trap); box also needs "
-            "geometry.number_density_per_m3, trap also needs geometry.nu_r_rad|_hz, "
-            "geometry.nu_z_rad|_hz, geometry.atom_count"
+            "missing keys: geometry.kind (box|trap); box also needs %s, trap also needs %s"
+            % (_listed(_REQUIRED["box"]), _listed(_REQUIRED["trap"]))
         )
-    if kind not in ("box", "trap"):
+    if kind not in _REQUIRED:
         raise ConfigError("geometry.kind must be 'box' or 'trap', got %r" % kind)
 
-    # species (defaults: sodium)
-    gamma_total = parsed.get("species.gamma_total", SODIUM_GAMMA_RAD_S)
-    species = AtomSpecies(
-        mass_kg=parsed.get("species.mass_kg", SODIUM_MASS_KG),
-        wavelength_ge_m=parsed.get("species.wavelength_ge_m", SODIUM_WAVELENGTH_M),
-        gamma_total_rad_s=gamma_total,
-    )
+    values = dict(_DEFAULTS, **parsed)
+    sections = {section: {} for section in _BOUNDED}
+    for key, value in values.items():
+        section, field = _SCHEMA[key][:2]
+        if field:
+            sections[section][field] = value
+    species = AtomSpecies(**sections["species"])
 
-    # fields (defaults: resonant, Omega = 0.56 gamma, Gamma_gr = 2 pi kHz)
+    # the defaults that follow from other keys: Omega = 0.56 gamma,
+    # Gamma_ge = gamma/2 and k_g = 2 pi / lambda
     if "fields.omega_coupling" in parsed and "fields.omega_coupling_gamma" in parsed:
         raise ConfigError("fields.omega_coupling and fields.omega_coupling_gamma conflict")
-    if "fields.omega_coupling" in parsed:
-        omega_coupling = parsed["fields.omega_coupling"]
-    else:
-        omega_coupling = parsed.get("fields.omega_coupling_gamma", DEFAULT_OMEGA_COUPLING_GAMMA) * gamma_total
-    field_params = FieldParams(
-        omega_coupling_rad_s=omega_coupling,
-        detuning_g0_rad_s=parsed.get("fields.detuning_g0", 0.0),
-        detuning_r0_rad_s=parsed.get("fields.detuning_r0", 0.0),
-        gamma_ge_rad_s=parsed.get("fields.gamma_ge", gamma_total / 2.0),
-        gamma_gr_rad_s=parsed.get("fields.gamma_gr", DEFAULT_GAMMA_GR_RAD_S),
-        k_g_per_m=parsed.get("fields.k_g_per_m", TWO_PI / species.wavelength_ge_m),
-    )
+    gamma_total = species.gamma_total_rad_s
+    fields = sections["fields"]
+    fields.setdefault("omega_coupling_rad_s", values["fields.omega_coupling_gamma"] * gamma_total)
+    fields.setdefault("gamma_ge_rad_s", gamma_total / 2.0)
+    fields.setdefault("k_g_per_m", TWO_PI / species.wavelength_ge_m)
+    field_params = FieldParams(**fields)
 
-    # geometry
-    if kind == "box":
-        missing = [k for k in ("geometry.number_density_per_m3",) if k not in parsed]
-        if missing:
-            raise ConfigError("missing keys: %s" % ", ".join(missing))
-        geometry = Box(number_density_per_m3=parsed["geometry.number_density_per_m3"])
-    else:
-        missing = [
-            k for k in ("geometry.nu_r", "geometry.nu_z", "geometry.atom_count") if k not in parsed
-        ]
-        if missing:
-            raise ConfigError(
-                "missing keys: %s" % ", ".join(m + ("_rad|_hz" if _SCHEMA[m] == "freq" else "") for m in missing)
-            )
-        geometry = HarmonicTrap(
-            nu_r_rad_s=parsed["geometry.nu_r"],
-            nu_z_rad_s=parsed["geometry.nu_z"],
-            atom_count=parsed["geometry.atom_count"],
-        )
+    missing = [key for key in _REQUIRED[kind] if key not in parsed]
+    if missing:
+        raise ConfigError("missing keys: %s" % _listed(missing))
+    geometry = (Box if kind == "box" else HarmonicTrap)(**sections[kind])
 
     config = ExperimentConfig(species=species, fields=field_params, geometry=geometry)
 
@@ -336,22 +313,11 @@ def serialize_config(config):
     Floats are emitted with repr(), so load_config(serialize_config(c))
     reproduces every field bit-exactly.
     """
-    lines = ["# experiment configuration (SI; *_rad keys are rad/s)"]
-    lines.append("geometry.kind = %s" % config.geometry_kind)
-    if isinstance(config.geometry, Box):
-        lines.append("geometry.number_density_per_m3 = %r" % config.geometry.number_density_per_m3)
-    else:
-        lines.append("geometry.nu_r_rad = %r" % config.geometry.nu_r_rad_s)
-        lines.append("geometry.nu_z_rad = %r" % config.geometry.nu_z_rad_s)
-        lines.append("geometry.atom_count = %r" % config.geometry.atom_count)
-    lines.append("species.mass_kg = %r" % config.species.mass_kg)
-    lines.append("species.wavelength_ge_m = %r" % config.species.wavelength_ge_m)
-    lines.append("species.gamma_total_rad = %r" % config.species.gamma_total_rad_s)
-    lines.append("fields.omega_coupling_rad = %r" % config.fields.omega_coupling_rad_s)
-    lines.append("fields.detuning_g0_rad = %r" % config.fields.detuning_g0_rad_s)
-    lines.append("fields.detuning_r0_rad = %r" % config.fields.detuning_r0_rad_s)
-    lines.append("fields.gamma_ge_rad = %r" % config.fields.gamma_ge_rad_s)
-    lines.append("fields.gamma_gr_rad = %r" % config.fields.gamma_gr_rad_s)
-    lines.append("fields.k_g_per_m = %r" % config.fields.k_g_per_m)
+    sections = {"species": config.species, "fields": config.fields, config.geometry_kind: config.geometry}
+    lines = ["# experiment configuration (SI; *_rad keys are rad/s)", "geometry.kind = %s" % config.geometry_kind]
+    lines += [
+        "%s = %r" % (written, getattr(sections[section], field))
+        for section, field, written in _SERIALIZED
+        if section in sections
+    ]
     return "\n".join(lines) + "\n"
-

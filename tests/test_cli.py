@@ -583,13 +583,18 @@ def test_tf_json(capsys):
 
 def test_tf_group_velocities_are_admissible_or_exit_2(capsys):
     # Omega^2 overflows at 1e200 gamma, Omega itself is inf at 1e305 gamma,
-    # at 1e5 gamma the Thomas-Fermi estimate is faster than light, and the
-    # Thomas-Fermi radii of 5e-324 atoms underflow to 0
+    # at 1e5 gamma the Thomas-Fermi estimate is faster than light, the
+    # Thomas-Fermi scales of 5e-324 atoms underflow to 0, and the ideal-gas
+    # density of 1e308 atoms overflows
     for flags, message in (
         (["--omega-coupling-gamma", "1e200"], "Omega^2 overflows at Omega = 6.15e+207 rad/s"),
         (["--omega-coupling-gamma", "1e305"], "vg_ideal = inf m/s is not in (0, c)"),
         (["--omega-coupling-gamma", "1e5"], "vg_tf = 1.17413e+11 m/s is not in (0, c)"),
-        (["--atom-count", "5e-324"], "ZeroDivisionError: float division by zero"),
+        (
+            ["--atom-count", "5e-324"],
+            "the Thomas-Fermi scale leaves the floating-point range at N = 4.94e-324 (mu = 0, R_r = 0, R_z = 0)",
+        ),
+        (["--atom-count", "1e308"], "the ideal-gas density leaves the floating-point range at N = 1e+308 (n = inf)"),
     ):
         rc, out, err = run(capsys, ["tf"] + flags)
         assert rc == 2, flags

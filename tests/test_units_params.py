@@ -22,6 +22,8 @@ from slowlight import (
     serialize_config,
 )
 
+from slowlight.units_params import _SCHEMA
+
 from _configs import DOC, box_config, trap_config
 
 TAU = 2.0 * math.pi
@@ -37,6 +39,31 @@ TRAP_MIN = (
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _document(key, line):
+    """A minimal document of the key's geometry whose line for the key is the given one."""
+    base = TRAP_MIN if _SCHEMA[key][0] == "trap" else BOX_MIN
+    kept = [old for old in base.splitlines() if old.split(" = ")[0] not in (key, key + "_rad", key + "_hz")]
+    return "\n".join(kept + [line]) + "\n"
+
+
+def _section(config, key):
+    return {"species": config.species, "fields": config.fields}.get(_SCHEMA[key][0], config.geometry)
+
+
+def _is_frequency(key):
+    return (_SCHEMA[key][1] or "").endswith("_rad_s")
+
+
+_FREQUENCY_KEYS = [key for key in _SCHEMA if _is_frequency(key)]
+_BOUNDED_KEYS = [key for key, row in _SCHEMA.items() if row[2]]
+# values just outside each bound; nan breaks every bound too, but a document cannot hold it
+_BREAKING = {
+    "positive": (0.0, -1.0, math.nan),
+    "nonnegative": (-1e-300, -1.0, math.nan),
+    "at least 1": (0.999, 0.0, math.nan),
+}
 
 
 def test_physical_constants():
@@ -100,6 +127,16 @@ def test_rad_and_hz_suffixes_agree():
     assert load_config(rad_text).geometry.nu_r_rad_s == load_config(TRAP_MIN).geometry.nu_r_rad_s
     detuned = load_config(BOX_MIN + "fields.detuning_g0_hz = -100.0\n")
     assert detuned.fields.detuning_g0_rad_s == -TAU * 100.0
+    # every frequency key of the schema: _hz is 2 pi times _rad, the bare key is unknown
+    assert len(_FREQUENCY_KEYS) == 8
+    for key in _FREQUENCY_KEYS:
+        field = _SCHEMA[key][1]
+        hz = 77.0 if _SCHEMA[key][0] == "trap" else 1234.5
+        from_hz = getattr(_section(load_config(_document(key, "%s_hz = %r" % (key, hz))), key), field)
+        from_rad = getattr(_section(load_config(_document(key, "%s_rad = %r" % (key, TAU * hz))), key), field)
+        assert from_hz == from_rad == TAU * hz, key
+        with pytest.raises(ConfigError, match="unknown keys: %s$" % re.escape(key)):
+            load_config(_document(key, "%s = %r" % (key, hz)))
 
 
 def test_coupling_in_linewidth_units():
@@ -139,6 +176,10 @@ def test_load_config_parse_errors():
             load_config(BOX_MIN + retired + "\n")
     with pytest.raises(ConfigError, match=re.escape("geometry.number_density_per_m3: malformed number 'abc'")):
         load_config("geometry.kind = box\ngeometry.number_density_per_m3 = abc\n")
+    # an _hz value whose rad/s value overflows is refused, not stored as inf
+    for key in ("geometry.nu_r", "species.gamma_total"):
+        with pytest.raises(ConfigError, match=re.escape("%s_hz: 1e308 Hz overflows when converted to rad/s" % key)):
+            load_config(_document(key, "%s_hz = 1e308" % key))
 
 
 def test_field_validation():
@@ -149,6 +190,38 @@ def test_field_validation():
             replace(fields, omega_coupling_rad_s=bad)
         with pytest.raises(ConfigError, match="fields.gamma_gr_rad must be nonnegative"):
             replace(fields, gamma_gr_rad_s=bad)
+
+
+@pytest.mark.parametrize("key", _BOUNDED_KEYS)
+def test_every_schema_bound_is_enforced(key):
+    section, field, bound, _ = _SCHEMA[key]
+    written = key + "_rad" if _is_frequency(key) else key
+    message = "^%s must be %s$" % (re.escape(written), bound)
+    instance = _section(trap_config() if section == "trap" else box_config(), key)
+    for bad in _BREAKING[bound]:
+        # the dataclass checks the bound on its own, and a document meets the same check
+        with pytest.raises(ConfigError, match=message):
+            replace(instance, **{field: bad})
+        if not math.isnan(bad):
+            with pytest.raises(ConfigError, match=message):
+                load_config(_document(key, "%s = %r" % (written, bad)))
+
+
+def test_schema_bounds():
+    # the bound of each key; one that no check enforces is unchecked input
+    assert {key: _SCHEMA[key][2] for key in _BOUNDED_KEYS} == {
+        "geometry.number_density_per_m3": "positive",
+        "geometry.nu_r": "positive",
+        "geometry.nu_z": "positive",
+        "geometry.atom_count": "at least 1",
+        "species.mass_kg": "positive",
+        "species.wavelength_ge_m": "positive",
+        "species.gamma_total": "positive",
+        "fields.omega_coupling": "nonnegative",
+        "fields.gamma_ge": "positive",
+        "fields.gamma_gr": "nonnegative",
+        "fields.k_g_per_m": "positive",
+    }
 
 
 def test_load_config_missing_keys():
