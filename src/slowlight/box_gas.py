@@ -1,5 +1,5 @@
 """Thermodynamic state of the ideal Bose gas, the Doppler kernel of a thermal
-cloud, and susceptibility and group velocity of the gas in a box.
+cloud, the local susceptibility of either geometry, and v_g in a box.
 
 The state at one temperature (Tc, fugacity, condensate fraction) serves
 both geometries.  Above Tc the Doppler-averaged response of the thermal
@@ -95,8 +95,14 @@ def tc_box(species, number_density):
 
 
 def tc_trap(species, trap):
-    """K_B Tc = hbar (nu_z nu_r^2)^{1/3} (N / g_3(1))^{1/3}."""
-    nu_bar = (trap.nu_z_rad_s * trap.nu_r_rad_s**2) ** (1.0 / 3.0)
+    """K_B Tc = hbar nu_bar (N / g_3(1))^{1/3}, nu_bar = (nu_z nu_r^2)^{1/3} (a DomainError beyond the float range)."""
+    try:
+        nu_bar = (trap.nu_z_rad_s * trap.nu_r_rad_s**2) ** (1.0 / 3.0)
+    except OverflowError:
+        nu_bar = math.inf
+    if not 0.0 < nu_bar < math.inf:
+        message = "nu_bar = (nu_z nu_r^2)^{1/3} leaves the floating-point range at nu_r = %.3g, nu_z = %.3g rad/s"
+        raise DomainError(message % (trap.nu_r_rad_s, trap.nu_z_rad_s))
     return HBAR_J_S * nu_bar * (trap.atom_count / ZETA_3) ** (1.0 / 3.0) / KB_J_PER_K
 
 
@@ -110,28 +116,6 @@ def out_of_float_range(quantity, temperature, exc):
     """The DomainError for an overflow, a division by zero or (under
     np.errstate) an invalid operation exc met while computing the quantity."""
     return DomainError("%s leaves the floating-point range at T = %.3g K (%s)" % (quantity, temperature, exc))
-
-
-def finite_response(chi, dchi, temperature):
-    """(chi, dchi/domega) as a ComplexResponse, or a DomainError naming the
-    temperature when either is not finite."""
-    chi, dchi = complex(chi), complex(dchi)
-    if not (cmath.isfinite(chi) and cmath.isfinite(dchi)):
-        raise DomainError(
-            "the susceptibility chi = %r (dchi/domega = %r) is not finite at T = %.3g K"
-            % (chi, dchi, temperature)
-        )
-    return ComplexResponse(chi=chi, dchi_domega=dchi)
-
-
-def zeta_and_width(state, fields):
-    """zeta of the fields and the Doppler width A at the state's temperature."""
-    species = state.species
-    try:
-        zv = zeta(fields, recoil_frequency(species, fields))
-    except ArithmeticError as exc:
-        raise out_of_float_range("zeta", state.temperature_k, exc) from exc
-    return zv, doppler_width_param(species, fields, state.temperature_k)
 
 
 def gas_state(config, temperature):
@@ -175,11 +159,6 @@ def gas_state(config, temperature):
         fugacity=fugacity,
         condensate_fraction=1.0 - theta**nu if theta < 1.0 else 0.0,
     )
-
-
-def check_mode(mode):
-    if mode not in ("exact", "asymptotic"):
-        raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
 
 
 def tail_terms(z_over_a, mode="exact"):
@@ -258,23 +237,22 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, sect
 
 
 def thermal_series_prefactor(species, temperature, a_param):
-    """P = i chi0 (2 m K_B T / hbar^2)^{3/2} / (8 pi A); chi_thermal = P*S."""
-    return (
-        1j
-        * chi0(species)
-        * (2.0 * species.mass_kg * KB_J_PER_K * temperature / HBAR_J_S**2) ** 1.5
-        / (8.0 * math.pi * a_param)
-    )
-
-
-def thermal_response(state, zv, a_param, fugacity_value, power=0.0, section=0.0, mode="exact"):
-    """(chi, dchi/domega) = (P S, P (zeta'/A) S') of the thermal cloud at the
-    state's temperature and the given (local) fugacity."""
+    """P = i chi0 (2 m K_B T / hbar^2)^{3/2} / (8 pi A); chi_thermal = P*S (a DomainError beyond the float range)."""
     try:
-        pref = thermal_series_prefactor(state.species, state.temperature_k, a_param)
+        return (
+            1j
+            * chi0(species)
+            * (2.0 * species.mass_kg * KB_J_PER_K * temperature / HBAR_J_S**2) ** 1.5
+            / (8.0 * math.pi * a_param)
+        )
     except ArithmeticError as exc:
         prefactor = "the thermal prefactor chi0 (2 m K_B T/hbar^2)^{3/2}/(8 pi A)"
-        raise out_of_float_range(prefactor, state.temperature_k, exc) from exc
+        raise out_of_float_range(prefactor, temperature, exc) from exc
+
+
+def thermal_response(pref, zv, a_param, fugacity_value, power=0.0, section=0.0, mode="exact"):
+    """(chi, dchi/domega) = (P S, P (zeta'/A) S') of the thermal cloud with
+    the prefactor P at the given (local) fugacity."""
     s_w, s_wp = thermal_response_series(fugacity_value, zv.value, a_param, power, section, mode)
     return pref * s_w, pref * (zv.d_domega / a_param) * s_wp
 
@@ -286,6 +264,87 @@ def condensate_response(species, zv, density):
     return -x0 * density / zv.value, x0 * density * zv.d_domega / zv.value**2
 
 
+def ground_state_size(species, nu):
+    """Oscillator ground-state size a_0 = sqrt(hbar / m nu)."""
+    return math.sqrt(HBAR_J_S / (species.mass_kg * nu))
+
+
+def _beta(temperature):
+    """beta = 1/(K_B T) at T > 0, or a DomainError where it leaves the float range."""
+    k_t = KB_J_PER_K * temperature
+    beta = 1.0 / k_t if k_t > 0.0 else math.inf
+    if math.isinf(beta):
+        raise out_of_float_range("beta = 1/(K_B T)", temperature, "K_B T = %r J" % k_t)
+    return beta
+
+
+def _condensate_peak(state):
+    """Peak condensate density N_0/(pi^{3/2} a_0r^2 a_0z) of a trap, with a_0r and a_0z."""
+    a0r = ground_state_size(state.species, state.geometry.nu_r_rad_s)
+    a0z = ground_state_size(state.species, state.geometry.nu_z_rad_s)
+    return state.geometry.atom_count * state.condensate_fraction / (math.pi**1.5 * a0r**2 * a0z), a0r, a0z
+
+
+class GasResponse:
+    """Susceptibility of a gas state under the fields, in a box or at the point
+    (r, z) of a trap: response(detuning) is the ComplexResponse at the probe
+    detuning Delta_g0 (rad/s).
+
+    Construction is the per-temperature stage, run once for a whole scan:
+    the recoil, the Doppler width A, the local fugacity f e^{-beta V}, the
+    thermal prefactor P and the local condensate density.  A call is the
+    per-detuning stage: zeta (zeta_at), then the Doppler kernel at zeta/A,
+    whose tail polylogs are cached, and the condensate term (at)."""
+
+    def __init__(self, state, fields, r=0.0, z=0.0, mode="exact"):
+        if mode not in ("exact", "asymptotic"):
+            raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
+        species, geometry, temperature = state.species, state.geometry, state.temperature_k
+        self.state, self.species, self.fields, self.mode, self.temperature = state, species, fields, mode, temperature
+        try:
+            self.recoil = recoil_frequency(species, fields)
+        except ArithmeticError as exc:
+            raise out_of_float_range("zeta", temperature, exc) from exc
+        self.a_param = doppler_width_param(species, fields, temperature)
+        self.fugacity_value = state.fugacity.value
+        if temperature > 0.0:
+            if not isinstance(geometry, Box):
+                beta = _beta(temperature)
+                potential = 0.5 * species.mass_kg * (geometry.nu_r_rad_s**2 * r**2 + geometry.nu_z_rad_s**2 * z**2)
+                self.fugacity_value *= math.exp(-beta * potential)
+            self.pref = thermal_series_prefactor(species, temperature, self.a_param)
+        if isinstance(geometry, Box):
+            self.density = geometry.number_density_per_m3 * state.condensate_fraction
+        elif state.condensate_fraction > 0.0:
+            peak, a0r, a0z = _condensate_peak(state)
+            self.density = peak * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
+
+    def zeta_at(self, detuning):
+        """zeta and dzeta/domega at the probe detuning Delta_g0 (rad/s)."""
+        try:
+            return zeta(self.fields, self.recoil, detuning)
+        except ArithmeticError as exc:
+            raise out_of_float_range("zeta", self.temperature, exc) from exc
+
+    def at(self, zv):
+        """The response at the zeta value zv of zeta_at, or a DomainError
+        naming the temperature when it is not finite."""
+        chi = dchi = 0j
+        if self.temperature > 0.0:
+            chi, dchi = thermal_response(self.pref, zv, self.a_param, self.fugacity_value, mode=self.mode)
+        if self.state.condensate_fraction > 0.0:
+            chi_c, dchi_c = condensate_response(self.species, zv, self.density)
+            chi += chi_c
+            dchi += dchi_c
+        if not (cmath.isfinite(chi) and cmath.isfinite(dchi)):
+            message = "the susceptibility chi = %r (dchi/domega = %r) is not finite at T = %.3g K"
+            raise DomainError(message % (chi, dchi, self.temperature))
+        return ComplexResponse(chi=chi, dchi_domega=dchi)
+
+    def __call__(self, detuning):
+        return self.at(self.zeta_at(detuning))
+
+
 def box_response(state, fields, mode="exact"):
     """Susceptibility of the box gas in the given state under the given fields:
     the Doppler kernel at the fugacity f (1 below Tc) plus the condensate.
@@ -294,19 +353,7 @@ def box_response(state, fields, mode="exact"):
     """
     if not isinstance(state.geometry, Box):
         raise ValueError("box response requires a box geometry")
-    check_mode(mode)
-    zv, a = zeta_and_width(state, fields)
-    chi = 0.0 + 0.0j
-    dchi = 0.0 + 0.0j
-    if state.temperature_k > 0.0:
-        chi, dchi = thermal_response(state, zv, a, state.fugacity.value, mode=mode)
-    if state.condensate_fraction > 0.0:
-        chi_c, dchi_c = condensate_response(
-            state.species, zv, state.geometry.number_density_per_m3 * state.condensate_fraction
-        )
-        chi += chi_c
-        dchi += dchi_c
-    return finite_response(chi, dchi, state.temperature_k)
+    return GasResponse(state, fields, mode=mode)(fields.detuning_g0_rad_s)
 
 
 def chi_box_exact(config, temperature):

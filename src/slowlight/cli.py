@@ -19,11 +19,11 @@ from dataclasses import replace
 from functools import lru_cache
 
 from . import __version__
-from .box_gas import box_response, gas_state, tc_box, tc_trap
+from .box_gas import GasResponse, gas_state, tc_box, tc_trap
 from .eit_core import group_velocity_from_response, warn_if_dense
 from .errors import ConfigError, DomainError, PhysicsError, PoleError, UsageError
 from .tf_model import hau_group_velocity, ideal_t0_density, tf_geometry, tf_t0_density
-from .trap_gas import PinholeSpec, ground_state_size, trap_mean_delay, trap_response
+from .trap_gas import PinholeSpec, ground_state_size, trap_mean_delay
 from .units_params import C_M_S, Box, dipole_moment_sq, load_config, probe_omega
 
 DEFAULT_CONFIG_TEXT = """\
@@ -134,14 +134,15 @@ def _write_csv(output, text, header, points, row, label):
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     lines = ["# config_sha256=%s tool_version=%s" % (digest, __version__), header]
+    row_format = ",".join(["%.11e"] * len(header.split(",")))
     for point in points:
         try:
             values = row(point)
-            if not all(math.isfinite(value) for value in values):
+            if not all(map(math.isfinite, values)):
                 raise DomainError("non-finite value in the row %r" % (values,))
         except (PhysicsError, ArithmeticError) as exc:
             raise _annotate(exc, "at " + label(point)) from exc
-        lines.append(",".join("%.11e" % value for value in values))
+        lines.append(row_format % values)
     _write_text(output, "\n".join(lines) + "\n")
     return 0
 
@@ -159,14 +160,16 @@ def cmd_sweep(args):
     def row(theta):
         temperature = theta * t_c
         state = gas_state(config, temperature)
+        response = GasResponse(state, config.fields, mode=args.mode)
+        # the response (at r = 0 in a trap) and the trap's mean delay share one zeta
+        zv = response.zeta_at(config.fields.detuning_g0_rad_s)
+        resp = response.at(zv)
         if is_box:
-            resp = box_response(state, config.fields, mode=args.mode)
             delay = size = 0.0
             v_g = group_velocity_from_response(resp, probe_omega(config.species))
         else:
-            resp = trap_response(state, config.fields, mode=args.mode)
             warn_if_dense(resp.chi)
-            delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode, mode=args.mode)
+            delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode, mode=args.mode, zv=zv)
             delay, size, v_g = delays.mean_delay_s, delays.cloud_size_m, delays.group_velocity_m_s
         if not 0.0 < v_g < C_M_S:
             raise DomainError("group velocity %.6g m/s is not in (0, c)" % v_g)
@@ -187,32 +190,33 @@ def cmd_chi(args):
         raise UsageError("--temperature-nk must be nonnegative")
     temperature = args.temperature_nk * 1e-9
     gamma_total = config.species.gamma_total_rad_s
+    points = _linspace(args.d_min, args.d_max, args.d_points)
+
+    def label(d_gamma):
+        return "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature)
+
+    # a fault of the state names T; one of the response, which every row meets, names the first row
+    where = "T=%.6g K" % temperature
     try:
         state = gas_state(config, temperature)
+        where = label(points[0])
+        response = GasResponse(state, config.fields)
     except (PhysicsError, ArithmeticError) as exc:
-        raise _annotate(exc, "at T=%.6g K" % temperature) from exc
-    response = box_response if isinstance(config.geometry, Box) else trap_response
+        raise _annotate(exc, "at " + where) from exc
 
     def row(d_gamma):
-        fields = replace(config.fields, detuning_g0_rad_s=d_gamma * gamma_total)
+        detuning = d_gamma * gamma_total
         try:
-            chi = response(state, fields).chi
+            chi = response(detuning).chi
         except PoleError:
             # Gamma_gr = 0 on the exact two-photon resonance is the
             # transparency limit: the singularity is removable and chi -> 0.
-            if not (fields.gamma_gr_rad_s == 0.0 and fields.detuning_g0_rad_s == fields.detuning_r0_rad_s):
+            if not (config.fields.gamma_gr_rad_s == 0.0 and detuning == config.fields.detuning_r0_rad_s):
                 raise
             chi = 0.0j
-        return (d_gamma, d_gamma * gamma_total, chi.real, chi.imag)
+        return (d_gamma, detuning, chi.real, chi.imag)
 
-    return _write_csv(
-        args.output,
-        text,
-        "detuning_gamma,detuning_rad_s,re_chi,im_chi",
-        _linspace(args.d_min, args.d_max, args.d_points),
-        row,
-        lambda d_gamma: "detuning=%.6g gamma (T=%.6g K)" % (d_gamma, temperature),
-    )
+    return _write_csv(args.output, text, "detuning_gamma,detuning_rad_s,re_chi,im_chi", points, row, label)
 
 
 def cmd_tf(args):
@@ -227,10 +231,10 @@ def cmd_tf(args):
     if not args.scattering_length_nm > 0.0:
         raise UsageError("--scattering-length-nm must be positive")
 
-    omega = probe_omega(species)
-    rabi = config.fields.omega_coupling_rad_s
-    dipole_sq = dipole_moment_sq(species, config.fields.gamma_ge_rad_s)
     try:
+        omega = probe_omega(species)
+        dipole_sq = dipole_moment_sq(species, config.fields.gamma_ge_rad_s)
+        rabi = config.fields.omega_coupling_rad_s
         n_ideal = ideal_t0_density(species, trap, n_atoms)
         geometry = tf_geometry(species, trap, n_atoms, args.scattering_length_nm * 1e-9)
         n_tf = tf_t0_density(n_atoms, geometry)

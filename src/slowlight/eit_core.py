@@ -46,10 +46,11 @@ def _eit_denominator(fields, delta_two_photon):
     return denom
 
 
-def zeta(fields, recoil):
-    """Dimensionless zeta of the gas response, with d zeta/d omega (s)."""
+def zeta(fields, recoil, detuning_g0=None):
+    """Dimensionless zeta of the gas response, with d zeta/d omega (s), at the
+    probe detuning of the fields or, when given, at detuning_g0 (rad/s)."""
     gge = fields.gamma_ge_rad_s
-    delta_g0 = fields.detuning_g0_rad_s
+    delta_g0 = fields.detuning_g0_rad_s if detuning_g0 is None else detuning_g0
     delta2 = delta_g0 - fields.detuning_r0_rad_s
     value = -(delta_g0 + recoil) / gge + 1j
     d_domega = 1.0 / gge + 0j

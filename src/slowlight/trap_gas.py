@@ -17,20 +17,20 @@ from functools import lru_cache
 
 from .box_gas import (
     TAIL_TABLE,
-    check_mode,
+    GasResponse,
+    _beta,
+    _condensate_peak,
     condensate_response,
-    finite_response,
     gas_state,
+    ground_state_size,
     out_of_float_range,
     tail_terms,
     tc_trap,
     thermal_response,
-    thermal_series_prefactor,
-    zeta_and_width,
 )
 from .errors import DomainError
 from .specfun import SQRT_PI, polylog_sum
-from .units_params import C_M_S, HBAR_J_S, KB_J_PER_K, TWO_PI, HarmonicTrap, probe_omega
+from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, probe_omega
 
 # below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
 # of the infinite-path average keeps fewer than about six digits
@@ -69,11 +69,6 @@ class DelayResult:
     branch: str
 
 
-def ground_state_size(species, nu):
-    """Oscillator ground-state size a_0 = sqrt(hbar / m nu)."""
-    return math.sqrt(HBAR_J_S / (species.mass_kg * nu))
-
-
 def thermal_radius(species, trap, temperature):
     """Pinhole radius of the thermal mode, R = sqrt(K_B T / m nu_r^2)."""
     if not temperature > 0.0:
@@ -105,43 +100,9 @@ def cloud_size(config, temperature):
     return _cloud_size(config.species, config.geometry, temperature, tc_trap(config.species, config.geometry))
 
 
-def _beta(temperature):
-    """beta = 1/(K_B T) at T > 0, or a DomainError where it leaves the float range."""
-    k_t = KB_J_PER_K * temperature
-    beta = 1.0 / k_t if k_t > 0.0 else math.inf
-    if math.isinf(beta):
-        raise out_of_float_range("beta = 1/(K_B T)", temperature, "K_B T = %r J" % k_t)
-    return beta
-
-
 def _excess(chi, dchi, omega):
     """1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c of a dilute response."""
     return TWO_PI * (chi.real + omega * dchi.real) / C_M_S
-
-
-def _condensate_peak(state):
-    """Peak condensate density N_0/(pi^{3/2} a_0r^2 a_0z), with a_0r and a_0z."""
-    a0r = ground_state_size(state.species, state.geometry.nu_r_rad_s)
-    a0z = ground_state_size(state.species, state.geometry.nu_z_rad_s)
-    return state.geometry.atom_count * state.condensate_fraction / (math.pi**1.5 * a0r**2 * a0z), a0r, a0z
-
-
-def _local_response(state, zv, a_param, r, z, mode="exact"):
-    """(chi, dchi/domega) at the point (r, z)."""
-    trap = state.geometry
-    temperature = state.temperature_k
-    chi = 0.0 + 0.0j
-    dchi = 0.0 + 0.0j
-    if temperature > 0.0:
-        beta = _beta(temperature)
-        potential = 0.5 * state.species.mass_kg * (trap.nu_r_rad_s**2 * r**2 + trap.nu_z_rad_s**2 * z**2)
-        chi, dchi = thermal_response(state, zv, a_param, state.fugacity.value * math.exp(-beta * potential), mode=mode)
-    if state.condensate_fraction > 0.0:
-        peak, a0r, a0z = _condensate_peak(state)
-        chi_c, dchi_c = condensate_response(state.species, zv, peak * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2))
-        chi += chi_c
-        dchi += dchi_c
-    return chi, dchi
 
 
 def trap_response(state, fields, r=0.0, mode="exact"):
@@ -153,10 +114,7 @@ def trap_response(state, fields, r=0.0, mode="exact"):
     _require_trap(state.geometry)
     if r < 0.0:
         raise DomainError("radial position must be nonnegative, got %r" % r)
-    check_mode(mode)
-    zv, a_param = zeta_and_width(state, fields)
-    chi, dchi = _local_response(state, zv, a_param, r, 0.0, mode)
-    return finite_response(chi, dchi, state.temperature_k)
+    return GasResponse(state, fields, r, mode=mode)(fields.detuning_g0_rad_s)
 
 
 def chi_trap_local(config, temperature, r):
@@ -192,15 +150,16 @@ def _z_panels(state, path_half_length_m):
     return nodes.ravel(), (half[:, None] * gl_weights).ravel()
 
 
-def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
+def _excess_inverse_speed(response, zv, r, z):
     """1/v_g - 1/c of the local response on the grid of the radii r and the
     heights z (1-D arrays): the kernel's large-|y| tail from l = 1, one
     polylog_sum of g_{k+3/2} of u = f e^{-beta m nu_r^2 r^2/2} e^{-beta m nu_z^2 z^2/2}
-    with real weights fixed by zeta and A, plus a multiple of the condensate
+    with real weights fixed by the response's zeta and A, plus a multiple of the condensate
     density.  Without the exact head it needs |zeta/A| >= 10 in mode "exact".
     """
     import numpy as np
 
+    state, a_param, mode = response.state, response.a_param, response.mode
     species = state.species
     trap = state.geometry
     temperature = state.temperature_k
@@ -217,7 +176,7 @@ def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
             state.fugacity.value * np.exp(-half_beta_m * trap.nu_r_rad_s**2 * r**2),
             np.exp(-half_beta_m * trap.nu_z_rad_s**2 * z**2),
         )
-        pref = (1j / SQRT_PI) * thermal_series_prefactor(species, temperature, a_param)
+        pref = (1j / SQRT_PI) * response.pref
         pref_d = pref * zv.d_domega / a_param
         a_over_z = 1.0 / z_over_a
         terms = [
@@ -234,28 +193,29 @@ def _excess_inverse_speed(state, zv, a_param, r, z, mode="exact"):
     return excess
 
 
-def _finite_path_delays(state, zv, a_param, r, path_half_length_m, mode="exact"):
+def _finite_path_delays(response, zv, r, path_half_length_m):
     """Delays 2 int_0^L (1/v_g - 1/c) dz at the radii r (an array), on the
     composite Gauss-Legendre z panels of _z_panels."""
     import numpy as np
 
-    z, w = _z_panels(state, path_half_length_m)
+    z, w = _z_panels(response.state, path_half_length_m)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return 2.0 * (_excess_inverse_speed(state, zv, a_param, r, z, mode) @ w)
+            return 2.0 * (_excess_inverse_speed(response, zv, r, z) @ w)
     except ArithmeticError as exc:
-        raise out_of_float_range("the finite-path delay", state.temperature_k, exc) from exc
+        raise out_of_float_range("the finite-path delay", response.state.temperature_k, exc) from exc
 
 
-def _infinite_path_delay(state, zv, a_param, fugacity_value, section, condensate_column, mode):
+def _infinite_path_delay(response, zv, fugacity_value, section, condensate_column):
     """2 int_0^inf (1/v_g - 1/c) dz: the kernel at p = 1/2 (and section c)
     times the column length sqrt(2 pi K_B T/m)/nu_z, plus the condensate."""
-    species = state.species
+    species, temperature = response.species, response.temperature
     omega = probe_omega(species)
     delay = 0.0
-    if state.temperature_k > 0.0:
-        length = math.sqrt(TWO_PI * KB_J_PER_K * state.temperature_k / species.mass_kg) / state.geometry.nu_z_rad_s
-        delay += length * _excess(*thermal_response(state, zv, a_param, fugacity_value, 0.5, section, mode), omega)
+    if temperature > 0.0:
+        length = math.sqrt(TWO_PI * KB_J_PER_K * temperature / species.mass_kg) / response.state.geometry.nu_z_rad_s
+        thermal = thermal_response(response.pref, zv, response.a_param, fugacity_value, 0.5, section, response.mode)
+        delay += length * _excess(*thermal, omega)
     if condensate_column > 0.0:
         delay += _excess(*condensate_response(species, zv, condensate_column), omega)
     return delay
@@ -278,11 +238,12 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     if not math.isinf(path_half_length_m) and not path_half_length_m > 0.0:
         raise DomainError("path_half_length_m must be positive")
     state = gas_state(config, temperature)
-    zv, a_param = zeta_and_width(state, config.fields)
+    response = GasResponse(state, config.fields)
+    zv = response.zeta_at(config.fields.detuning_g0_rad_s)
     if not math.isinf(path_half_length_m):
         import numpy as np
 
-        return float(_finite_path_delays(state, zv, a_param, np.array([r]), path_half_length_m)[0])
+        return float(_finite_path_delays(response, zv, np.array([r]), path_half_length_m)[0])
     trap = state.geometry
     y_r = 0.0
     if temperature > 0.0:
@@ -292,7 +253,7 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     if state.condensate_fraction > 0.0:
         a0r = ground_state_size(state.species, trap.nu_r_rad_s)
         column = trap.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
-    delay = _infinite_path_delay(state, zv, a_param, y_r, 0.0, column, "exact")
+    delay = _infinite_path_delay(response, zv, y_r, 0.0, column)
     if not math.isfinite(delay):
         raise DomainError("the delay at r = %.3g m is %r at T = %.3g K" % (r, delay, temperature))
     return delay
@@ -307,10 +268,10 @@ def _condensate_section_factor(state, radius, fc_mode):
     return (1.0 - math.exp(-(radius / a0r) ** 2)) / (math.pi * radius**2)
 
 
-def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
+def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=None):
     """Uniform average of the delay over the section of radius R in the
     given state: <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a
-    DelayResult.
+    DelayResult (zv: the zeta of the fields, when the caller has it).
 
     Infinite path: the Doppler kernel at p = 1/2 with the section factor
     (1 - e^{-lc})/(lc), c = beta m nu_r^2 R^2/2, to first order
@@ -330,7 +291,7 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
     _require_trap(state.geometry)
     if fc_mode not in ("paper", "exact"):
         raise ValueError("fc_mode must be 'paper' or 'exact', got %r" % fc_mode)
-    check_mode(mode)
+    response = GasResponse(state, fields, mode=mode)
     species = state.species
     trap = state.geometry
     temperature = state.temperature_k
@@ -339,13 +300,14 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
     else:
         radius = pinhole.radius_m
     half_length = pinhole.path_half_length_m
-    zv, a_param = zeta_and_width(state, fields)
+    if zv is None:
+        zv = response.zeta_at(fields.detuning_g0_rad_s)
 
     if not math.isinf(half_length):
         # average = (2/R^2) int_0^R r dt(r) dr on a fixed Gauss-Legendre rule
         nodes, weights = _gauss_legendre(64)
         r = 0.5 * radius * (nodes + 1.0)
-        delays = _finite_path_delays(state, zv, a_param, r, half_length, mode)
+        delays = _finite_path_delays(response, zv, r, half_length)
         delay = float((weights * r * delays).sum()) / radius
     else:
         exponent = 0.0
@@ -362,7 +324,7 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact"):
         if state.condensate_fraction > 0.0:
             section = _condensate_section_factor(state, radius, fc_mode)
             column = trap.atom_count * state.condensate_fraction * section
-        delay = _infinite_path_delay(state, zv, a_param, state.fugacity.value, exponent, column, mode)
+        delay = _infinite_path_delay(response, zv, state.fugacity.value, exponent, column)
 
     d_z = _cloud_size(species, trap, temperature, state.t_c_k)
     # a negative delay is anomalous dispersion and comes back as v_g < 0

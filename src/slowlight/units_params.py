@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 import warnings
 
-from .errors import ConfigError, ValidityWarning
+from .errors import ConfigError, DomainError, ValidityWarning
 
 # CODATA-2018 exact/defined values
 HBAR_J_S = 1.0545718176461565e-34
@@ -123,7 +123,10 @@ def probe_omega(species):
 
 def dipole_moment_sq(species, gamma_ge_rad_s):
     """|d_ge|^2 derived from the one-atom susceptibility: hbar * Gamma_ge * chi0."""
-    return HBAR_J_S * gamma_ge_rad_s * chi0(species)
+    try:
+        return HBAR_J_S * gamma_ge_rad_s * chi0(species)
+    except OverflowError as exc:
+        raise DomainError("chi0 = 3 lambda^3 / 32 pi^3 overflows at lambda = %.3g m" % species.wavelength_ge_m) from exc
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,11 +21,24 @@ from hypothesis import strategies as st
 
 import slowlight
 import slowlight.box_gas
-from slowlight import C_M_S, ValidityWarning, cli, serialize_config
+from slowlight import (
+    C_M_S,
+    FieldParams,
+    GasResponse,
+    PoleError,
+    ValidityWarning,
+    box_response,
+    cli,
+    gas_state,
+    serialize_config,
+    tc_box,
+    tc_trap,
+    trap_response,
+)
 from slowlight.cli import DEFAULT_CONFIG_TEXT, main
 from slowlight.units_params import _SCHEMA
 
-from _configs import DOC, detuned_config, temperature_for_doppler_a, trap_config
+from _configs import DOC, box_config, detuned_config, temperature_for_doppler_a, trap_config
 
 METADATA_RE = re.compile(r"^# config_sha256=[0-9a-f]{64} tool_version=0\.1\.0$")
 FIELD_RE = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -114,6 +128,32 @@ def test_one_fugacity_solve_per_temperature(monkeypatch, capsys):
     for kind in ("trap", "box"):
         chi = ["chi", "--geometry", kind, "--temperature-nk", "500"]
         assert _count_fugacity_solves(monkeypatch, capsys, chi) == 1, kind
+
+
+def test_chi_scan_computes_its_temperature_once(monkeypatch, capsys):
+    # a 201-point chi computes the thermal prefactor and the Doppler width
+    # once, and builds no FieldParams beyond the loaded one and the coupling
+    # override
+    counts = Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in ("thermal_series_prefactor", "doppler_width_param"):
+            patch.setattr(slowlight.box_gas, name, counting(name, getattr(slowlight.box_gas, name)))
+        patch.setattr(FieldParams, "__post_init__", counting("FieldParams", FieldParams.__post_init__))
+        for kind in ("trap", "box"):
+            for extra, constructions in (([], 1), (["--omega-coupling-gamma", "1.0"], 2)):
+                counts.clear()
+                rc, out, _ = run(capsys, ["chi", "--geometry", kind, "--temperature-nk", "200"] + extra)
+                assert rc == 0 and len(out.splitlines()) == 2 + 201
+                expected = {"thermal_series_prefactor": 1, "doppler_width_param": 1, "FieldParams": constructions}
+                assert counts == expected, (kind, extra)
 
 
 def test_semiclassical_warning_once_per_row(capsys):
@@ -487,6 +527,55 @@ def test_chi_dark_state_row(tmp_path, capsys):
     assert rows[1][3] > 0.0 and rows[3][3] > 0.0
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from(["trap", "box"]),
+    theta=st.floats(0.3, 3.0),
+    coupling_gamma=st.floats(0.0, 2.0),
+    detuning_gamma=st.floats(-3.0, 3.0),
+    radius_um=st.floats(0.0, 30.0),
+)
+def test_scan_response_is_the_single_point_response(
+    tmp_path_factory, geometry, theta, coupling_gamma, detuning_gamma, radius_um
+):
+    # the per-detuning stage of a scan gives, bit for bit, the response of
+    # fields that carry the detuning, and the CLI's transparency-limit row
+    # (Gamma_gr = 0 on the two-photon resonance) stays 0
+    config = box_config() if geometry == "box" else trap_config()
+    gamma = config.species.gamma_total_rad_s
+    fields = replace(config.fields, omega_coupling_rad_s=coupling_gamma * gamma)
+    if geometry == "box":
+        t_c, r = tc_box(config.species, config.geometry.number_density_per_m3), 0.0
+    else:
+        t_c, r = tc_trap(config.species, config.geometry), radius_um * 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        state = gas_state(config, theta * t_c)
+    detuning = detuning_gamma * gamma
+    point = replace(fields, detuning_g0_rad_s=detuning)
+    single = box_response(state, point) if geometry == "box" else trap_response(state, point, r)
+    scanned = GasResponse(state, fields, r)(detuning)
+    assert repr((scanned.chi, scanned.dchi_domega)) == repr((single.chi, single.dchi_domega))
+
+    if coupling_gamma == 0.0:
+        return
+    dark = replace(fields, gamma_gr_rad_s=0.0)
+    with pytest.raises(PoleError):
+        GasResponse(state, dark, r)(dark.detuning_r0_rad_s)
+    path = tmp_path_factory.mktemp("dark") / "dark.cfg"
+    path.write_text(serialize_config(replace(config, fields=dark)))
+    span = repr(abs(detuning_gamma) + 0.5)
+    argv = ["chi", "--config", str(path), "--temperature-nk", repr(theta * t_c * 1e9), "--d-points", "3",
+            "--d-min-gamma", "-" + span, "--d-max-gamma", span]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+    rows = parse_csv(out.getvalue(), "detuning_gamma,detuning_rad_s,re_chi,im_chi")
+    assert rows[1] == [0.0, 0.0, 0.0, 0.0]
+
+
 def test_chi_usage_errors(capsys):
     for argv in (
         ["chi", "--temperature-nk", "500", "--d-points", "1"],
@@ -619,6 +708,9 @@ _PINNED_STDOUT = (
      "02368c8a7c9aefb2af6120e30352e4de4965a1545e06248801e6912680c370cc"),
     (["chi", "--geometry", "box", "--temperature-nk", "500", "--omega-coupling-gamma", "0"],
      "7024541b52800037d4d6f4f4a3478e48bae45a678a5f0a015cebc5fc51144f56"),
+    (["chi", "--temperature-nk", "200"], "5d01e02cb9c5c7f0bc6b920f09b857467243158211f9be2a9fc914c851554a03"),
+    (["chi", "--temperature-nk", "500", "--omega-coupling-gamma", "0"],
+     "ed6dc649c8dd0050d8e84b03e804cdd01d82b769db17614aeccecc6560617b4c"),
     (["tf"], "456ff43fd30c6d743437635848d28f2d7445b11f2b76b5cdb5466d6c222c307e"),
 )
 
@@ -628,6 +720,36 @@ def test_default_outputs_are_pinned(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the whole stderr of chi runs that fail in the first row: a fault of the
+# temperature alone names that row just as a fault of its detuning does
+_PINNED_CHI_ERRORS = (
+    (["--temperature-nk", "1e300"],
+     "at detuning=-2 gamma (T=1e+291 K): the susceptibility chi = (nan+nanj) "
+     "(dchi/domega = (nan+nanj)) is not finite at T = 1e+291 K"),
+    (["--temperature-nk", "500", "--omega-coupling-gamma", "1e200"],
+     "at detuning=-2 gamma (T=5e-07 K): zeta leaves the floating-point range at T = 5e-07 K "
+     "((34, 'Numerical result out of range'))"),
+    (["--temperature-nk", "1e-300"],
+     "at detuning=-2 gamma (T=1e-309 K): beta = 1/(K_B T) leaves the floating-point range "
+     "at T = 1e-309 K (K_B T = 0.0 J)"),
+    (["--geometry", "box", "--temperature-nk", "1e300"],
+     "at detuning=-2 gamma (T=1e+291 K): the susceptibility chi = (nan+nanj) "
+     "(dchi/domega = (nan+nanj)) is not finite at T = 1e+291 K"),
+    (["--geometry", "box", "--temperature-nk", "1e-298"],
+     "at detuning=-2 gamma (T=1e-307 K): the thermal prefactor chi0 (2 m K_B T/hbar^2)^{3/2}/(8 pi A) "
+     "leaves the floating-point range at T = 1e-307 K (complex division by zero)"),
+)
+
+
+@pytest.mark.parametrize("flags, message", _PINNED_CHI_ERRORS, ids=[" ".join(flags) for flags, _ in _PINNED_CHI_ERRORS])
+def test_chi_error_messages_are_pinned(capsys, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        rc, out, err = run(capsys, ["chi"] + flags)
+    assert (rc, out) == (2, "")
+    assert err == "physics error: %s\n" % message
 
 
 def test_sweep_mode_applies_to_trap_rows(tmp_path, capsys):
@@ -652,6 +774,34 @@ def test_sweep_mode_applies_to_trap_rows(tmp_path, capsys):
             else:
                 # at the sodium EIT defaults |zeta/A| ~ 2e5: the two coincide
                 assert exact == asymptotic
+
+
+def test_float_range_faults_of_the_trap_and_species_exit_2(tmp_path, capsys):
+    # nu_z nu_r^2 overflows (nu_r = 1e308) or underflows to 0, so Tc has no
+    # mean trap frequency; lambda^3 of chi0 overflows at lambda = 1e200 m
+    trap = "geometry.kind = trap\ngeometry.atom_count = 8.3e6\n"
+    for doc, argvs, message in (
+        (
+            trap + "geometry.nu_r_rad = 1e308\ngeometry.nu_z_hz = 20.0\n",
+            (["sweep"], ["chi", "--temperature-nk", "200"]),
+            "nu_bar = (nu_z nu_r^2)^{1/3} leaves the floating-point range at nu_r = 1e+308, nu_z = 126 rad/s",
+        ),
+        (
+            trap + "geometry.nu_r_rad = 1e-300\ngeometry.nu_z_rad = 1e-300\n",
+            (["sweep"],),
+            "nu_bar = (nu_z nu_r^2)^{1/3} leaves the floating-point range at nu_r = 1e-300, nu_z = 1e-300 rad/s",
+        ),
+        (DOC + "species.wavelength_ge_m = 1e200\n", (["tf"],), "tf estimate: chi0 = 3 lambda^3 / 32 pi^3 overflows at lambda = 1e+200 m"),
+    ):
+        path = tmp_path / "range.cfg"
+        path.write_text(doc)
+        for argv in argvs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ValidityWarning)
+                rc, out, err = run(capsys, argv + ["--config", str(path)])
+            assert (rc, out) == (2, ""), argv
+            where = "at T=2e-07 K: " if argv[0] == "chi" else ""
+            assert err == "physics error: %s%s\n" % (where, message), argv
 
 
 def test_tf_usage_errors(capsys):

@@ -14,6 +14,7 @@ from slowlight import (
     HBAR_J_S,
     KB_J_PER_K,
     DomainError,
+    GasResponse,
     PhysicsError,
     PinholeSpec,
     ValidityWarning,
@@ -32,7 +33,6 @@ from slowlight import (
     zeta,
 )
 from slowlight import trap_gas
-from slowlight.box_gas import zeta_and_width
 
 from _configs import box_config, detuned_config, fixed_pinhole, trap_config
 from _oracles import chi_trap_point_by_quadrature, mean_delay_by_quadrature
@@ -314,14 +314,15 @@ def test_finite_path_weights_match_local_response():
         for theta in (0.5, 1.0, 1.5):
             t = theta * TC
             state = gas_state(config, t)
-            zv, a_param = zeta_and_width(state, config.fields)
+            response = GasResponse(state, config.fields)
+            zv = response.zeta_at(config.fields.detuning_g0_rad_s)
             z_th = math.sqrt(KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))
             z = z_th * np.array([0.0, 0.05, 0.5, 1.0, 3.0, 6.0, 12.0])
-            grid = trap_gas._excess_inverse_speed(state, zv, a_param, r, z)
+            grid = trap_gas._excess_inverse_speed(response, zv, r, z)
             assert grid.shape == (r.size, z.size)
             for i, j in np.ndindex(grid.shape):
-                chi, dchi = trap_gas._local_response(state, zv, a_param, float(r[i]), float(z[j]))
-                point = 2.0 * math.pi * (chi.real + omega * dchi.real) / C_M_S
+                local = GasResponse(state, config.fields, float(r[i]), float(z[j])).at(zv)
+                point = 2.0 * math.pi * (local.chi.real + omega * local.dchi_domega.real) / C_M_S
                 exponent = 0.5 * SPECIES.mass_kg * (TRAP.nu_r_rad_s**2 * r[i] ** 2 + TRAP.nu_z_rad_s**2 * z[j] ** 2)
                 bound = 1e-14 + 4.0 * np.finfo(float).eps * exponent / (KB_J_PER_K * t)
                 assert rel(grid[i, j], point) <= bound, (theta, r[i], z[j] / z_th)
