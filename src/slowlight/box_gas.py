@@ -1,5 +1,5 @@
 """Thermodynamic state of the ideal Bose gas, the Doppler kernel of a thermal
-cloud, the local susceptibility of either geometry, and v_g in a box.
+cloud and the local susceptibility of either geometry.
 
 The state at one temperature (Tc, fugacity, condensate fraction) serves
 both geometries.  Above Tc the Doppler-averaged response of the thermal
@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .eit_core import ComplexResponse, group_velocity_from_response, zeta
+from .eit_core import ComplexResponse, zeta
 from .errors import DomainError, SeriesCapError, ValidityWarning
 from .specfun import (
     SQRT_PI,
@@ -40,7 +40,6 @@ from .units_params import (
     AtomSpecies,
     Box,
     chi0,
-    probe_omega,
     recoil_frequency,
 )
 
@@ -125,8 +124,8 @@ def gas_state(config, temperature):
     fraction is 1 - (T/Tc)^nu, with nu = 3/2 in a box and nu = 3 in a trap.
     A trapped gas warns where the semiclassical K_B T >> hbar nu fails.
     """
-    if temperature < 0.0:
-        raise DomainError("temperature must be nonnegative, got %r" % temperature)
+    if not 0.0 <= temperature < math.inf:
+        raise DomainError("temperature must be nonnegative and finite, got T = %r K" % temperature)
     # a float, so that an overflow in the responses raises or gives inf, not
     # a numpy warning
     temperature = float(temperature)
@@ -297,6 +296,8 @@ class GasResponse:
     whose tail polylogs are cached, and the condensate term (at)."""
 
     def __init__(self, state, fields, r=0.0, z=0.0, mode="exact"):
+        if not r >= 0.0:
+            raise DomainError("radial position must be nonnegative, got %r" % r)
         if mode not in ("exact", "asymptotic"):
             raise ValueError("mode must be 'exact' or 'asymptotic', got %r" % mode)
         species, geometry, temperature = state.species, state.geometry, state.temperature_k
@@ -307,17 +308,21 @@ class GasResponse:
             raise out_of_float_range("zeta", temperature, exc) from exc
         self.a_param = doppler_width_param(species, fields, temperature)
         self.fugacity_value = state.fugacity.value
-        if temperature > 0.0:
-            if not isinstance(geometry, Box):
+        try:
+            if temperature > 0.0 and not isinstance(geometry, Box):
                 beta = _beta(temperature)
                 potential = 0.5 * species.mass_kg * (geometry.nu_r_rad_s**2 * r**2 + geometry.nu_z_rad_s**2 * z**2)
                 self.fugacity_value *= math.exp(-beta * potential)
+            if isinstance(geometry, Box):
+                self.density = geometry.number_density_per_m3 * state.condensate_fraction
+            elif state.condensate_fraction > 0.0:
+                peak, a0r, a0z = _condensate_peak(state)
+                self.density = peak * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
+        except OverflowError as exc:
+            # r^2 or z^2 of a finite position beyond about 1e154 m
+            raise out_of_float_range("the local density at r = %.3g m, z = %.3g m" % (r, z), temperature, exc) from exc
+        if temperature > 0.0:
             self.pref = thermal_series_prefactor(species, temperature, self.a_param)
-        if isinstance(geometry, Box):
-            self.density = geometry.number_density_per_m3 * state.condensate_fraction
-        elif state.condensate_fraction > 0.0:
-            peak, a0r, a0z = _condensate_peak(state)
-            self.density = peak * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
 
     def zeta_at(self, detuning):
         """zeta and dzeta/domega at the probe detuning Delta_g0 (rad/s)."""
@@ -355,18 +360,3 @@ def box_response(state, fields, mode="exact"):
         raise ValueError("box response requires a box geometry")
     return GasResponse(state, fields, mode=mode)(fields.detuning_g0_rad_s)
 
-
-def chi_box_exact(config, temperature):
-    """Series susceptibility of the box gas (thermal series + condensate)."""
-    return box_response(gas_state(config, temperature), config.fields)
-
-
-def chi_box_asymptotic(config, temperature):
-    """Closed-form expansion of chi_box_exact in powers of (A/zeta)^2."""
-    return box_response(gas_state(config, temperature), config.fields, mode="asymptotic")
-
-
-def vg_box(config, temperature, mode="exact"):
-    """Group velocity of the probe in the box gas (m/s)."""
-    resp = box_response(gas_state(config, temperature), config.fields, mode=mode)
-    return group_velocity_from_response(resp, probe_omega(config.species))

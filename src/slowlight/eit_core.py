@@ -62,25 +62,18 @@ def zeta(fields, recoil, detuning_g0=None):
     return ZetaValue(value=value, d_domega=d_domega)
 
 
-def coherence_steady_state(fields, probe_rabi, detuning_g, detuning_r):
-    """Steady-state optical coherence rho_eg, first order in the probe.
-
-    rho_eg = g/(2 Gamma_ge) / (Delta_g/Gamma_ge - i - i(Omega^2/4)/(Gamma_ge(Gamma_gr+i(Delta_g-Delta_r))))
-    """
+def coherence_steady_state(fields, probe_rabi):
+    """Steady-state optical coherence rho_eg = -g/(2 Gamma_ge zeta), first
+    order in the probe g, with zeta at zero recoil and the fields' Delta_g0, Delta_r0."""
     gge = fields.gamma_ge_rad_s
-    omega_c = fields.omega_coupling_rad_s
-    if probe_rabi >= 0.1 * omega_c and probe_rabi >= 0.1 * gge:
+    if probe_rabi >= 0.1 * fields.omega_coupling_rad_s and probe_rabi >= 0.1 * gge:
         warnings.warn(
             "linear response assumes probe_rabi << Omega or << Gamma_ge "
             "(probe_rabi = %.3e rad/s)" % probe_rabi,
             ValidityWarning,
             stacklevel=2,
         )
-    denominator = detuning_g / gge - 1j
-    if omega_c > 0.0:
-        eit = _eit_denominator(fields, detuning_g - detuning_r)
-        denominator -= 1j * (omega_c**2 / 4.0) / (gge * eit)
-    return probe_rabi / (2.0 * gge) / denominator
+    return -probe_rabi / (2.0 * gge * zeta(fields, 0.0).value)
 
 
 def warn_if_dense(chi):

@@ -348,30 +348,16 @@ def _finite_w(out, y, shape, name):
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
-def faddeeva_w(y, mode="exact"):
-    """Faddeeva function w(y) = exp(-y^2)(1 + erf(iy)).
-
-    mode "exact" evaluates everywhere; "asymptotic" returns the two-term
-    expansion i/(sqrt(pi) y) (1 + 1/(2 y^2)), valid for |y| >= 2, Im y > 0.
-    A w that is not finite (deep below the real axis) is a DomainError.
+def faddeeva_w(y):
+    """Faddeeva function w(y) = exp(-y^2)(1 + erf(iy)), on a complex or an
+    array.  A w that is not finite (deep below the real axis) is a DomainError.
     """
     import numpy as np
+    from scipy import special
 
     arr = np.asarray(y, dtype=complex)
     a = np.atleast_1d(arr)
-    if mode == "exact":
-        from scipy import special
-
-        out = special.wofz(a)
-    elif mode == "asymptotic":
-        if np.any(np.abs(a) < 2.0):
-            raise DomainError("two-term w expansion requires |y| >= 2")
-        if np.any(a.imag <= 0.0):
-            raise DomainError("w expansion requires Im y > 0")
-        out = (1j / (SQRT_PI * a)) * (W_LARGE_Y[0] + W_LARGE_Y[1] / (a * a))
-    else:
-        raise ValueError("mode must be 'exact' or 'asymptotic'")
-    return _finite_w(out, a, arr.shape, "w")
+    return _finite_w(special.wofz(a), a, arr.shape, "w")
 
 
 def faddeeva_w_prime(y):

@@ -25,7 +25,6 @@ from .box_gas import (
     ground_state_size,
     out_of_float_range,
     tail_terms,
-    tc_trap,
     thermal_response,
 )
 from .errors import DomainError
@@ -53,6 +52,8 @@ class PinholeSpec:
     def __post_init__(self):
         if self.radius_mode not in ("fixed", "thermal"):
             raise ValueError("radius_mode must be 'fixed' or 'thermal', got %r" % self.radius_mode)
+        if self.radius_mode == "thermal" and self.radius_m is not None:
+            raise ValueError("a thermal pinhole takes its radius from T, got radius_m = %r" % self.radius_m)
         if self.radius_mode == "fixed" and not (self.radius_m is not None and self.radius_m > 0.0):
             raise DomainError("fixed pinhole requires radius_m > 0")
         if not self.path_half_length_m > 0.0:
@@ -81,23 +82,19 @@ def _require_trap(geometry):
         raise ValueError("operation requires a harmonic-trap geometry")
 
 
-def _cloud_size(species, trap, temperature, t_c):
+def cloud_size(state):
+    """Axial cloud size D_z of the trapped gas in the given state:
+    sqrt(2 K_B T / m nu_z^2) above Tc, and
+    sqrt(2) [ (T/Tc)^3 R_+^2 + (1-(T/Tc)^3) a_0z^2 ]^{1/2} below, with
+    R_+^2 = K_B T/(m nu_z^2) so the two branches meet at Tc."""
+    _require_trap(state.geometry)
+    species, trap, temperature, t_c = state.species, state.geometry, state.temperature_k, state.t_c_k
     r_plus_sq = KB_J_PER_K * temperature / (species.mass_kg * trap.nu_z_rad_s**2)
     if temperature >= t_c:
         return math.sqrt(2.0 * r_plus_sq)
     theta3 = (temperature / t_c) ** 3
     a0z = ground_state_size(species, trap.nu_z_rad_s)
     return math.sqrt(2.0 * (theta3 * r_plus_sq + (1.0 - theta3) * a0z**2))
-
-
-def cloud_size(config, temperature):
-    """Axial cloud size D_z: sqrt(2 K_B T / m nu_z^2) above Tc, and
-    sqrt(2) [ (T/Tc)^3 R_+^2 + (1-(T/Tc)^3) a_0z^2 ]^{1/2} below, with
-    R_+^2 = K_B T/(m nu_z^2) so the two branches meet at Tc."""
-    _require_trap(config.geometry)
-    if temperature < 0.0:
-        raise DomainError("temperature must be nonnegative, got %r" % temperature)
-    return _cloud_size(config.species, config.geometry, temperature, tc_trap(config.species, config.geometry))
 
 
 def _excess(chi, dchi, omega):
@@ -112,14 +109,7 @@ def trap_response(state, fields, r=0.0, mode="exact"):
     g_{5/2} A^2/(2 zeta^2) + ...] (mode "asymptotic" stops at A^2), plus the
     condensate term below Tc."""
     _require_trap(state.geometry)
-    if r < 0.0:
-        raise DomainError("radial position must be nonnegative, got %r" % r)
     return GasResponse(state, fields, r, mode=mode)(fields.detuning_g0_rad_s)
-
-
-def chi_trap_local(config, temperature, r):
-    """Susceptibility in the plane z = 0 at radial distance r (see trap_response)."""
-    return trap_response(gas_state(config, temperature), config.fields, r)
 
 
 @lru_cache(maxsize=None)
@@ -221,8 +211,9 @@ def _infinite_path_delay(response, zv, fugacity_value, section, condensate_colum
     return delay
 
 
-def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
-    """Probe delay accumulated along the line of sight at radius r (s).
+def delay_at_radius(state, fields, r, path_half_length_m=math.inf):
+    """Probe delay accumulated along the line of sight at radius r (s) in
+    the given state.
 
     Infinite path: the Doppler kernel at p = 1/2 (the z integral multiplies
     term l by l^-1/2) of y_r = f e^{-beta m nu_r^2 r^2/2}, to first order
@@ -232,30 +223,23 @@ def delay_at_radius(config, temperature, r, path_half_length_m=math.inf):
     Gauss-Legendre panels (see _z_panels and _excess_inverse_speed); the L/c
     vacuum term is subtracted by construction.
     """
-    _require_trap(config.geometry)
-    if r < 0.0:
-        raise DomainError("radial position must be nonnegative, got %r" % r)
-    if not math.isinf(path_half_length_m) and not path_half_length_m > 0.0:
+    _require_trap(state.geometry)
+    if not path_half_length_m > 0.0:
         raise DomainError("path_half_length_m must be positive")
-    state = gas_state(config, temperature)
-    response = GasResponse(state, config.fields)
-    zv = response.zeta_at(config.fields.detuning_g0_rad_s)
+    response = GasResponse(state, fields, r)
+    zv = response.zeta_at(fields.detuning_g0_rad_s)
     if not math.isinf(path_half_length_m):
         import numpy as np
 
         return float(_finite_path_delays(response, zv, np.array([r]), path_half_length_m)[0])
     trap = state.geometry
-    y_r = 0.0
-    if temperature > 0.0:
-        beta = _beta(temperature)
-        y_r = state.fugacity.value * math.exp(-0.5 * beta * state.species.mass_kg * trap.nu_r_rad_s**2 * r**2)
     column = 0.0
     if state.condensate_fraction > 0.0:
         a0r = ground_state_size(state.species, trap.nu_r_rad_s)
         column = trap.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
-    delay = _infinite_path_delay(response, zv, y_r, 0.0, column)
+    delay = _infinite_path_delay(response, zv, response.fugacity_value, 0.0, column)
     if not math.isfinite(delay):
-        raise DomainError("the delay at r = %.3g m is %r at T = %.3g K" % (r, delay, temperature))
+        raise DomainError("the delay at r = %.3g m is %r at T = %.3g K" % (r, delay, state.temperature_k))
     return delay
 
 
@@ -326,7 +310,7 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=No
             column = trap.atom_count * state.condensate_fraction * section
         delay = _infinite_path_delay(response, zv, state.fugacity.value, exponent, column)
 
-    d_z = _cloud_size(species, trap, temperature, state.t_c_k)
+    d_z = cloud_size(state)
     # a negative delay is anomalous dispersion and comes back as v_g < 0
     if not (math.isfinite(delay) and (delay < 0.0 or d_z < C_M_S * delay)):
         raise DomainError(
@@ -342,10 +326,10 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=No
 
 
 def mean_delay(config, temperature, pinhole, fc_mode="paper"):
-    """Pinhole-averaged delay at the given temperature (see trap_mean_delay)."""
+    """Pinhole-averaged delay at the given temperature (see trap_mean_delay).
+
+    The one (config, temperature) convenience of the library, which solves
+    the gas state and calls trap_mean_delay: it is the short form of the
+    README's quick start and the library call the benchmark times.  Every
+    other response takes a GasState from gas_state."""
     return trap_mean_delay(gas_state(config, temperature), config.fields, pinhole, fc_mode=fc_mode)
-
-
-def vg_trap(config, temperature, pinhole, fc_mode="paper"):
-    """Experimental group velocity v_g = D_z / <Delta t> (m/s)."""
-    return mean_delay(config, temperature, pinhole, fc_mode=fc_mode).group_velocity_m_s

@@ -13,12 +13,11 @@ from scipy.special import wofz
 
 from slowlight import (
     C_M_S,
-    chi_box_asymptotic,
-    chi_box_exact,
-    chi_trap_local,
+    box_response,
     coherence_steady_state,
     dipole_moment_sq,
     faddeeva_w,
+    gas_state,
     group_velocity_from_response,
     hau_group_velocity,
     ideal_t0_density,
@@ -30,11 +29,10 @@ from slowlight import (
     tf_geometry,
     tf_t0_density,
     transparency_limit_response,
-    vg_box,
-    vg_trap,
     ground_state_size,
     PinholeSpec,
 )
+from slowlight.specfun import SQRT_PI, W_LARGE_Y
 
 from _configs import box_config, detuned_config, fixed_pinhole, temperature_for_doppler_a, trap_config
 from _oracles import (
@@ -110,7 +108,7 @@ def test_criterion_4_group_velocity_temperature_slope():
     thetas = np.linspace(1.2, 3.0, 7)
     slopes = {}
     for label, pinhole in (("fixed", PINHOLE), ("thermal", PinholeSpec(radius_mode="thermal"))):
-        velocities = [vg_trap(TRAP, theta * TC_TRAP, pinhole) for theta in thetas]
+        velocities = [mean_delay(TRAP, theta * TC_TRAP, pinhole).group_velocity_m_s for theta in thetas]
         slopes[label] = np.polyfit(np.log(thetas), np.log(velocities), 1)[0]
     ok = all(abs(slope - 1.5) < 0.1 for slope in slopes.values())
     _report(4, "v_g ~ T^1.5 above Tc for both pinholes", ok,
@@ -131,7 +129,8 @@ def test_criterion_5a_coherence_vs_bloch():
         )
         d_g = rng.uniform(-2.0, 2.0) * gamma
         d_r = rng.uniform(-2.0, 2.0) * gamma
-        worst = max(worst, rel(coherence_steady_state(fields, probe, d_g, d_r),
+        at_draw = replace(fields, detuning_g0_rad_s=d_g, detuning_r0_rad_s=d_r)
+        worst = max(worst, rel(coherence_steady_state(at_draw, probe),
                                bloch_steady_oracle(fields, probe, d_g, d_r).rho_eg))
     _report("5a", "linear coherence vs density-matrix oracle, 100 draws", worst < 1e-10,
             "worst relative difference %.3g, tolerance 1e-10" % worst)
@@ -140,7 +139,7 @@ def test_criterion_5a_coherence_vs_bloch():
 def test_criterion_5b_box_series_vs_quadrature():
     worst = 0.0
     for theta in (0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0):
-        resp = chi_box_exact(BOX, theta * TC_BOX)
+        resp = box_response(gas_state(BOX, theta * TC_BOX), BOX.fields)
         chi_q, dchi_q = chi_box_by_quadrature(BOX, theta * TC_BOX)
         worst = max(worst, rel(resp.chi, chi_q), rel(resp.dchi_domega, dchi_q))
     _report("5b", "box Doppler series vs direct quadrature, 10 temperatures", worst < 1e-8,
@@ -165,7 +164,9 @@ def test_criterion_5d_asymptotic_vs_exact():
     worst_ratio = 0.0
     for a_param in (0.05, 0.1, 0.18):
         t = temperature_for_doppler_a(config, a_param)
-        difference = rel(chi_box_asymptotic(config, t).chi, chi_box_exact(config, t).chi)
+        state = gas_state(config, t)
+        difference = rel(box_response(state, config.fields, mode="asymptotic").chi,
+                         box_response(state, config.fields).chi)
         worst_ratio = max(worst_ratio, difference / (10.0 * a_param**4))
     _report("5d", "first Doppler correction truncates at order (A/|zeta|)^4", worst_ratio < 1.0,
             "worst difference / bound = %.3g (bound 10 (A/|zeta|)^4)" % worst_ratio)
@@ -180,14 +181,13 @@ def test_criterion_6_special_functions():
     )
     rng = np.random.default_rng(17)
     points = rng.uniform(-8.0, 8.0, 100) + 1j * rng.uniform(0.05, 3.0, 100)
-    faddeeva_error = max(rel(faddeeva_w(y, mode="exact"), faddeeva_by_quadrature(y)) for y in points)
+    faddeeva_error = max(rel(faddeeva_w(y), faddeeva_by_quadrature(y)) for y in points)
     radii = (10.0, 12.0, 30.0)
     angles = np.linspace(0.02 * math.pi, 0.98 * math.pi, 25)
-    asymptotic_error = max(
-        rel(faddeeva_w(r * complex(math.cos(t), math.sin(t)), mode="asymptotic"),
-            wofz(r * complex(math.cos(t), math.sin(t))))
-        for r in radii for t in angles
-    )
+    # the two-term large-|y| expansion i/(sqrt(pi) y) (c_0 + c_1/y^2) of the shipped coefficients
+    c_0, c_1 = W_LARGE_Y[:2]
+    two_term = [r * complex(math.cos(t), math.sin(t)) for r in radii for t in angles]
+    asymptotic_error = max(rel((1j / (SQRT_PI * y)) * (c_0 + c_1 / (y * y)), wofz(y)) for y in two_term)
     ok = polylog_error < 5e-7 and faddeeva_error < 1e-10 and asymptotic_error < 1e-4
     _report(6, "polylog and Faddeeva against independent oracles", ok,
             "polylog %.3g (5e-7), faddeeva exact %.3g (1e-10), asymptotic %.3g (1e-4)"
@@ -212,8 +212,8 @@ def test_criterion_8_physical_invariants():
     problems = []
     # continuity across the condensation point
     eps = 1e-10
-    below_box = chi_box_exact(BOX, TC_BOX * (1 - eps))
-    above_box = chi_box_exact(BOX, TC_BOX * (1 + eps))
+    below_box = box_response(gas_state(BOX, TC_BOX * (1 - eps)), BOX.fields)
+    above_box = box_response(gas_state(BOX, TC_BOX * (1 + eps)), BOX.fields)
     if rel(below_box.chi, above_box.chi) > 1e-8:
         problems.append("box chi jumps at Tc")
     below = mean_delay(TRAP, TC_TRAP * (1 - eps), PINHOLE)
@@ -231,13 +231,15 @@ def test_criterion_8_physical_invariants():
             detuning_g0_rad_s=rng.uniform(-2.0, 2.0) * gamma,
             detuning_r0_rad_s=rng.uniform(-2.0, 2.0) * gamma,
         )
-        resp = chi_box_exact(replace(BOX, fields=fields), rng.uniform(0.5, 2.5) * TC_BOX)
+        resp = box_response(gas_state(BOX, rng.uniform(0.5, 2.5) * TC_BOX), fields)
         if not resp.chi.imag > 0.0:
             problems.append("Im chi <= 0 at a random detuning")
             break
     # sweeps stay subluminal with positive delays
+    omega = probe_omega(BOX.species)
     for theta in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0):
-        if not 0.0 < vg_box(BOX, theta * TC_BOX) < C_M_S:
+        v_g = group_velocity_from_response(box_response(gas_state(BOX, theta * TC_BOX), BOX.fields), omega)
+        if not 0.0 < v_g < C_M_S:
             problems.append("box v_g outside (0, c) at theta=%g" % theta)
     for theta in (0.5, 0.8, 1.2, 2.0, 3.0):
         result = mean_delay(TRAP, theta * TC_TRAP, PINHOLE)
@@ -248,7 +250,8 @@ def test_criterion_8_physical_invariants():
     # stronger coupling is faster at every temperature
     strong = replace(TRAP, fields=replace(TRAP.fields, omega_coupling_rad_s=1.2 * gamma))
     for theta in np.linspace(1.2, 3.0, 7):
-        if not vg_trap(strong, theta * TC_TRAP, PINHOLE) > vg_trap(TRAP, theta * TC_TRAP, PINHOLE):
+        faster = mean_delay(strong, theta * TC_TRAP, PINHOLE).group_velocity_m_s
+        if not faster > mean_delay(TRAP, theta * TC_TRAP, PINHOLE).group_velocity_m_s:
             problems.append("coupling ordering violated at theta=%g" % theta)
     _report(8, "continuity, passivity, subluminal sweeps, coupling ordering", not problems,
             "no violations" if not problems else "; ".join(problems))

@@ -17,16 +17,16 @@ from slowlight import (
     Box,
     DomainError,
     SeriesCapError,
+    box_response,
     chi0,
-    chi_box_asymptotic,
-    chi_box_exact,
     doppler_width_param,
     faddeeva_w_prime,
     gas_state,
+    group_velocity_from_response,
+    probe_omega,
     recoil_frequency,
     tc_box,
     thermal_response_series,
-    vg_box,
     zeta,
 )
 from slowlight.cli import main
@@ -40,6 +40,7 @@ SPECIES = CONFIG.species
 FIELDS = CONFIG.fields
 DENSITY = CONFIG.geometry.number_density_per_m3
 TC = tc_box(SPECIES, DENSITY)
+OMEGA = probe_omega(SPECIES)
 
 
 def rel(a, b):
@@ -87,14 +88,32 @@ def test_box_thermo_below_tc():
 def test_box_thermo_errors():
     with pytest.raises(DomainError, match="temperature must be nonnegative"):
         gas_state(CONFIG, -1e-9)
+    trap = trap_config()
     with pytest.raises(ValueError, match="requires a box geometry"):
-        chi_box_exact(trap_config(), 1e-7)
+        box_response(gas_state(trap, 1e-7), trap.fields)
+
+
+def test_gas_state_refuses_a_non_finite_temperature(tmp_path, capsys):
+    # T = inf would reach the responses as a nan chi, and T = nan would be
+    # blamed on t_over_tc; both are refused by name in either geometry
+    for config in (CONFIG, trap_config()):
+        for temperature in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"temperature must be nonnegative and finite, got T = (inf|nan) K"):
+                gas_state(config, temperature)
+    # a sweep whose T = theta Tc overflows meets the same refusal
+    path = tmp_path / "dense.cfg"
+    path.write_text("geometry.kind = box\ngeometry.number_density_per_m3 = 1e300\n")
+    argv = ["sweep", "--config", str(path), "--t-min", "1e307", "--t-max", "1.7e308", "--t-points", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "physics error: at t_over_tc=1e+307 (T=inf K): temperature must be nonnegative and finite, got T = inf K\n"
+    )
 
 
 def test_chi_box_exact_matches_quadrature():
     worst = 0.0
     for theta in (0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0):
-        resp = chi_box_exact(CONFIG, theta * TC)
+        resp = box_response(gas_state(CONFIG, theta * TC), CONFIG.fields)
         chi_q, dchi_q = chi_box_by_quadrature(CONFIG, theta * TC)
         worst = max(worst, rel(resp.chi, chi_q), rel(resp.dchi_domega, dchi_q))
     assert worst < 1e-8
@@ -107,7 +126,7 @@ def test_chi_box_detuned_matches_quadrature():
     for config in (detuned_config("box"), detuned_config("box", k_g_per_m=1.5 * FIELDS.k_g_per_m)):
         for a_target in (0.05, 0.18):
             t = temperature_for_doppler_a(config, a_target)
-            resp = chi_box_exact(config, t)
+            resp = box_response(gas_state(config, t), config.fields)
             chi_q, dchi_q = chi_box_by_quadrature(config, t)
             assert rel(resp.chi, chi_q) < 1e-8
             assert rel(resp.dchi_domega, dchi_q) < 1e-8
@@ -135,7 +154,7 @@ def test_chi_box_exact_head_then_tail_matches_quadrature(monkeypatch):
             tails.clear()
             # the kernel caches its tail polylogs; count the tails of this call
             slowlight.box_gas._tail_polylogs.cache_clear()
-            resp = chi_box_exact(config, theta * tc)
+            resp = box_response(gas_state(config, theta * tc), config.fields)
             assert bool(tails) == (scale < 200 or theta < 1.2), (scale, theta)
             assert not tails or min(tails) > 0, (scale, theta)
             if scale >= 200:
@@ -154,7 +173,7 @@ def test_default_box_response_needs_no_faddeeva_terms(monkeypatch, capsys):
         exact = getattr(slowlight.box_gas, name)
         monkeypatch.setattr(slowlight.box_gas, name, lambda y, name=name, exact=exact: calls.append(name) or exact(y))
     for theta in (0.5, 1.0 + 1e-4, 2.0):
-        chi_box_exact(CONFIG, theta * TC)
+        box_response(gas_state(CONFIG, theta * TC), CONFIG.fields)
     assert main(["chi", "--geometry", "box", "--temperature-nk", "200"]) == 0
     capsys.readouterr()
     assert calls == []
@@ -178,7 +197,7 @@ def test_far_detuned_dispersive_limit():
     # probe far below resonance: Re chi -> +n chi_0 Gamma_ge / Delta, tiny absorption
     delta = 100.0 * FIELDS.gamma_ge_rad_s
     far = box_config(omega_coupling_rad_s=0.0, detuning_g0_rad_s=delta)
-    resp = chi_box_exact(far, 1.5 * TC)
+    resp = box_response(gas_state(far, 1.5 * TC), far.fields)
     expected = DENSITY * chi0(SPECIES) * FIELDS.gamma_ge_rad_s / (delta + recoil_frequency(SPECIES, FIELDS))
     assert resp.chi.real > 0.0
     assert rel(resp.chi.real, expected) < 0.02
@@ -186,7 +205,7 @@ def test_far_detuned_dispersive_limit():
 
 
 def test_condensate_response_at_zero_temperature():
-    resp = chi_box_exact(CONFIG, 0.0)
+    resp = box_response(gas_state(CONFIG, 0.0), CONFIG.fields)
     z = zeta(FIELDS, recoil_frequency(SPECIES, FIELDS))
     assert rel(resp.chi, -DENSITY * chi0(SPECIES) / z.value) < 1e-14
     assert rel(resp.dchi_domega, DENSITY * chi0(SPECIES) * z.d_domega / z.value**2) < 1e-14
@@ -197,40 +216,43 @@ def test_asymptotic_matches_exact_when_doppler_small():
     config = detuned_config("box")
     for a_target in (0.05, 0.1, 0.18):
         t = temperature_for_doppler_a(config, a_target)
-        exact = chi_box_exact(config, t)
-        asym = chi_box_asymptotic(config, t)
+        state = gas_state(config, t)
+        exact = box_response(state, config.fields)
+        asym = box_response(state, config.fields, mode="asymptotic")
         difference = rel(asym.chi, exact.chi)
         assert difference < 10.0 * a_target**4
         # the truncation error is real: the two routes must not collapse
         assert difference > 1e-3 * a_target**4
     for theta in (1.2, 2.0, 3.0):
-        exact = chi_box_exact(CONFIG, theta * TC)
-        asym = chi_box_asymptotic(CONFIG, theta * TC)
+        state = gas_state(CONFIG, theta * TC)
+        exact = box_response(state, FIELDS)
+        asym = box_response(state, FIELDS, mode="asymptotic")
         assert rel(asym.chi, exact.chi) < 1e-3
         assert rel(asym.dchi_domega, exact.dchi_domega) < 1e-3
 
 
 def test_asymptotic_domain_guard():
     config = detuned_config("box")
+    state = gas_state(config, temperature_for_doppler_a(config, 0.25))
     with pytest.raises(DomainError, match="asymptotic expansion requires"):
-        chi_box_asymptotic(config, temperature_for_doppler_a(config, 0.25))
+        box_response(state, config.fields, mode="asymptotic")
 
 
 def test_chi_box_exact_at_vanishing_doppler_width_is_a_domain_error():
     # K_B T underflows, so A = 0 and the series prefactor divides by zero
     with pytest.raises(DomainError, match=r"thermal prefactor .* at T = 1e-307 K"):
-        chi_box_exact(CONFIG, 1e-307)
+        box_response(gas_state(CONFIG, 1e-307), CONFIG.fields)
 
 
 def test_chi_box_exact_at_overflowing_temperature_is_a_domain_error():
     with pytest.raises(DomainError, match=r"chi = .* is not finite at T = 1e\+290 K"):
-        chi_box_exact(CONFIG, 1e290)
+        box_response(gas_state(CONFIG, 1e290), CONFIG.fields)
 
 
 def test_chi_continuous_at_tc():
     eps = 1e-11
-    below = chi_box_exact(CONFIG, TC * (1.0 - eps))
-    above = chi_box_exact(CONFIG, TC * (1.0 + eps))
+    below = box_response(gas_state(CONFIG, TC * (1.0 - eps)), CONFIG.fields)
+    above = box_response(gas_state(CONFIG, TC * (1.0 + eps)), CONFIG.fields)
     assert rel(below.chi, above.chi) < 1e-10
     assert rel(below.dchi_domega, above.dchi_domega) < 1e-10
 
@@ -242,20 +264,28 @@ def test_doppler_series_cap():
 
 def test_vg_box_dilute_limit():
     dilute = replace(CONFIG, geometry=Box(number_density_per_m3=1.0))
-    v = vg_box(dilute, 2.0 * tc_box(SPECIES, 1.0))
+    v = group_velocity_from_response(box_response(gas_state(dilute, 2.0 * tc_box(SPECIES, 1.0)), FIELDS), OMEGA)
     assert 1.0 - 1e-9 < v / C_M_S < 1.0
 
 
 def test_vg_box_default_sweep():
-    values = [vg_box(CONFIG, theta * TC) for theta in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0)]
+    values = [
+        group_velocity_from_response(box_response(gas_state(CONFIG, theta * TC), FIELDS), OMEGA)
+        for theta in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0)
+    ]
     assert all(0.0 < v < C_M_S for v in values)
     # total density is fixed in a box, so the group velocity barely moves with T
-    flat = [vg_box(CONFIG, theta * TC) for theta in (0.5, 1.0, 1.5, 2.0)]
+    flat = [
+        group_velocity_from_response(box_response(gas_state(CONFIG, theta * TC), FIELDS), OMEGA)
+        for theta in (0.5, 1.0, 1.5, 2.0)
+    ]
     assert (max(flat) - min(flat)) / min(flat) < 0.05
 
 
 def test_vg_box_modes():
-    t = 1.5 * TC
-    assert rel(vg_box(CONFIG, t, mode="asymptotic"), vg_box(CONFIG, t, mode="exact")) < 1e-3
+    state = gas_state(CONFIG, 1.5 * TC)
+    asymptotic = group_velocity_from_response(box_response(state, FIELDS, mode="asymptotic"), OMEGA)
+    exact = group_velocity_from_response(box_response(state, FIELDS, mode="exact"), OMEGA)
+    assert rel(asymptotic, exact) < 1e-3
     with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
-        vg_box(CONFIG, t, mode="bogus")
+        box_response(state, FIELDS, mode="bogus")

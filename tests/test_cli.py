@@ -454,7 +454,8 @@ config = slowlight.load_config(slowlight.cli.DEFAULT_CONFIG_TEXT)
 t_c = slowlight.tc_trap(config.species, config.geometry)
 finite = slowlight.PinholeSpec(radius_mode="fixed", radius_m=15e-6, path_half_length_m=1e-3)
 values = [slowlight.mean_delay(config, theta * t_c, finite).mean_delay_s for theta in (0.6, 1.4)]
-values.append(slowlight.delay_at_radius(config, 1.4 * t_c, 5e-6, path_half_length_m=1e-3))
+state = slowlight.gas_state(config, 1.4 * t_c)
+values.append(slowlight.delay_at_radius(state, config.fields, 5e-6, path_half_length_m=1e-3))
 values.extend(slowlight.thermal_response_series(0.5, 3.0 + 1.0j, 1.0))
 result = json.dumps([status, out.getvalue()] + [repr(value) for value in values])
 """

@@ -40,6 +40,11 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def detuned(fields, d_g, d_r):
+    """The fields at the probe and coupling detunings d_g, d_r (rad/s)."""
+    return replace(fields, detuning_g0_rad_s=d_g, detuning_r0_rad_s=d_r)
+
+
 def _draw_fields(rng, omega_lo=0.1):
     return replace(
         FIELDS,
@@ -113,7 +118,7 @@ def test_coherence_matches_bloch_steady_state():
         fields = _draw_fields(rng, omega_lo=0.2)
         d_g = rng.uniform(-2.0, 2.0) * GAMMA
         d_r = rng.uniform(-2.0, 2.0) * GAMMA
-        analytic = coherence_steady_state(fields, probe, d_g, d_r)
+        analytic = coherence_steady_state(detuned(fields, d_g, d_r), probe)
         oracle = bloch_steady_oracle(fields, probe, d_g, d_r).rho_eg
         worst = max(worst, rel(analytic, oracle))
     assert worst < 1e-10
@@ -129,7 +134,7 @@ def test_coherence_does_not_depend_on_gamma_re():
         fields = _draw_fields(rng, omega_lo=0.2)
         d_g = rng.uniform(-2.0, 2.0) * GAMMA
         d_r = rng.uniform(-2.0, 2.0) * GAMMA
-        analytic = coherence_steady_state(fields, probe, d_g, d_r)
+        analytic = coherence_steady_state(detuned(fields, d_g, d_r), probe)
         for gamma_re in (GAMMA / 4.0, 1.5 * GAMMA):
             oracle = bloch_steady_oracle(fields, probe, d_g, d_r, gamma_re=gamma_re).rho_eg
             worst = max(worst, rel(analytic, oracle))
@@ -138,8 +143,9 @@ def test_coherence_does_not_depend_on_gamma_re():
 
 def test_coherence_linear_in_probe():
     probe = 1e-6 * GAMMA
-    one = coherence_steady_state(FIELDS, probe, 0.1 * GAMMA, -0.2 * GAMMA)
-    two = coherence_steady_state(FIELDS, 2.0 * probe, 0.1 * GAMMA, -0.2 * GAMMA)
+    fields = detuned(FIELDS, 0.1 * GAMMA, -0.2 * GAMMA)
+    one = coherence_steady_state(fields, probe)
+    two = coherence_steady_state(fields, 2.0 * probe)
     assert rel(two, 2.0 * one) < 1e-14
 
 
@@ -150,7 +156,7 @@ def test_bloch_richardson_extrapolation_hits_linear_response():
     r_1 = bloch_steady_oracle(FIELDS, g_1, d_g, d_r).rho_eg / g_1
     r_2 = bloch_steady_oracle(FIELDS, g_1 / 2.0, d_g, d_r).rho_eg / (g_1 / 2.0)
     extrapolated = (4.0 * r_2 - r_1) / 3.0
-    c_0 = coherence_steady_state(FIELDS, 1.0, d_g, d_r)
+    c_0 = coherence_steady_state(detuned(FIELDS, d_g, d_r), 1.0)
     assert rel(extrapolated, c_0) < 1e-12
 
 
@@ -172,10 +178,10 @@ def test_bloch_steady_state_is_physical():
 
 def test_coherence_warns_for_strong_probe():
     with pytest.warns(ValidityWarning, match="linear response"):
-        coherence_steady_state(FIELDS, 0.5 * FIELDS.omega_coupling_rad_s, 0.0, 0.0)
+        coherence_steady_state(detuned(FIELDS, 0.0, 0.0), 0.5 * FIELDS.omega_coupling_rad_s)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coherence_steady_state(FIELDS, 1e-8 * GAMMA, 0.0, 0.0)
+        coherence_steady_state(detuned(FIELDS, 0.0, 0.0), 1e-8 * GAMMA)
 
 
 def test_transparency_limit_matches_hau_formula():

@@ -1,6 +1,12 @@
 """The public namespace: ``slowlight.__all__`` lists what the package exports."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import slowlight
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_public_names_are_sorted_unique_and_resolve():
@@ -17,3 +23,46 @@ def test_test_oracles_are_not_exported():
         assert name not in slowlight.__all__
         assert not hasattr(slowlight, name)
         assert not hasattr(slowlight.eit_core, name)
+
+
+def _slowlight_chains(tree):
+    """Every attribute chain rooted at the name slowlight in the tree, dotted."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "slowlight":
+            chains.add(".".join(["slowlight"] + parts[::-1]))
+    return chains
+
+
+def _resolve(chain):
+    """Follow a dotted chain from slowlight, importing a submodule that no
+    attribute holds yet."""
+    parts = chain.split(".")
+    value = slowlight
+    for i, part in enumerate(parts[1:], 2):
+        if not hasattr(value, part):
+            importlib.import_module(".".join(parts[:i]))
+        value = getattr(value, part)
+    return value
+
+
+def test_benchmark_names_resolve():
+    # the benchmark calls the package by attribute (slowlight.mean_delay,
+    # slowlight.cli.DEFAULT_CONFIG_TEXT, ...); each name it uses must exist
+    chains = {
+        (path.name, chain)
+        for path in BENCH.glob("*.py")
+        for chain in _slowlight_chains(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert chains
+    missing = []
+    for name, chain in sorted(chains):
+        try:
+            _resolve(chain)
+        except (AttributeError, ImportError):
+            missing.append("%s: %s" % (name, chain))
+    assert not missing, missing

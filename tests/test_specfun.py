@@ -310,26 +310,11 @@ def test_faddeeva_exact_vs_quadrature_oracle():
     worst = 0.0
     for y in ys:
         y = complex(y)
-        worst = max(worst, rel(faddeeva_w(y, mode="exact"), faddeeva_by_quadrature(y)))
+        worst = max(worst, rel(faddeeva_w(y), faddeeva_by_quadrature(y)))
     assert worst < 1e-10
 
 
-def test_faddeeva_asymptotic_branch_accuracy():
-    # two-term expansion: next term is 3/(4 y^4) relative, 7.5e-5 at |y| = 10
-    angles = np.linspace(0.02 * math.pi, 0.98 * math.pi, 25)
-    for radius in (10.0, 12.0, 30.0):
-        for phi in angles:
-            y = radius * complex(math.cos(phi), math.sin(phi))
-            assert rel(faddeeva_w(y, mode="asymptotic"), wofz(y)) < 1e-4
-
-
-def test_faddeeva_mode_and_domain_errors():
-    with pytest.raises(ValueError, match="mode"):
-        faddeeva_w(1j, mode="pade")
-    with pytest.raises(DomainError, match=r"\|y\| >= 2"):
-        faddeeva_w(0.5j, mode="asymptotic")
-    with pytest.raises(DomainError, match="Im y > 0"):
-        faddeeva_w(5.0 - 0.1j, mode="asymptotic")
+def test_faddeeva_domain_errors():
     # deep below the real axis w grows as exp(-y^2) and overflows
     with pytest.raises(DomainError, match="w is not finite"):
         faddeeva_w(-50j)
@@ -351,7 +336,7 @@ def test_faddeeva_prime_matches_finite_differences():
     # 35 e^(-i pi/4) lies beyond |y| = 35 but below the real axis, where the
     # large-|y| expansion does not hold
     for y in (0.5 + 0.8j, -3.0 + 0.2j, 2.0 + 5.0j, 40.0j, 25.0 + 30.0j, cmath.rect(35.0, -math.pi / 4)):
-        fd = (faddeeva_w(y + step, mode="exact") - faddeeva_w(y - step, mode="exact")) / (2.0 * step)
+        fd = (faddeeva_w(y + step) - faddeeva_w(y - step)) / (2.0 * step)
         assert rel(faddeeva_w_prime(y), fd) < 1e-6
 
 

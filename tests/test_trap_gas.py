@@ -19,7 +19,6 @@ from slowlight import (
     PinholeSpec,
     ValidityWarning,
     chi0,
-    chi_trap_local,
     cloud_size,
     delay_at_radius,
     gas_state,
@@ -29,7 +28,7 @@ from slowlight import (
     recoil_frequency,
     tc_trap,
     thermal_radius,
-    vg_trap,
+    trap_response,
     zeta,
 )
 from slowlight import trap_gas
@@ -108,19 +107,21 @@ def test_trap_thermo_semiclassical_warning():
 
 def test_cloud_size_branches():
     a0z = ground_state_size(SPECIES, TRAP.nu_z_rad_s)
-    assert rel(cloud_size(CONFIG, 0.0), math.sqrt(2.0) * a0z) < 1e-15
+    assert rel(cloud_size(gas_state(CONFIG, 0.0)), math.sqrt(2.0) * a0z) < 1e-15
     t = 432e-9
     above = math.sqrt(2.0 * KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))
-    assert rel(cloud_size(CONFIG, t), above) < 1e-15
+    assert rel(cloud_size(gas_state(CONFIG, t)), above) < 1e-15
     assert rel(above, 140.7e-6) < 1e-3
     eps = 1e-12
-    assert rel(cloud_size(CONFIG, TC * (1.0 - eps)), cloud_size(CONFIG, TC * (1.0 + eps))) < 1e-10
-    sizes = [cloud_size(CONFIG, theta * TC) for theta in (0.0, 0.3, 0.7, 1.0, 1.5, 2.0)]
+    just_below = cloud_size(gas_state(CONFIG, TC * (1.0 - eps)))
+    just_above = cloud_size(gas_state(CONFIG, TC * (1.0 + eps)))
+    assert rel(just_below, just_above) < 1e-10
+    sizes = [cloud_size(gas_state(CONFIG, theta * TC)) for theta in (0.0, 0.3, 0.7, 1.0, 1.5, 2.0)]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
     with pytest.raises(DomainError):
-        cloud_size(CONFIG, -1e-9)
+        cloud_size(gas_state(CONFIG, -1e-9))
     with pytest.raises(ValueError, match="requires a harmonic-trap geometry"):
-        cloud_size(box_config(), 1e-7)
+        cloud_size(gas_state(box_config(), 1e-7))
 
 
 def test_pinhole_validation():
@@ -128,6 +129,9 @@ def test_pinhole_validation():
         PinholeSpec(radius_mode="square", radius_m=1e-5)
     with pytest.raises(DomainError, match="fixed pinhole requires radius_m > 0"):
         PinholeSpec(radius_mode="fixed", radius_m=0.0)
+    # a thermal pinhole's radius comes from T, so a given radius would change nothing
+    with pytest.raises(ValueError, match=r"thermal pinhole takes its radius from T, got radius_m = 1e-05"):
+        PinholeSpec(radius_mode="thermal", radius_m=1e-5)
     with pytest.raises(DomainError, match="path_half_length_m must be positive"):
         PinholeSpec(radius_mode="fixed", radius_m=1e-5, path_half_length_m=0.0)
     with pytest.raises(DomainError, match="thermal pinhole radius undefined"):
@@ -152,7 +156,7 @@ def test_chi_trap_local_matches_point_quadrature():
         (SLOW, 1.5 * TC, 0.0),
     )
     for config, t, r in cases:
-        resp = chi_trap_local(config, t, r)
+        resp = trap_response(gas_state(config, t), config.fields, r)
         chi_q, dchi_q = chi_trap_point_by_quadrature(config, t, r)
         assert rel(resp.chi, chi_q) < 1e-8
         assert rel(resp.dchi_domega, dchi_q) < 1e-8
@@ -160,19 +164,34 @@ def test_chi_trap_local_matches_point_quadrature():
 
 def test_chi_trap_local_edges():
     # the gas is gone a meter from the axis
-    far = chi_trap_local(CONFIG, 1.5 * TC, 1.0)
+    state = gas_state(CONFIG, 1.5 * TC)
+    far = trap_response(state, CONFIG.fields, 1.0)
     assert far.chi == 0j
     assert far.dchi_domega == 0j
-    with pytest.raises(DomainError, match="radial position must be nonnegative"):
-        chi_trap_local(CONFIG, 1.5 * TC, -1e-6)
+    # the evaluator itself refuses a negative or nan radius, which would
+    # otherwise give chi = 0 or a polylog domain error
+    for r in (-1e-6, -1.0, math.nan):
+        with pytest.raises(DomainError, match="radial position must be nonnegative"):
+            trap_response(state, CONFIG.fields, r)
+        with pytest.raises(DomainError, match="radial position must be nonnegative"):
+            GasResponse(state, CONFIG.fields, r)
+    # r^2 overflows a float beyond about 1e154 m: a typed error, not an OverflowError
+    for call in (
+        lambda: trap_response(state, CONFIG.fields, 1e200),
+        lambda: delay_at_radius(state, CONFIG.fields, 1e200),
+        lambda: delay_at_radius(state, CONFIG.fields, 1e200, path_half_length_m=1e-3),
+    ):
+        with pytest.raises(DomainError, match=r"local density at r = 1e\+200 m, z = 0 m leaves the floating"):
+            call()
+    box = box_config()
     with pytest.raises(ValueError, match="requires a harmonic-trap geometry"):
-        chi_trap_local(box_config(), 1.5 * TC, 0.0)
+        trap_response(gas_state(box, 1.5 * TC), box.fields, 0.0)
 
 
 def test_chi_trap_local_with_overflowing_coupling_is_a_domain_error():
     config = trap_config(omega_coupling_rad_s=1e210)
     with pytest.raises(DomainError, match=r"zeta leaves the floating-point range at T = 1\.5e-07 K"):
-        chi_trap_local(config, 1.5e-7, 0.0)
+        trap_response(gas_state(config, 1.5e-7), config.fields, 0.0)
 
 
 def test_gas_state_far_above_tc_has_no_condensate():
@@ -182,20 +201,21 @@ def test_gas_state_far_above_tc_has_no_condensate():
 
 
 def test_delay_at_radius():
-    t = 2.0 * TC
-    d_z = cloud_size(CONFIG, t)
+    state = gas_state(CONFIG, 2.0 * TC)
+    fields = CONFIG.fields
+    d_z = cloud_size(state)
     for r in (0.0, 10e-6):
-        full = delay_at_radius(CONFIG, t, r)
-        clipped = delay_at_radius(CONFIG, t, r, path_half_length_m=8.0 * d_z)
+        full = delay_at_radius(state, fields, r)
+        clipped = delay_at_radius(state, fields, r, path_half_length_m=8.0 * d_z)
         assert rel(clipped, full) < 1e-6
     radii = (0.0, 10e-6, 30e-6, 60e-6)
-    delays = [delay_at_radius(CONFIG, t, r) for r in radii]
+    delays = [delay_at_radius(state, fields, r) for r in radii]
     assert all(a > b for a, b in zip(delays, delays[1:]))
-    assert delay_at_radius(CONFIG, t, 1.0) == 0.0
+    assert delay_at_radius(state, fields, 1.0) == 0.0
     with pytest.raises(DomainError, match="radial position must be nonnegative"):
-        delay_at_radius(CONFIG, t, -1e-6)
+        delay_at_radius(state, fields, -1e-6)
     with pytest.raises(DomainError, match="path_half_length_m must be positive"):
-        delay_at_radius(CONFIG, t, 0.0, path_half_length_m=-1.0)
+        delay_at_radius(state, fields, 0.0, path_half_length_m=-1.0)
 
 
 @pytest.mark.parametrize("temperature", [5e-324, 1e-310, 1e-300, 1e300])
@@ -204,17 +224,16 @@ def test_extreme_temperatures_give_finite_values_or_physics_errors(temperature):
     # every error says so; at 1e300 K the Doppler kernel is nan
     finite_path = PinholeSpec(radius_mode="fixed", radius_m=15e-6, path_half_length_m=1e-3)
     pinholes = (PINHOLE, PinholeSpec(radius_mode="thermal"), finite_path)
+    fields = CONFIG.fields
     calls = [
-        lambda: chi_trap_local(CONFIG, temperature, 0.0),
-        lambda: trap_gas.trap_response(gas_state(CONFIG, temperature), CONFIG.fields),
-        lambda: delay_at_radius(CONFIG, temperature, 0.0),
-        lambda: delay_at_radius(CONFIG, temperature, 0.0, path_half_length_m=1e-3),
-        lambda: cloud_size(CONFIG, temperature),
+        lambda: trap_response(gas_state(CONFIG, temperature), fields, 0.0),
+        lambda: delay_at_radius(gas_state(CONFIG, temperature), fields, 0.0),
+        lambda: delay_at_radius(gas_state(CONFIG, temperature), fields, 0.0, path_half_length_m=1e-3),
+        lambda: cloud_size(gas_state(CONFIG, temperature)),
         lambda: thermal_radius(SPECIES, TRAP, temperature),
     ]
     for pinhole in pinholes:
         calls.append(lambda pinhole=pinhole: mean_delay(CONFIG, temperature, pinhole))
-        calls.append(lambda pinhole=pinhole: vg_trap(CONFIG, temperature, pinhole))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         for call in calls:
@@ -283,7 +302,7 @@ def test_expansion_only_paths_refuse_small_zeta_over_a():
         with pytest.raises(DomainError, match=r"needs \|zeta/A\| >= 10, got \|zeta/A\| = %s" % ratio):
             mean_delay(config, t, finite)
         with pytest.raises(DomainError, match=r"needs \|zeta/A\| >= 10"):
-            delay_at_radius(config, t, 0.0, path_half_length_m=1e-3)
+            delay_at_radius(gas_state(config, t), config.fields, 0.0, path_half_length_m=1e-3)
         # the infinite path keeps the exact head and stays on the oracle
         assert rel(mean_delay(config, t, PINHOLE).mean_delay_s, mean_delay_by_quadrature(config, t, PINHOLE.radius_m)) < 1e-6
     config = detuned_config("trap", k_g_per_m=60.0 * CONFIG.fields.k_g_per_m)
@@ -364,11 +383,10 @@ def test_delay_result_fields():
     for theta, branch in ((2.0, "above"), (0.5, "below")):
         result = mean_delay(CONFIG, theta * TC, PINHOLE)
         assert result.branch == branch
-        assert result.cloud_size_m == cloud_size(CONFIG, theta * TC)
+        assert result.cloud_size_m == cloud_size(gas_state(CONFIG, theta * TC))
         assert result.group_velocity_m_s == result.cloud_size_m / result.mean_delay_s
         assert result.mean_delay_s > 0.0
         assert result.group_velocity_m_s < C_M_S
-    assert vg_trap(CONFIG, 2.0 * TC, PINHOLE) == mean_delay(CONFIG, 2.0 * TC, PINHOLE).group_velocity_m_s
 
 
 def test_condensate_limit_at_low_temperature():
@@ -405,8 +423,6 @@ def test_section_factor_modes():
     )
     with pytest.raises(ValueError, match="fc_mode must be 'paper' or 'exact'"):
         mean_delay(CONFIG, above, PINHOLE, fc_mode="tf")
-    with pytest.raises(ValueError, match="fc_mode must be 'paper' or 'exact'"):
-        vg_trap(CONFIG, above, PINHOLE, fc_mode="tf")
 
 
 def test_delay_scales_with_coupling_power():
