@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .eit_core import ComplexResponse, zeta
-from .errors import DomainError, SeriesCapError, ValidityWarning
+from .errors import DomainError, SeriesCapError, ValidityWarning, float_range_error, in_float_range
 from .specfun import (
     SQRT_PI,
     W_LARGE_Y,
@@ -40,6 +40,8 @@ from .units_params import (
     AtomSpecies,
     Box,
     chi0,
+    ground_state_size,
+    mean_trap_frequency,
     recoil_frequency,
 )
 
@@ -81,40 +83,25 @@ class GasState:
 
 
 def tc_box(species, number_density):
-    """Condensation temperature Tc = (2 pi hbar^2 / m K_B)(n/g_{3/2}(1))^{2/3}."""
+    """Condensation temperature Tc = (2 pi hbar^2 / m K_B)(n/g_{3/2}(1))^{2/3} (a DomainError beyond the float range)."""
     if not number_density > 0.0:
         raise DomainError("number density must be positive, got %r" % number_density)
-    return (
-        2.0
-        * math.pi
-        * HBAR_J_S**2
-        / (species.mass_kg * KB_J_PER_K)
-        * (number_density / ZETA_3_2) ** (2.0 / 3.0)
-    )
+    m_kb = species.mass_kg * KB_J_PER_K
+    t_c = 2.0 * math.pi * HBAR_J_S**2 / m_kb * (number_density / ZETA_3_2) ** (2.0 / 3.0) if m_kb > 0.0 else math.inf
+    return in_float_range(t_c, "Tc", "m = %.3g kg, n = %.3g m^-3", species.mass_kg, number_density)
 
 
 def tc_trap(species, trap):
     """K_B Tc = hbar nu_bar (N / g_3(1))^{1/3}, nu_bar = (nu_z nu_r^2)^{1/3} (a DomainError beyond the float range)."""
-    try:
-        nu_bar = (trap.nu_z_rad_s * trap.nu_r_rad_s**2) ** (1.0 / 3.0)
-    except OverflowError:
-        nu_bar = math.inf
-    if not 0.0 < nu_bar < math.inf:
-        message = "nu_bar = (nu_z nu_r^2)^{1/3} leaves the floating-point range at nu_r = %.3g, nu_z = %.3g rad/s"
-        raise DomainError(message % (trap.nu_r_rad_s, trap.nu_z_rad_s))
-    return HBAR_J_S * nu_bar * (trap.atom_count / ZETA_3) ** (1.0 / 3.0) / KB_J_PER_K
+    nu_bar = mean_trap_frequency(trap)
+    t_c = HBAR_J_S * nu_bar * (trap.atom_count / ZETA_3) ** (1.0 / 3.0) / KB_J_PER_K
+    return in_float_range(t_c, "Tc", "nu_bar = %.3g rad/s, N = %.3g", nu_bar, trap.atom_count)
 
 
 def doppler_width_param(species, fields, temperature):
     """A = sqrt(2 K_B T / m) k_g / Gamma_ge (thermal Doppler width over linewidth)."""
     speed = math.sqrt(2.0 * KB_J_PER_K * temperature / species.mass_kg)
     return speed * fields.k_g_per_m / fields.gamma_ge_rad_s
-
-
-def out_of_float_range(quantity, temperature, exc):
-    """The DomainError for an overflow, a division by zero or (under
-    np.errstate) an invalid operation exc met while computing the quantity."""
-    return DomainError("%s leaves the floating-point range at T = %.3g K (%s)" % (quantity, temperature, exc))
 
 
 def gas_state(config, temperature):
@@ -246,7 +233,7 @@ def thermal_series_prefactor(species, temperature, a_param):
         )
     except ArithmeticError as exc:
         prefactor = "the thermal prefactor chi0 (2 m K_B T/hbar^2)^{3/2}/(8 pi A)"
-        raise out_of_float_range(prefactor, temperature, exc) from exc
+        raise float_range_error(prefactor, "T = %.3g K" % temperature, exc) from exc
 
 
 def thermal_response(pref, zv, a_param, fugacity_value, power=0.0, section=0.0, mode="exact"):
@@ -263,27 +250,6 @@ def condensate_response(species, zv, density):
     return -x0 * density / zv.value, x0 * density * zv.d_domega / zv.value**2
 
 
-def ground_state_size(species, nu):
-    """Oscillator ground-state size a_0 = sqrt(hbar / m nu)."""
-    return math.sqrt(HBAR_J_S / (species.mass_kg * nu))
-
-
-def _beta(temperature):
-    """beta = 1/(K_B T) at T > 0, or a DomainError where it leaves the float range."""
-    k_t = KB_J_PER_K * temperature
-    beta = 1.0 / k_t if k_t > 0.0 else math.inf
-    if math.isinf(beta):
-        raise out_of_float_range("beta = 1/(K_B T)", temperature, "K_B T = %r J" % k_t)
-    return beta
-
-
-def _condensate_peak(state):
-    """Peak condensate density N_0/(pi^{3/2} a_0r^2 a_0z) of a trap, with a_0r and a_0z."""
-    a0r = ground_state_size(state.species, state.geometry.nu_r_rad_s)
-    a0z = ground_state_size(state.species, state.geometry.nu_z_rad_s)
-    return state.geometry.atom_count * state.condensate_fraction / (math.pi**1.5 * a0r**2 * a0z), a0r, a0z
-
-
 class GasResponse:
     """Susceptibility of a gas state under the fields, in a box or at the point
     (r, z) of a trap: response(detuning) is the ComplexResponse at the probe
@@ -291,9 +257,10 @@ class GasResponse:
 
     Construction is the per-temperature stage, run once for a whole scan:
     the recoil, the Doppler width A, the local fugacity f e^{-beta V}, the
-    thermal prefactor P and the local condensate density.  A call is the
-    per-detuning stage: zeta (zeta_at), then the Doppler kernel at zeta/A,
-    whose tail polylogs are cached, and the condensate term (at)."""
+    thermal prefactor P and the local condensate density, and in a trap the
+    scales the delays read: a0r, a0z, beta (T > 0) and the condensate peak.
+    A call is the per-detuning stage: zeta (zeta_at), then the Doppler kernel
+    at zeta/A, whose tail polylogs are cached, and the condensate term (at)."""
 
     def __init__(self, state, fields, r=0.0, z=0.0, mode="exact"):
         if not r >= 0.0:
@@ -305,22 +272,31 @@ class GasResponse:
         try:
             self.recoil = recoil_frequency(species, fields)
         except ArithmeticError as exc:
-            raise out_of_float_range("zeta", temperature, exc) from exc
+            raise float_range_error("zeta", "T = %.3g K" % temperature, exc) from exc
         self.a_param = doppler_width_param(species, fields, temperature)
         self.fugacity_value = state.fugacity.value
-        try:
-            if temperature > 0.0 and not isinstance(geometry, Box):
-                beta = _beta(temperature)
-                potential = 0.5 * species.mass_kg * (geometry.nu_r_rad_s**2 * r**2 + geometry.nu_z_rad_s**2 * z**2)
-                self.fugacity_value *= math.exp(-beta * potential)
-            if isinstance(geometry, Box):
-                self.density = geometry.number_density_per_m3 * state.condensate_fraction
-            elif state.condensate_fraction > 0.0:
-                peak, a0r, a0z = _condensate_peak(state)
-                self.density = peak * math.exp(-(r / a0r) ** 2 - (z / a0z) ** 2)
-        except OverflowError as exc:
-            # r^2 or z^2 of a finite position beyond about 1e154 m
-            raise out_of_float_range("the local density at r = %.3g m, z = %.3g m" % (r, z), temperature, exc) from exc
+        if isinstance(geometry, Box):
+            self.density = geometry.number_density_per_m3 * state.condensate_fraction
+        else:
+            self.a0r = ground_state_size(species, geometry.nu_r_rad_s)
+            self.a0z = ground_state_size(species, geometry.nu_z_rad_s)
+            self.peak = self.density = 0.0
+            try:
+                if temperature > 0.0:
+                    k_t = KB_J_PER_K * temperature
+                    beta = 1.0 / k_t if k_t > 0.0 else math.inf
+                    self.beta = in_float_range(beta, "beta = 1/(K_B T)", "T = %.3g K (K_B T = %r J)", temperature, k_t)
+                    potential = 0.5 * species.mass_kg * (geometry.nu_r_rad_s**2 * r**2 + geometry.nu_z_rad_s**2 * z**2)
+                    self.fugacity_value *= math.exp(-self.beta * potential)
+                if state.condensate_fraction > 0.0:
+                    volume = math.pi**1.5 * self.a0r**2 * self.a0z
+                    peak = geometry.atom_count * state.condensate_fraction / volume if volume > 0.0 else math.inf
+                    self.peak = in_float_range(peak, "the condensate peak density", "T = %.3g K", temperature)
+                    self.density = self.peak * math.exp(-(r / self.a0r) ** 2 - (z / self.a0z) ** 2)
+            except OverflowError as exc:
+                # r^2 or z^2 of a finite position beyond about 1e154 m
+                quantity = "the local density at r = %.3g m, z = %.3g m" % (r, z)
+                raise float_range_error(quantity, "T = %.3g K" % temperature, exc) from exc
         if temperature > 0.0:
             self.pref = thermal_series_prefactor(species, temperature, self.a_param)
 
@@ -329,7 +305,7 @@ class GasResponse:
         try:
             return zeta(self.fields, self.recoil, detuning)
         except ArithmeticError as exc:
-            raise out_of_float_range("zeta", self.temperature, exc) from exc
+            raise float_range_error("zeta", "T = %.3g K" % self.temperature, exc) from exc
 
     def at(self, zv):
         """The response at the zeta value zv of zeta_at, or a DomainError
@@ -338,7 +314,10 @@ class GasResponse:
         if self.temperature > 0.0:
             chi, dchi = thermal_response(self.pref, zv, self.a_param, self.fugacity_value, mode=self.mode)
         if self.state.condensate_fraction > 0.0:
-            chi_c, dchi_c = condensate_response(self.species, zv, self.density)
+            try:
+                chi_c, dchi_c = condensate_response(self.species, zv, self.density)
+            except ArithmeticError as exc:
+                raise float_range_error("the condensate response", "T = %.3g K" % self.temperature, exc) from exc
             chi += chi_c
             dchi += dchi_c
         if not (cmath.isfinite(chi) and cmath.isfinite(dchi)):

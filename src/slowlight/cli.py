@@ -23,8 +23,8 @@ from .box_gas import GasResponse, gas_state, tc_box, tc_trap
 from .eit_core import group_velocity_from_response, warn_if_dense
 from .errors import ConfigError, DomainError, PhysicsError, PoleError, UsageError
 from .tf_model import hau_group_velocity, ideal_t0_density, tf_geometry, tf_t0_density
-from .trap_gas import PinholeSpec, ground_state_size, trap_mean_delay
-from .units_params import C_M_S, Box, dipole_moment_sq, load_config, probe_omega
+from .trap_gas import PinholeSpec, trap_mean_delay
+from .units_params import C_M_S, Box, dipole_moment_sq, ground_state_size, load_config, probe_omega
 
 DEFAULT_CONFIG_TEXT = """\
 # reference sodium slow-light experiment; carries parameters for both
@@ -161,7 +161,7 @@ def cmd_sweep(args):
         temperature = theta * t_c
         state = gas_state(config, temperature)
         response = GasResponse(state, config.fields, mode=args.mode)
-        # the response (at r = 0 in a trap) and the trap's mean delay share one zeta
+        # the response (at r = 0 in a trap) and the trap's mean delay share one evaluator and zeta
         zv = response.zeta_at(config.fields.detuning_g0_rad_s)
         resp = response.at(zv)
         if is_box:
@@ -169,7 +169,7 @@ def cmd_sweep(args):
             v_g = group_velocity_from_response(resp, probe_omega(config.species))
         else:
             warn_if_dense(resp.chi)
-            delays = trap_mean_delay(state, config.fields, pinhole, fc_mode=args.fc_mode, mode=args.mode, zv=zv)
+            delays = trap_mean_delay(response, zv, pinhole, fc_mode=args.fc_mode)
             delay, size, v_g = delays.mean_delay_s, delays.cloud_size_m, delays.group_velocity_m_s
         if not 0.0 < v_g < C_M_S:
             raise DomainError("group velocity %.6g m/s is not in (0, c)" % v_g)

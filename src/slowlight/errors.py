@@ -13,6 +13,8 @@ Validity warnings never interrupt a computation; out-of-regime points are
 evaluated on request.
 """
 
+import math
+
 
 class ConfigError(ValueError):
     """A configuration document is missing keys, has unknown keys, or holds
@@ -35,6 +37,20 @@ class PoleError(PhysicsError):
 class DomainError(PhysicsError):
     """An expansion or special function was requested outside its domain of
     validity (asymptotic branch at small argument, diverging polylog, ...)."""
+
+
+def float_range_error(quantity, where, detail=None):
+    """The DomainError "<quantity> leaves the floating-point range at <where>[ (<detail>)]"
+    of an overflow, an underflow to 0 or a division by zero (detail: the exception met)."""
+    message = "%s leaves the floating-point range at %s" % (quantity, where)
+    return DomainError(message if detail is None else "%s (%s)" % (message, detail))
+
+
+def in_float_range(value, quantity, where, *args):
+    """The value if 0 < value < inf, else the float_range_error of the quantity at where % args."""
+    if not 0.0 < value < math.inf:
+        raise float_range_error(quantity, where % args)
+    return value
 
 
 class SeriesCapError(PhysicsError):

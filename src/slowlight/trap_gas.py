@@ -15,21 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .box_gas import (
-    TAIL_TABLE,
-    GasResponse,
-    _beta,
-    _condensate_peak,
-    condensate_response,
-    gas_state,
-    ground_state_size,
-    out_of_float_range,
-    tail_terms,
-    thermal_response,
-)
-from .errors import DomainError
+from .box_gas import TAIL_TABLE, GasResponse, condensate_response, gas_state, tail_terms, thermal_response
+from .errors import DomainError, float_range_error, in_float_range
 from .specfun import SQRT_PI, polylog_sum
-from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, probe_omega
+from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, ground_state_size, probe_omega
 
 # below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
 # of the infinite-path average keeps fewer than about six digits
@@ -70,11 +59,22 @@ class DelayResult:
     branch: str
 
 
+def _thermal_size_sq(species, nu, temperature):
+    """Squared thermal size R^2 = K_B T/(m nu^2) along the trap frequency nu (0 at T = 0), in the float range."""
+    if temperature == 0.0:
+        return 0.0
+    try:
+        size_sq = KB_J_PER_K * temperature / (species.mass_kg * nu**2)
+    except ArithmeticError:  # nu^2 overflows or m nu^2 underflows to 0
+        size_sq = math.nan
+    return in_float_range(size_sq, "R^2 = K_B T/(m nu^2)", "T = %.3g K, nu = %.3g rad/s", temperature, nu)
+
+
 def thermal_radius(species, trap, temperature):
     """Pinhole radius of the thermal mode, R = sqrt(K_B T / m nu_r^2)."""
     if not temperature > 0.0:
         raise DomainError("thermal pinhole radius undefined at T = %r" % temperature)
-    return math.sqrt(KB_J_PER_K * temperature / (species.mass_kg * trap.nu_r_rad_s**2))
+    return math.sqrt(_thermal_size_sq(species, trap.nu_r_rad_s, temperature))
 
 
 def _require_trap(geometry):
@@ -89,7 +89,7 @@ def cloud_size(state):
     R_+^2 = K_B T/(m nu_z^2) so the two branches meet at Tc."""
     _require_trap(state.geometry)
     species, trap, temperature, t_c = state.species, state.geometry, state.temperature_k, state.t_c_k
-    r_plus_sq = KB_J_PER_K * temperature / (species.mass_kg * trap.nu_z_rad_s**2)
+    r_plus_sq = _thermal_size_sq(species, trap.nu_z_rad_s, temperature)
     if temperature >= t_c:
         return math.sqrt(2.0 * r_plus_sq)
     theta3 = (temperature / t_c) ** 3
@@ -122,16 +122,15 @@ def _gauss_legendre(points):
     return nodes, weights
 
 
-def _z_panels(state, path_half_length_m):
+def _z_panels(response, path_half_length_m):
     """Composite 16-point Gauss-Legendre rule on [0, L]: panel edges at
     a0_z, 4 a0_z, 6 a0_z (condensate) and (0.25 ... 9) z_th (thermal cloud),
     z_th = sqrt(K_B T / m nu_z^2), clipped to L and closed at L."""
     import numpy as np
 
     gl_nodes, gl_weights = _gauss_legendre(16)
-    species = state.species
-    a0z = ground_state_size(species, state.geometry.nu_z_rad_s)
-    z_th = math.sqrt(KB_J_PER_K * state.temperature_k / (species.mass_kg * state.geometry.nu_z_rad_s**2))
+    state, a0z = response.state, response.a0z
+    z_th = math.sqrt(_thermal_size_sq(state.species, state.geometry.nu_z_rad_s, state.temperature_k))
     inner = {a0z, 4.0 * a0z, 6.0 * a0z}
     inner.update(c * z_th for c in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0))
     edges = np.array([0.0] + sorted(e for e in inner if 0.0 < e < path_half_length_m) + [path_half_length_m])
@@ -150,9 +149,7 @@ def _excess_inverse_speed(response, zv, r, z):
     import numpy as np
 
     state, a_param, mode = response.state, response.a_param, response.mode
-    species = state.species
-    trap = state.geometry
-    temperature = state.temperature_k
+    species, trap, temperature = state.species, state.geometry, state.temperature_k
     omega = probe_omega(species)
     if temperature > 0.0:
         z_over_a = zv.value / a_param
@@ -161,7 +158,7 @@ def _excess_inverse_speed(response, zv, r, z):
                 "the finite-path delay has no exact Doppler head and needs |zeta/A| >= 10, "
                 "got |zeta/A| = %.3g" % abs(z_over_a)
             )
-        half_beta_m = 0.5 * species.mass_kg * _beta(temperature)
+        half_beta_m = 0.5 * species.mass_kg * response.beta
         u = np.outer(
             state.fugacity.value * np.exp(-half_beta_m * trap.nu_r_rad_s**2 * r**2),
             np.exp(-half_beta_m * trap.nu_z_rad_s**2 * z**2),
@@ -177,9 +174,8 @@ def _excess_inverse_speed(response, zv, r, z):
     else:
         excess = np.zeros((r.size, z.size))
     if state.condensate_fraction > 0.0:
-        peak, a0r, a0z = _condensate_peak(state)
-        density_weight = _excess(*condensate_response(species, zv, peak), omega)
-        excess += np.outer(density_weight * np.exp(-((r / a0r) ** 2)), np.exp(-((z / a0z) ** 2)))
+        density_weight = _excess(*condensate_response(species, zv, response.peak), omega)
+        excess += np.outer(density_weight * np.exp(-((r / response.a0r) ** 2)), np.exp(-((z / response.a0z) ** 2)))
     return excess
 
 
@@ -188,12 +184,12 @@ def _finite_path_delays(response, zv, r, path_half_length_m):
     composite Gauss-Legendre z panels of _z_panels."""
     import numpy as np
 
-    z, w = _z_panels(response.state, path_half_length_m)
+    z, w = _z_panels(response, path_half_length_m)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return 2.0 * (_excess_inverse_speed(response, zv, r, z) @ w)
     except ArithmeticError as exc:
-        raise out_of_float_range("the finite-path delay", response.state.temperature_k, exc) from exc
+        raise float_range_error("the finite-path delay", "T = %.3g K" % response.temperature, exc) from exc
 
 
 def _infinite_path_delay(response, zv, fugacity_value, section, condensate_column):
@@ -235,7 +231,7 @@ def delay_at_radius(state, fields, r, path_half_length_m=math.inf):
     trap = state.geometry
     column = 0.0
     if state.condensate_fraction > 0.0:
-        a0r = ground_state_size(state.species, trap.nu_r_rad_s)
+        a0r = response.a0r
         column = trap.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
     delay = _infinite_path_delay(response, zv, response.fugacity_value, 0.0, column)
     if not math.isfinite(delay):
@@ -243,19 +239,10 @@ def delay_at_radius(state, fields, r, path_half_length_m=math.inf):
     return delay
 
 
-def _condensate_section_factor(state, radius, fc_mode):
-    """F_C of the infinite path: paper mode 2/(pi R^2); exact mode the closed
-    Gaussian integral (1/(pi R^2))(1 - e^{-R^2/a0r^2})."""
-    if fc_mode == "paper":
-        return 2.0 / (math.pi * radius**2)
-    a0r = ground_state_size(state.species, state.geometry.nu_r_rad_s)
-    return (1.0 - math.exp(-(radius / a0r) ** 2)) / (math.pi * radius**2)
-
-
-def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=None):
-    """Uniform average of the delay over the section of radius R in the
-    given state: <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a
-    DelayResult (zv: the zeta of the fields, when the caller has it).
+def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
+    """Uniform average of the delay over the section of radius R, for the
+    trap evaluator response (a GasResponse) at the zeta value zv of its zeta_at:
+    <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a DelayResult.
 
     Infinite path: the Doppler kernel at p = 1/2 with the section factor
     (1 - e^{-lc})/(lc), c = beta m nu_r^2 R^2/2, to first order
@@ -265,27 +252,23 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=No
     condensate term with the selected F_C mode.  Finite path: the local
     1/v_g - 1/c of delay_at_radius on 64 Gauss-Legendre radii, with the
     condensate density entering pointwise (fc_mode does not apply).
-    mode "asymptotic" stops the kernel at A^2 on either path.
+    The response's mode "asymptotic" stops the kernel at A^2 on either path.
 
     Raises DomainError when the pinhole is so small (c < 1e-9) that the
     closed form loses its digits, when a finite path in mode "exact" meets
     |zeta/A| < 10, or when the delay is zero, non-finite or so short that
     v_g = D_z/<Delta t> would reach c.
     """
+    state = response.state
     _require_trap(state.geometry)
     if fc_mode not in ("paper", "exact"):
         raise ValueError("fc_mode must be 'paper' or 'exact', got %r" % fc_mode)
-    response = GasResponse(state, fields, mode=mode)
-    species = state.species
-    trap = state.geometry
-    temperature = state.temperature_k
+    species, trap, temperature = state.species, state.geometry, state.temperature_k
     if pinhole.radius_mode == "thermal":
         radius = thermal_radius(species, trap, temperature)
     else:
         radius = pinhole.radius_m
     half_length = pinhole.path_half_length_m
-    if zv is None:
-        zv = response.zeta_at(fields.detuning_g0_rad_s)
 
     if not math.isinf(half_length):
         # average = (2/R^2) int_0^R r dt(r) dr on a fixed Gauss-Legendre rule
@@ -296,8 +279,7 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=No
     else:
         exponent = 0.0
         if temperature > 0.0:
-            beta = _beta(temperature)
-            exponent = 0.5 * beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2
+            exponent = 0.5 * response.beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2
             if exponent < _MIN_SECTION_EXPONENT:
                 raise DomainError(
                     "pinhole radius R = %.3g m at T = %.3g K is too small for the "
@@ -306,7 +288,8 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=No
                 )
         column = 0.0
         if state.condensate_fraction > 0.0:
-            section = _condensate_section_factor(state, radius, fc_mode)
+            # F_C: paper mode 2/(pi R^2); exact mode the Gaussian integral (1/(pi R^2))(1 - e^{-R^2/a0r^2})
+            section = (2.0 if fc_mode == "paper" else 1.0 - math.exp(-(radius / response.a0r) ** 2)) / (math.pi * radius**2)
             column = trap.atom_count * state.condensate_fraction * section
         delay = _infinite_path_delay(response, zv, state.fugacity.value, exponent, column)
 
@@ -328,8 +311,9 @@ def trap_mean_delay(state, fields, pinhole, fc_mode="paper", mode="exact", zv=No
 def mean_delay(config, temperature, pinhole, fc_mode="paper"):
     """Pinhole-averaged delay at the given temperature (see trap_mean_delay).
 
-    The one (config, temperature) convenience of the library, which solves
-    the gas state and calls trap_mean_delay: it is the short form of the
-    README's quick start and the library call the benchmark times.  Every
-    other response takes a GasState from gas_state."""
-    return trap_mean_delay(gas_state(config, temperature), config.fields, pinhole, fc_mode=fc_mode)
+    The one (config, temperature) convenience of the library, which builds
+    the gas state and its GasResponse for trap_mean_delay: the README's quick
+    start and the library call the benchmark times.  Every other response
+    takes a GasState from gas_state."""
+    response = GasResponse(gas_state(config, temperature), config.fields)
+    return trap_mean_delay(response, response.zeta_at(config.fields.detuning_g0_rad_s), pinhole, fc_mode=fc_mode)

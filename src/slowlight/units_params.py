@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 import warnings
 
-from .errors import ConfigError, DomainError, ValidityWarning
+from .errors import ConfigError, DomainError, ValidityWarning, in_float_range
 
 # CODATA-2018 exact/defined values
 HBAR_J_S = 1.0545718176461565e-34
@@ -119,6 +119,23 @@ def chi0(species):
 def probe_omega(species):
     """Angular frequency of the probe transition, omega = 2 pi c / lambda (rad/s)."""
     return TWO_PI * C_M_S / species.wavelength_ge_m
+
+
+def ground_state_size(species, nu):
+    """Oscillator ground-state size a_0 = sqrt(hbar / m nu) (a DomainError beyond the float range)."""
+    m_nu = species.mass_kg * nu
+    a0 = math.sqrt(HBAR_J_S / m_nu) if m_nu > 0.0 else math.inf
+    return in_float_range(a0, "a_0 = sqrt(hbar/m nu)", "m = %.3g kg, nu = %.3g rad/s", species.mass_kg, nu)
+
+
+def mean_trap_frequency(trap):
+    """nu_bar = (nu_z nu_r^2)^{1/3} of a harmonic trap (a DomainError beyond the float range)."""
+    try:
+        nu_bar = (trap.nu_z_rad_s * trap.nu_r_rad_s**2) ** (1.0 / 3.0)
+    except OverflowError:
+        nu_bar = math.inf
+    nu_r, nu_z = trap.nu_r_rad_s, trap.nu_z_rad_s
+    return in_float_range(nu_bar, "nu_bar = (nu_z nu_r^2)^{1/3}", "nu_r = %.3g, nu_z = %.3g rad/s", nu_r, nu_z)
 
 
 def dipole_moment_sq(species, gamma_ge_rad_s):

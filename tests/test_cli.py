@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -36,7 +37,7 @@ from slowlight import (
     trap_response,
 )
 from slowlight.cli import DEFAULT_CONFIG_TEXT, main
-from slowlight.units_params import _SCHEMA
+from slowlight.units_params import _DOCUMENT_KEYS, _SCHEMA, _written
 
 from _configs import DOC, box_config, detuned_config, temperature_for_doppler_a, trap_config
 
@@ -133,7 +134,7 @@ def test_one_fugacity_solve_per_temperature(monkeypatch, capsys):
 def test_chi_scan_computes_its_temperature_once(monkeypatch, capsys):
     # a 201-point chi computes the thermal prefactor and the Doppler width
     # once, and builds no FieldParams beyond the loaded one and the coupling
-    # override
+    # override; a trap sweep row builds one evaluator for chi and its delay
     counts = Counter()
 
     def counting(name, function):
@@ -154,6 +155,10 @@ def test_chi_scan_computes_its_temperature_once(monkeypatch, capsys):
                 assert rc == 0 and len(out.splitlines()) == 2 + 201
                 expected = {"thermal_series_prefactor": 1, "doppler_width_param": 1, "FieldParams": constructions}
                 assert counts == expected, (kind, extra)
+        counts.clear()
+        rc, out, _ = run(capsys, ["sweep", "--t-points", "10"])
+        assert rc == 0 and len(out.splitlines()) == 2 + 10
+        assert counts == {"thermal_series_prefactor": 10, "doppler_width_param": 10, "FieldParams": 1}
 
 
 def test_semiclassical_warning_once_per_row(capsys):
@@ -779,8 +784,13 @@ def test_sweep_mode_applies_to_trap_rows(tmp_path, capsys):
 
 def test_float_range_faults_of_the_trap_and_species_exit_2(tmp_path, capsys):
     # nu_z nu_r^2 overflows (nu_r = 1e308) or underflows to 0, so Tc has no
-    # mean trap frequency; lambda^3 of chi0 overflows at lambda = 1e200 m
+    # mean trap frequency; m K_B underflows at m = 3.5e-308 kg, so a box has
+    # no Tc; lambda^3 of chi0 overflows at lambda = 1e200 m.  In tf, |d|^2 of
+    # chi0 underflows to 0 at lambda = 1e-300 m, m nu_z^2 of R_z underflows
+    # to 0 at nu_z = 1e-150 rad/s and overflows at 1e200 rad/s, and the
+    # ground-state volume a0_r^2 a0_z underflows at m = 9.7e255 kg
     trap = "geometry.kind = trap\ngeometry.atom_count = 8.3e6\n"
+    tf_trap = trap + "geometry.nu_r_hz = 70.0\n"
     for doc, argvs, message in (
         (
             trap + "geometry.nu_r_rad = 1e308\ngeometry.nu_z_hz = 20.0\n",
@@ -793,6 +803,32 @@ def test_float_range_faults_of_the_trap_and_species_exit_2(tmp_path, capsys):
             "nu_bar = (nu_z nu_r^2)^{1/3} leaves the floating-point range at nu_r = 1e-300, nu_z = 1e-300 rad/s",
         ),
         (DOC + "species.wavelength_ge_m = 1e200\n", (["tf"],), "tf estimate: chi0 = 3 lambda^3 / 32 pi^3 overflows at lambda = 1e+200 m"),
+        (
+            "geometry.kind = box\ngeometry.number_density_per_m3 = 3.8e18\nspecies.mass_kg = 3.5e-308\n",
+            (["sweep"], ["chi", "--temperature-nk", "200"]),
+            "Tc leaves the floating-point range at m = 3.5e-308 kg, n = 3.8e+18 m^-3",
+        ),
+        (
+            DOC + "species.wavelength_ge_m = 1e-300\n",
+            (["tf"],),
+            "tf estimate: 8 pi omega n |d|^2 leaves the floating-point range at n = 6.73e+22 m^-3, |d|^2 = 0",
+        ),
+        (
+            tf_trap + "geometry.nu_z_rad = 1e-150\n",
+            (["tf"],),
+            "tf estimate: the Thomas-Fermi scale leaves the floating-point range at N = 8.3e+06 (float division by zero)",
+        ),
+        (
+            tf_trap + "geometry.nu_z_rad = 1e200\n",
+            (["tf"],),
+            "tf estimate: the Thomas-Fermi scale leaves the floating-point range at N = 8.3e+06 "
+            "((34, 'Numerical result out of range'))",
+        ),
+        (
+            DOC + "species.mass_kg = 9.7e255\n",
+            (["tf"],),
+            "tf estimate: the ideal-gas density leaves the floating-point range at N = 8.3e+06 (float division by zero)",
+        ),
     ):
         path = tmp_path / "range.cfg"
         path.write_text(doc)
@@ -803,6 +839,69 @@ def test_float_range_faults_of_the_trap_and_species_exit_2(tmp_path, capsys):
             assert (rc, out) == (2, ""), argv
             where = "at T=2e-07 K: " if argv[0] == "chi" else ""
             assert err == "physics error: %s%s\n" % (where, message), argv
+
+
+def test_condensate_term_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):
+    # at m = 1e-300 kg the recoil makes zeta^2 of the box condensate term overflow
+    path = tmp_path / "light.cfg"
+    path.write_text("geometry.kind = box\ngeometry.number_density_per_m3 = 3.8e18\nspecies.mass_kg = 1e-300\n")
+    message = "the condensate response leaves the floating-point range at T = 2e-07 K (complex exponentiation)"
+    config = slowlight.load_config(path.read_text())
+    with pytest.raises(slowlight.DomainError, match=re.escape(message)):
+        box_response(gas_state(config, 2e-7), config.fields)
+    rc, out, err = run(capsys, ["chi", "--temperature-nk", "200", "--config", str(path)])
+    assert (rc, out, err) == (2, "", "physics error: at detuning=-2 gamma (T=2e-07 K): %s\n" % message)
+
+
+# every bounded schema key, and the two detunings, which take either sign
+_FUZZED_KEYS = [key for key, row in _SCHEMA.items() if row[2]] + ["fields.detuning_g0", "fields.detuning_r0"]
+_FUZZ_RUNS = (
+    ["sweep", "--t-points", "3"],
+    ["sweep", "--geometry", "box", "--t-points", "3"],
+    ["chi", "--temperature-nk", "200", "--d-points", "3"],
+    ["chi", "--geometry", "box", "--temperature-nk", "200", "--d-points", "3"],
+    ["tf"],
+)
+
+
+@st.composite
+def _fuzzed_lines(draw):
+    """1-2 schema keys, each log-uniform over 1e-320..1e308 within its bound,
+    as document lines."""
+    lines = []
+    for key in draw(st.lists(st.sampled_from(_FUZZED_KEYS), min_size=1, max_size=2, unique=True)):
+        bound = _SCHEMA[key][2]
+        value = 10.0 ** draw(st.floats(0.0 if bound == "at least 1" else -320.0, 308.0))
+        if bound is None and draw(st.booleans()):
+            value = -value
+        lines.append("%s = %r" % (_written(key), value))
+    return lines
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lines=_fuzzed_lines())
+def test_extreme_documents_exit_cleanly_with_named_quantities(lines):
+    # an arithmetic fault anywhere names the quantity that left the float
+    # range: cli._annotate's generic "<Exception>: ..." branch never fires
+    keys = {_DOCUMENT_KEYS[line.split(" = ")[0]][0] for line in lines}
+    kept = [line for line in DEFAULT_CONFIG_TEXT.splitlines() if _DOCUMENT_KEYS.get(line.split(" = ")[0], (None,))[0] not in keys]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "extreme.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(kept + lines) + "\n")
+        for argv in _FUZZ_RUNS:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ValidityWarning)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main(argv + ["--config", path])
+            assert rc in (0, 1, 2), (lines, argv)
+            assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE), (lines, argv)
+            if rc == 2:
+                message = err.getvalue().removeprefix("physics error: ")
+                if message.startswith(("at ", "tf estimate: ")):
+                    message = message.split(": ", 1)[1]
+                assert "Error: " not in message, (lines, argv, err.getvalue())
 
 
 def test_tf_usage_errors(capsys):

@@ -307,17 +307,20 @@ def test_expansion_only_paths_refuse_small_zeta_over_a():
         assert rel(mean_delay(config, t, PINHOLE).mean_delay_s, mean_delay_by_quadrature(config, t, PINHOLE.radius_m)) < 1e-6
     config = detuned_config("trap", k_g_per_m=60.0 * CONFIG.fields.k_g_per_m)
     state = gas_state(config, t)
+    # the delays take their mode from the evaluator
+    asymptotic = GasResponse(state, config.fields, mode="asymptotic")
+    zv = asymptotic.zeta_at(config.fields.detuning_g0_rad_s)
     for call in (
         lambda: trap_gas.trap_response(state, config.fields, 0.0, mode="asymptotic"),
-        lambda: trap_gas.trap_mean_delay(state, config.fields, PINHOLE, mode="asymptotic"),
-        lambda: trap_gas.trap_mean_delay(state, config.fields, finite, mode="asymptotic"),
+        lambda: trap_gas.trap_mean_delay(asymptotic, zv, PINHOLE),
+        lambda: trap_gas.trap_mean_delay(asymptotic, zv, finite),
     ):
         with pytest.raises(DomainError, match=r"asymptotic expansion requires \|zeta/A\| >= 5, got \|zeta/A\| = 2.25"):
             call()
     with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
         trap_gas.trap_response(state, config.fields, 0.0, mode="series")
     with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
-        trap_gas.trap_mean_delay(state, config.fields, PINHOLE, mode="series")
+        GasResponse(state, config.fields, mode="series")
 
 
 def test_finite_path_weights_match_local_response():
