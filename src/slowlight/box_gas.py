@@ -258,7 +258,7 @@ class GasResponse:
     Construction is the per-temperature stage, run once for a whole scan:
     the recoil, the Doppler width A, the local fugacity f e^{-beta V}, the
     thermal prefactor P and the local condensate density, and in a trap the
-    scales the delays read: a0r, a0z, beta (T > 0) and the condensate peak.
+    scales the delays read: a0r, a0z and beta (T > 0).
     A call is the per-detuning stage: zeta (zeta_at), then the Doppler kernel
     at zeta/A, whose tail polylogs are cached, and the condensate term (at)."""
 
@@ -280,7 +280,7 @@ class GasResponse:
         else:
             self.a0r = ground_state_size(species, geometry.nu_r_rad_s)
             self.a0z = ground_state_size(species, geometry.nu_z_rad_s)
-            self.peak = self.density = 0.0
+            self.density = 0.0
             try:
                 if temperature > 0.0:
                     k_t = KB_J_PER_K * temperature
@@ -291,8 +291,8 @@ class GasResponse:
                 if state.condensate_fraction > 0.0:
                     volume = math.pi**1.5 * self.a0r**2 * self.a0z
                     peak = geometry.atom_count * state.condensate_fraction / volume if volume > 0.0 else math.inf
-                    self.peak = in_float_range(peak, "the condensate peak density", "T = %.3g K", temperature)
-                    self.density = self.peak * math.exp(-(r / self.a0r) ** 2 - (z / self.a0z) ** 2)
+                    peak = in_float_range(peak, "the condensate peak density", "T = %.3g K", temperature)
+                    self.density = peak * math.exp(-(r / self.a0r) ** 2 - (z / self.a0z) ** 2)
             except OverflowError as exc:
                 # r^2 or z^2 of a finite position beyond about 1e154 m
                 quantity = "the local density at r = %.3g m, z = %.3g m" % (r, z)

@@ -1,21 +1,18 @@
 """Special functions for the statistical sums: Bose-Einstein polylogarithms
-g_nu(f) = sum_{l>=1} f^l / l^nu on floats and arrays (a Horner direct series
-for f <= 1/2, Robinson's expansion in alpha = -ln f above), weighted sums
-sum_k w_k g_{nu_k}(f) over an array in one Horner pass (an array g_nu is the
-one-term sum), partial tails of g_nu (to about 1e-15 of g_nu(f), not of the
-tail), the Faddeeva function w(y) = exp(-y^2)(1 + erf(iy)) with its
-large-|y| expansion, and inversion of the fugacity relations
-g_nu(f) = g_nu(1) (Tc/T)^nu by Newton's method.
+g_nu(f) = sum_{l>=1} f^l / l^nu of a float (a Horner direct series for
+f <= 1/2, Robinson's expansion in alpha = -ln f above), partial tails of g_nu
+(to about 1e-15 of g_nu(f), not of the tail), the Faddeeva function
+w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y| expansion, and inversion of
+the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu by Newton's method.
 
 The zeta values behind g_nu(1) and Robinson's expansion come from Borwein's
 series, so importing this module imports no scipy; scipy.special is imported
 on the first exact Faddeeva evaluation or Euler-Maclaurin tail.  numpy, too,
-is imported only by the functions that take or build arrays: float
-arguments run on math alone.
+is imported only by the Faddeeva functions and by polylog_tail's head sum:
+polylog runs on math alone.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,13 +68,6 @@ _DIRECT_TERMS = 63
 # the first term dropped is below f e^-36.8 = 1e-16 f
 _DIRECT_LOG_TOL = 36.8
 _ROBINSON_TERMS = 24
-# on an array, f <= 1/2 is summed in bands: up to each edge e^-x the sum
-# takes the ceil(_DIRECT_LOG_TOL / x) + 1 terms that a float f takes at the
-# edge (55, 20, 8 and 2), so every f in the band drops terms below 1e-16 f
-_DIRECT_BANDS = tuple(
-    (math.exp(-x), min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / x) + 1))
-    for x in (math.log(2.0), 2.0, 6.0, _DIRECT_LOG_TOL)
-)
 
 # a polylog tail after fewer head terms is g_nu less the head, after more an
 # Euler-Maclaurin sum: past 2000 terms the Doppler series weights the tail by
@@ -158,25 +148,12 @@ def _em_tail(nu, f, l_start):
     return integral - h / 2.0 - hp / 12.0 + hppp / 720.0
 
 
-def _is_array(f):
-    """Whether f is an ndarray; none exists before numpy is imported."""
-    numpy = sys.modules.get("numpy")
-    return numpy is not None and isinstance(f, numpy.ndarray)
-
-
-def _check_polylog_args(orders, f):
-    for nu in orders:
-        if not nu > 0.0:
-            raise DomainError("polylog order must be positive, got %r" % nu)
-    if _is_array(f):
-        inside = bool(((f >= 0.0) & (f <= 1.0)).all())
-        at_one = min(orders) <= 1.0 and bool((f == 1.0).any())
-    else:
-        inside = 0.0 <= f <= 1.0
-        at_one = f == 1.0 and min(orders) <= 1.0
-    if not inside:
+def _check_polylog_args(nu, f):
+    if not nu > 0.0:
+        raise DomainError("polylog order must be positive, got %r" % nu)
+    if not 0.0 <= f <= 1.0:
         raise DomainError("polylog argument must lie in [0, 1], got %r" % f)
-    if at_one:
+    if f == 1.0 and nu <= 1.0:
         raise DomainError("polylog(nu<=1, 1) diverges")
 
 
@@ -198,18 +175,6 @@ def _polylog_tables(nu):
     return direct, robinson, (-1.0) ** (n - 1) / math.factorial(n - 1), harmonic
 
 
-@lru_cache(maxsize=32)
-def _stacked_tables(orders):
-    """The tables of _polylog_tables for several orders: the direct and the
-    Robinson coefficients as arrays with one row per order, and each order's
-    (nu, lead, harmonic)."""
-    import numpy as np
-
-    tables = [_polylog_tables(nu) for nu in orders]
-    leading = tuple((nu, lead, harmonic) for nu, (_, _, lead, harmonic) in zip(orders, tables))
-    return np.array([t[0] for t in tables]), np.array([t[1] for t in tables]), leading
-
-
 def _horner(coefficients, x):
     """sum_k c_k x^k for the coefficients highest power first; x is a float
     or an array."""
@@ -219,31 +184,11 @@ def _horner(coefficients, x):
     return acc
 
 
-def _horner_in_place(coefficients, x):
-    """_horner on a float array, with one accumulator updated in place."""
-    import numpy as np
-
-    acc = np.full_like(x, coefficients[0])
-    for c in coefficients[1:]:
-        acc *= x
-        acc += c
-    return acc
-
-
-def _robinson_leading(nu, alpha, lead, harmonic, log):
-    """Leading term of Robinson's expansion at alpha > 0 (log is math.log or
-    np.log)."""
-    if harmonic is None:
-        return lead * alpha ** (nu - 1.0)
-    return lead * alpha ** (nu - 1.0) * (harmonic - log(alpha))
-
-
 def polylog(nu, f):
     """Bose-Einstein function g_nu(f) = sum_{l>=1} f^l / l^nu, f in [0, 1].
 
-    f is a float (or Fugacity), giving a float, or an ndarray, giving an
-    array of the same shape through polylog_sum.  f <= 1/2 sums the direct
-    series, only as many terms as reach 1e-16 relative; above it,
+    f is a float (or Fugacity).  f <= 1/2 sums the direct series, only as
+    many terms as reach 1e-16 relative; above it,
     Robinson's expansion in alpha = -ln f,
     g_nu = Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k / k!,
     with (-alpha)^(n-1)/(n-1)! (H_(n-1) - ln alpha) in place of the leading
@@ -252,12 +197,10 @@ def polylog(nu, f):
     """
     if isinstance(f, Fugacity):
         f = f.value
-    if _is_array(f):
-        return polylog_sum(((nu, 1.0),), f)
     f = float(f)
     # the full check, which names the fault, only where one of its tests fails
     if not (nu > 0.0 and 0.0 <= f <= 1.0) or (f == 1.0 and nu <= 1.0):
-        _check_polylog_args((nu,), f)
+        _check_polylog_args(nu, f)
     direct, robinson, lead, harmonic = _polylog_tables(nu)
     if f <= 0.5:
         if f == 0.0:
@@ -268,51 +211,8 @@ def polylog(nu, f):
     total = _horner(robinson, alpha)
     if alpha == 0.0:
         return total
-    return total + _robinson_leading(nu, alpha, lead, harmonic, math.log)
-
-
-def polylog_sum(terms, f):
-    """Weighted sum sum_k w_k g_{nu_k}(f) over an array f in [0, 1], for
-    terms = ((nu_1, w_1), (nu_2, w_2), ...); an array of f's shape.
-
-    One Horner pass over the weighted sums of polylog's coefficient tables:
-    the direct series for f <= 1/2, in bands of f that each sum the terms
-    above 1e-16 relative at the band's upper edge, and Robinson's expansion
-    above 1/2, plus each order's leading term (with its harmonic number for
-    integer nu).
-    """
-    import numpy as np
-
-    orders = tuple(float(nu) for nu, _ in terms)
-    weights = np.array([w for _, w in terms], dtype=float)
-    f = np.asarray(f, dtype=float)
-    _check_polylog_args(orders, f)
-    direct, robinson, leading = _stacked_tables(orders)
-    flat = f.ravel()
-    out = np.empty_like(flat)
-    coefficients = (weights @ direct).tolist()
-    below = -1.0
-    for edge, count in reversed(_DIRECT_BANDS):
-        band = (flat > below) & (flat <= edge)
-        x = flat[band]
-        if x.size:
-            out[band] = _horner_in_place(coefficients[-count:], x) * x
-        below = edge
-    high = flat > 0.5
-    x = flat[high]
-    if x.size:
-        alpha = -np.log(x)
-        total = _horner_in_place((weights @ robinson).tolist(), alpha)
-        # alpha = 0 (f = 1) leaves sum_k w_k zeta(nu_k)
-        inner = alpha > 0.0
-        if inner.all():
-            inner = slice(None)
-        total[inner] += sum(
-            w * _robinson_leading(nu, alpha[inner], lead, harmonic, np.log)
-            for w, (nu, lead, harmonic) in zip(weights.tolist(), leading)
-        )
-        out[high] = total
-    return out.reshape(f.shape)
+    leading = lead * alpha ** (nu - 1.0)
+    return total + (leading if harmonic is None else leading * (harmonic - math.log(alpha)))
 
 
 def polylog_tail(nu, f, l_start):
@@ -324,7 +224,7 @@ def polylog_tail(nu, f, l_start):
     """
     if isinstance(f, Fugacity):
         f = f.value
-    _check_polylog_args((nu,), f)
+    _check_polylog_args(nu, f)
     if not (l_start >= 0 and float(l_start).is_integer()):
         raise DomainError("polylog tail start must be a nonnegative integer, got %r" % l_start)
     if f == 0.0:

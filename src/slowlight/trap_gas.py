@@ -6,33 +6,39 @@ sizes, and the experimental group velocity v_g = D_z / <Delta t>.
 The thermal cloud at (r, z) is a box gas at the local fugacity f e^{-beta V},
 so every thermal response is the box Doppler kernel: at p = 0 for chi, at
 p = 1/2 for a column, with the section factor for a pinhole average.  Every
-delay integrates 1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c; a
-finite path does so on one fixed (r, z) Gauss-Legendre grid, where the
-kernel's tail is one real weighted polylog_sum of the local fugacity.
+delay integrates 1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c: the
+pinhole average in closed form on either path, the line of sight in closed
+form on an infinite path and on Gauss-Legendre z panels of the same kernel
+on a finite one.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .box_gas import TAIL_TABLE, GasResponse, condensate_response, gas_state, tail_terms, thermal_response
-from .errors import DomainError, float_range_error, in_float_range
-from .specfun import SQRT_PI, polylog_sum
+from .box_gas import GasResponse, condensate_response, gas_state, thermal_response_series
+from .errors import DomainError, in_float_range
 from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, ground_state_size, probe_omega
 
 # below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
-# of the infinite-path average keeps fewer than about six digits
+# of the pinhole average keeps fewer than about six digits
 _MIN_SECTION_EXPONENT = 1e-9
-# the finite path sums the kernel's large-|y| tail without the exact head;
-# its remainder, about 9 c_4 |A/zeta|^8, exceeds 1e-6 below |zeta/A| = 10
-_FINITE_PATH_MIN_RATIO = 10.0
+# a finite path sums the kernel on _Z_POINTS-point Gauss-Legendre panels with
+# edges at these multiples of z_th = sqrt(K_B T/m nu_z^2), refined toward
+# z = 0 for the kernel's nearest branch point (_z_rule), which nears the axis
+# just above Tc and for a narrow pinhole; on T/Tc in [0.1, 5] that keeps a
+# path of 20 z_th within 3e-11 of the closed-form infinite one
+_Z_EDGES = (1.0, 2.5, 5.0, 9.0)
+_Z_POINTS = 10
+_Z_FINEST = 1e-3
 
 
 @dataclass(frozen=True)
 class PinholeSpec:
     """Illuminated circular section: fixed radius or the thermal radius
-    R = sqrt(K_B T / m nu_r^2); path_half_length_m = inf selects the
-    closed-form infinite path."""
+    R = sqrt(K_B T / m nu_r^2), seen along the line of sight -L < z < L with
+    L = path_half_length_m; L = inf selects the closed-form infinite path,
+    a finite L the Gauss-Legendre z panels of trap_mean_delay."""
 
     radius_mode: str
     radius_m: float = None
@@ -56,7 +62,6 @@ class DelayResult:
     mean_delay_s: float
     cloud_size_m: float
     group_velocity_m_s: float
-    branch: str
 
 
 def _thermal_size_sq(species, nu, temperature):
@@ -114,126 +119,89 @@ def trap_response(state, fields, r=0.0, mode="exact"):
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(points):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    """Gauss-Legendre nodes and weights on [-1, 1] as float tuples, built on first use."""
     import numpy as np
 
     nodes, weights = np.polynomial.legendre.leggauss(points)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
-def _z_panels(response, path_half_length_m):
-    """Composite 16-point Gauss-Legendre rule on [0, L]: panel edges at
-    a0_z, 4 a0_z, 6 a0_z (condensate) and (0.25 ... 9) z_th (thermal cloud),
-    z_th = sqrt(K_B T / m nu_z^2), clipped to L and closed at L."""
-    import numpy as np
-
-    gl_nodes, gl_weights = _gauss_legendre(16)
-    state, a0z = response.state, response.a0z
-    z_th = math.sqrt(_thermal_size_sq(state.species, state.geometry.nu_z_rad_s, state.temperature_k))
-    inner = {a0z, 4.0 * a0z, 6.0 * a0z}
-    inner.update(c * z_th for c in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0))
-    edges = np.array([0.0] + sorted(e for e in inner if 0.0 < e < path_half_length_m) + [path_half_length_m])
-    half = 0.5 * np.diff(edges)
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * gl_nodes
-    return nodes.ravel(), (half[:, None] * gl_weights).ravel()
-
-
-def _excess_inverse_speed(response, zv, r, z):
-    """1/v_g - 1/c of the local response on the grid of the radii r and the
-    heights z (1-D arrays): the kernel's large-|y| tail from l = 1, one
-    polylog_sum of g_{k+3/2} of u = f e^{-beta m nu_r^2 r^2/2} e^{-beta m nu_z^2 z^2/2}
-    with real weights fixed by the response's zeta and A, plus a multiple of the condensate
-    density.  Without the exact head it needs |zeta/A| >= 10 in mode "exact".
-    """
-    import numpy as np
-
-    state, a_param, mode = response.state, response.a_param, response.mode
-    species, trap, temperature = state.species, state.geometry, state.temperature_k
-    omega = probe_omega(species)
-    if temperature > 0.0:
-        z_over_a = zv.value / a_param
-        if mode == "exact" and abs(z_over_a) < _FINITE_PATH_MIN_RATIO:
-            raise DomainError(
-                "the finite-path delay has no exact Doppler head and needs |zeta/A| >= 10, "
-                "got |zeta/A| = %.3g" % abs(z_over_a)
-            )
-        half_beta_m = 0.5 * species.mass_kg * response.beta
-        u = np.outer(
-            state.fugacity.value * np.exp(-half_beta_m * trap.nu_r_rad_s**2 * r**2),
-            np.exp(-half_beta_m * trap.nu_z_rad_s**2 * z**2),
-        )
-        pref = (1j / SQRT_PI) * response.pref
-        pref_d = pref * zv.d_domega / a_param
-        a_over_z = 1.0 / z_over_a
-        terms = [
-            (k + 1.5, _excess(pref * c * a_over_z**m, -pref_d * d * a_over_z**n, omega))
-            for k, (c, d, m, n) in enumerate(TAIL_TABLE[: tail_terms(z_over_a, mode)])
-        ]
-        excess = polylog_sum(terms, u)
-    else:
-        excess = np.zeros((r.size, z.size))
-    if state.condensate_fraction > 0.0:
-        density_weight = _excess(*condensate_response(species, zv, response.peak), omega)
-        excess += np.outer(density_weight * np.exp(-((r / response.a0r) ** 2)), np.exp(-((z / response.a0z) ** 2)))
-    return excess
+def _z_rule(z_th, alpha, path_half_length_m):
+    """Composite _Z_POINTS-point Gauss-Legendre rule on [0, L] as (node, weight)
+    pairs: panel edges at _Z_EDGES z_th and, for a kernel branch point at
+    z = i z_th sqrt(2 alpha) (alpha = 0: none), at z_th 4^-k while that is
+    more than twice the larger of sqrt(2 alpha) and _Z_FINEST; clipped to L
+    and closed at L, or at 9 z_th, beyond which the density is below e^-40."""
+    nodes, weights = _gauss_legendre(_Z_POINTS)
+    ladder = list(_Z_EDGES)
+    finest = max(math.sqrt(2.0 * alpha), _Z_FINEST) if alpha > 0.0 else math.inf
+    while ladder[0] > 2.0 * finest:
+        ladder.insert(0, ladder[0] / 4.0)
+    end = min(path_half_length_m, _Z_EDGES[-1] * z_th)
+    edges = [0.0] + [c * z_th for c in ladder if c * z_th < end] + [end]
+    for lo, hi in zip(edges, edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for x, w in zip(nodes, weights):
+            yield mid + half * x, half * w
 
 
-def _finite_path_delays(response, zv, r, path_half_length_m):
-    """Delays 2 int_0^L (1/v_g - 1/c) dz at the radii r (an array), on the
-    composite Gauss-Legendre z panels of _z_panels."""
-    import numpy as np
+def _path_delay(response, zv, u, section, column, path_half_length_m):
+    """2 int_0^L (1/v_g - 1/c) dz of the thermal cloud at the fugacity u in
+    the plane z = 0 (with the section factor c) and of the condensate column
+    density that an infinite path crosses, so the L/c vacuum term is
+    subtracted by construction.
 
-    z, w = _z_panels(response, path_half_length_m)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return 2.0 * (_excess_inverse_speed(response, zv, r, z) @ w)
-    except ArithmeticError as exc:
-        raise float_range_error("the finite-path delay", "T = %.3g K" % response.temperature, exc) from exc
-
-
-def _infinite_path_delay(response, zv, fugacity_value, section, condensate_column):
-    """2 int_0^inf (1/v_g - 1/c) dz: the kernel at p = 1/2 (and section c)
-    times the column length sqrt(2 pi K_B T/m)/nu_z, plus the condensate."""
-    species, temperature = response.species, response.temperature
+    Infinite L: the Doppler kernel at p = 1/2 times the column length
+    sqrt(2 pi K_B T/m)/nu_z.  Finite L: the kernel at p = 0 of
+    u e^{-z^2/2 z_th^2}, z_th^2 = K_B T/(m nu_z^2), summed over _z_rule, and
+    the condensate column times erf(L/a0_z)."""
+    species, temperature, a_param = response.species, response.temperature, response.a_param
     omega = probe_omega(species)
     delay = 0.0
     if temperature > 0.0:
-        length = math.sqrt(TWO_PI * KB_J_PER_K * temperature / species.mass_kg) / response.state.geometry.nu_z_rad_s
-        thermal = thermal_response(response.pref, zv, response.a_param, fugacity_value, 0.5, section, response.mode)
-        delay += length * _excess(*thermal, omega)
-    if condensate_column > 0.0:
-        delay += _excess(*condensate_response(species, zv, condensate_column), omega)
+        if math.isinf(path_half_length_m):
+            length = math.sqrt(TWO_PI * KB_J_PER_K * temperature / species.mass_kg) / response.state.geometry.nu_z_rad_s
+            s_w, s_wp = thermal_response_series(u, zv.value, a_param, 0.5, section, response.mode)
+        else:
+            z_th = math.sqrt(_thermal_size_sq(species, response.state.geometry.nu_z_rad_s, temperature))
+            # g_nu(u e^{-x}) branches at x = ln u and g_nu(u e^{-c-x}) at x = ln u - c, with
+            # x = z^2/2 z_th^2; at u = 1 the first is z^(2 nu - 2), smooth on [0, L]
+            alpha = -math.log(u) if 0.0 < u < 1.0 else (section if u == 1.0 else math.inf)
+            length, s_w, s_wp = 2.0, 0j, 0j
+            for z, weight in _z_rule(z_th, alpha, path_half_length_m):
+                t = z / z_th
+                s, s_p = thermal_response_series(u * math.exp(-0.5 * t * t), zv.value, a_param, 0.0, section, response.mode)
+                s_w += weight * s
+                s_wp += weight * s_p
+        delay += length * _excess(response.pref * s_w, response.pref * (zv.d_domega / a_param) * s_wp, omega)
+    if column > 0.0:
+        delay += _excess(*condensate_response(species, zv, column * math.erf(path_half_length_m / response.a0z)), omega)
     return delay
 
 
 def delay_at_radius(state, fields, r, path_half_length_m=math.inf):
     """Probe delay accumulated along the line of sight at radius r (s) in
-    the given state.
+    the given state: 2 int_0^L (1/v_g - 1/c) dz, the L/c vacuum term
+    subtracted by construction.
 
-    Infinite path: the Doppler kernel at p = 1/2 (the z integral multiplies
-    term l by l^-1/2) of y_r = f e^{-beta m nu_r^2 r^2/2}, to first order
-    (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0 Re{zeta'(omega)(g_2(y_r)/zeta^2
-    + (3/2) A^2 g_3(y_r)/zeta^4)}, plus the condensate line integral below
-    Tc.  Finite path: 2 int_0^L (1/v_g - 1/c) dz on composite 16-point
-    Gauss-Legendre panels (see _z_panels and _excess_inverse_speed); the L/c
-    vacuum term is subtracted by construction.
+    The thermal part is the Doppler kernel of y_r = f e^{-beta m nu_r^2 r^2/2}:
+    on an infinite path at p = 1/2 (the z integral multiplies term l by
+    l^-1/2), to first order (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0
+    Re{zeta'(omega)(g_2(y_r)/zeta^2 + (3/2) A^2 g_3(y_r)/zeta^4)}; on a finite
+    path at p = 0 of y_r e^{-beta m nu_z^2 z^2/2} on composite 10-point
+    Gauss-Legendre z panels.  Below Tc the condensate column at r adds its
+    term, times erf(L/a0_z) on a finite path.
     """
     _require_trap(state.geometry)
     if not path_half_length_m > 0.0:
         raise DomainError("path_half_length_m must be positive")
     response = GasResponse(state, fields, r)
     zv = response.zeta_at(fields.detuning_g0_rad_s)
-    if not math.isinf(path_half_length_m):
-        import numpy as np
-
-        return float(_finite_path_delays(response, zv, np.array([r]), path_half_length_m)[0])
-    trap = state.geometry
     column = 0.0
     if state.condensate_fraction > 0.0:
         a0r = response.a0r
-        column = trap.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
-    delay = _infinite_path_delay(response, zv, response.fugacity_value, 0.0, column)
+        column = state.geometry.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
+    delay = _path_delay(response, zv, response.fugacity_value, 0.0, column, path_half_length_m)
     if not math.isfinite(delay):
         raise DomainError("the delay at r = %.3g m is %r at T = %.3g K" % (r, delay, state.temperature_k))
     return delay
@@ -244,19 +212,20 @@ def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
     trap evaluator response (a GasResponse) at the zeta value zv of its zeta_at:
     <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a DelayResult.
 
-    Infinite path: the Doppler kernel at p = 1/2 with the section factor
-    (1 - e^{-lc})/(lc), c = beta m nu_r^2 R^2/2, to first order
-    2 pi (omega/c) chi0 ((K_B T)^3/(hbar^3 nu_z nu_r^2)) (1/(pi R^2))
+    Either path averages the thermal part in closed form: the Doppler kernel
+    of delay_at_radius at the fugacity f (1 below Tc) with the section factor
+    (1 - e^{-lc})/(lc), c = beta m nu_r^2 R^2/2.  On an infinite path that is,
+    to first order, 2 pi (omega/c) chi0 ((K_B T)^3/(hbar^3 nu_z nu_r^2)) (1/(pi R^2))
     Re{zeta'(omega)([g_3(f)-g_3(f e^{-c})]/zeta^2
-    + (3/2)(A^2/zeta^4)[g_4(f)-g_4(f e^{-c})])}; below Tc f = 1 plus the
-    condensate term with the selected F_C mode.  Finite path: the local
-    1/v_g - 1/c of delay_at_radius on 64 Gauss-Legendre radii, with the
-    condensate density entering pointwise (fc_mode does not apply).
-    The response's mode "asymptotic" stops the kernel at A^2 on either path.
+    + (3/2)(A^2/zeta^4)[g_4(f)-g_4(f e^{-c})])}.  Below Tc the condensate adds
+    its column with the section factor F_C: 2/(pi R^2) in fc_mode "paper",
+    the Gaussian (1 - e^{-R^2/a0r^2})/(pi R^2) in fc_mode "exact" and on every
+    finite path, where it is times erf(L/a0_z).  The response's mode
+    "asymptotic" stops the kernel at A^2 on either path.
 
-    Raises DomainError when the pinhole is so small (c < 1e-9) that the
-    closed form loses its digits, when a finite path in mode "exact" meets
-    |zeta/A| < 10, or when the delay is zero, non-finite or so short that
+    Raises DomainError when pi R^2 or c leaves the float range, when the
+    pinhole is so small (c < 1e-9) that g(f) - g(f e^{-c}) loses its digits,
+    or when the delay is zero, non-finite or so short that
     v_g = D_z/<Delta t> would reach c.
     """
     state = response.state
@@ -269,29 +238,30 @@ def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
     else:
         radius = pinhole.radius_m
     half_length = pinhole.path_half_length_m
+    where = "R = %.3g m, T = %.3g K"
+    # a product, not radius**2, so that an overflow gives inf rather than raising
+    radius_sq = radius * radius
+    area = in_float_range(math.pi * radius_sq, "the pinhole section pi R^2", where, radius, temperature)
 
-    if not math.isinf(half_length):
-        # average = (2/R^2) int_0^R r dt(r) dr on a fixed Gauss-Legendre rule
-        nodes, weights = _gauss_legendre(64)
-        r = 0.5 * radius * (nodes + 1.0)
-        delays = _finite_path_delays(response, zv, r, half_length)
-        delay = float((weights * r * delays).sum()) / radius
-    else:
-        exponent = 0.0
-        if temperature > 0.0:
-            exponent = 0.5 * response.beta * species.mass_kg * trap.nu_r_rad_s**2 * radius**2
-            if exponent < _MIN_SECTION_EXPONENT:
-                raise DomainError(
-                    "pinhole radius R = %.3g m at T = %.3g K is too small for the "
-                    "closed-form average (beta m nu_r^2 R^2/2 = %.3g < %g)"
-                    % (radius, temperature, exponent, _MIN_SECTION_EXPONENT)
-                )
-        column = 0.0
-        if state.condensate_fraction > 0.0:
-            # F_C: paper mode 2/(pi R^2); exact mode the Gaussian integral (1/(pi R^2))(1 - e^{-R^2/a0r^2})
-            section = (2.0 if fc_mode == "paper" else 1.0 - math.exp(-(radius / response.a0r) ** 2)) / (math.pi * radius**2)
-            column = trap.atom_count * state.condensate_fraction * section
-        delay = _infinite_path_delay(response, zv, state.fugacity.value, exponent, column)
+    exponent = 0.0
+    if temperature > 0.0:
+        exponent = 0.5 * response.beta * species.mass_kg * trap.nu_r_rad_s**2 * radius_sq
+        in_float_range(exponent, "the section exponent beta m nu_r^2 R^2/2", where, radius, temperature)
+        if exponent < _MIN_SECTION_EXPONENT:
+            raise DomainError(
+                "pinhole radius R = %.3g m at T = %.3g K is too small for the "
+                "closed-form average (beta m nu_r^2 R^2/2 = %.3g < %g)"
+                % (radius, temperature, exponent, _MIN_SECTION_EXPONENT)
+            )
+    column = 0.0
+    if state.condensate_fraction > 0.0:
+        if fc_mode == "paper" and math.isinf(half_length):
+            section = 2.0
+        else:
+            x = radius / response.a0r
+            section = 1.0 - math.exp(-x * x)
+        column = trap.atom_count * state.condensate_fraction * (section / area)
+    delay = _path_delay(response, zv, state.fugacity.value, exponent, column, half_length)
 
     d_z = cloud_size(state)
     # a negative delay is anomalous dispersion and comes back as v_g < 0
@@ -300,12 +270,7 @@ def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
             "pinhole radius R = %.3g m at T = %.3g K gives a mean delay of %.3g s "
             "over D_z = %.3g m, so v_g is not below c" % (radius, temperature, delay, d_z)
         )
-    return DelayResult(
-        mean_delay_s=delay,
-        cloud_size_m=d_z,
-        group_velocity_m_s=d_z / delay,
-        branch="above" if temperature > state.t_c_k else "below",
-    )
+    return DelayResult(mean_delay_s=delay, cloud_size_m=d_z, group_velocity_m_s=d_z / delay)
 
 
 def mean_delay(config, temperature, pinhole, fc_mode="paper"):

@@ -841,6 +841,19 @@ def test_float_range_faults_of_the_trap_and_species_exit_2(tmp_path, capsys):
             assert err == "physics error: %s%s\n" % (where, message), argv
 
 
+def test_pinhole_area_beyond_the_float_range_names_r_and_t(capsys):
+    # R = 1e294 m squares past the float range on either path
+    message = "the pinhole section pi R^2 leaves the floating-point range at R = 1e+294 m, T = %s K"
+    rc, out, err = run(capsys, ["sweep", "--pinhole-radius-um", "1e300"])
+    assert (rc, out) == (2, "")
+    assert err == "physics error: at t_over_tc=0.2 (T=8.4268e-08 K): %s\n" % (message % "8.43e-08")
+    config = trap_config()
+    t = 1.5 * slowlight.tc_trap(config.species, config.geometry)
+    pinhole = slowlight.PinholeSpec(radius_mode="fixed", radius_m=1e294, path_half_length_m=1e-4)
+    with pytest.raises(slowlight.DomainError, match=re.escape(message % ("%.3g" % t))):
+        slowlight.mean_delay(config, t, pinhole)
+
+
 def test_condensate_term_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):
     # at m = 1e-300 kg the recoil makes zeta^2 of the box condensate term overflow
     path = tmp_path / "light.cfg"

@@ -20,7 +20,6 @@ from slowlight import (
     faddeeva_w_prime,
     fugacity_from_temperature,
     polylog,
-    polylog_sum,
     polylog_tail,
 )
 
@@ -68,6 +67,10 @@ def test_polylog_matches_bruteforce_inside_disc():
 
 def test_polylog_accepts_fugacity_wrapper():
     assert polylog(1.5, Fugacity(0.5)) == polylog(1.5, 0.5)
+    # every real argument gives a float
+    for f in (0, 1, np.float64(0.9), Fugacity(0.9)):
+        assert type(polylog(2.5, f)) is float, f
+    assert polylog(2.5, np.float64(0.9)) == polylog(2.5, Fugacity(0.9)) == polylog(2.5, 0.9)
 
 
 def test_polylog_tail_splits_the_series():
@@ -105,96 +108,64 @@ def test_polylog_domain_errors():
         polylog(1.5, -0.1)
     with pytest.raises(DomainError):
         polylog(1.5, 1.0 + 1e-9)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        polylog(1.5, math.nan)
     with pytest.raises(DomainError, match="diverges"):
         polylog(1.0, 1.0)
     with pytest.raises(DomainError):
         polylog(0.5, 1.0)
     # nu in (0, 1] is fine strictly inside the disc
     assert polylog(0.5, 0.5) > 0.0
-    # the same errors for arrays, raised by any one bad element
-    with pytest.raises(DomainError, match="order must be positive"):
-        polylog(0.0, np.array([0.5]))
-    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        polylog(1.5, np.array([0.2, -0.1]))
-    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        polylog(1.5, np.array([0.5, 1.0 + 1e-9]))
-    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        polylog(1.5, np.array([0.5, math.nan]))
-    with pytest.raises(DomainError, match="diverges"):
-        polylog(1.0, np.array([0.5, 1.0]))
-    assert np.all(polylog(0.5, np.array([0.25, 0.5, 0.75])) > 0.0)
     # a tail starts after a whole, nonnegative number of terms
     for f, l_start in ((0.5, -1), (0.995, -3), (0.5, 2.5)):
         with pytest.raises(DomainError, match="tail start must be a nonnegative integer"):
             polylog_tail(1.5, f, l_start)
 
 
-def test_polylog_arrays_match_mpmath():
+def test_polylog_grid_matches_mpmath():
     for nu in (1.5, 2.0, 2.5, 3.0, 4.0):
-        values = polylog(nu, POLYLOG_GRID)
-        assert values[0] == 0.0
-        for f, value in zip(POLYLOG_GRID[1:], values[1:]):
-            assert rel(value, polylog_mp(nu, f)) <= 1e-14, (nu, f)
-
-
-def test_polylog_scalar_and_array_agree():
-    for nu in (0.5, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0):
-        grid = POLYLOG_GRID[:-1] if nu <= 1.0 else POLYLOG_GRID
-        values = polylog(nu, grid)
-        for f, value in zip(grid, values):
-            scalar = polylog(nu, float(f))
-            assert isinstance(scalar, float)
-            assert abs(scalar - value) <= 1e-15 * abs(value), (nu, f)
-    square = np.array([[0.1, 0.6], [0.9, 1.0]])
-    assert polylog(2.5, square).shape == (2, 2)
-    assert polylog(2.5, square)[1, 0] == polylog(2.5, np.array([0.9]))[0]
-    # every real that is not an ndarray takes the float path, and an ndarray
-    # of any shape keeps its shape
-    for f in (0, 1, np.float64(0.9), Fugacity(0.9)):
-        assert type(polylog(2.5, f)) is float, f
-    assert polylog(2.5, np.float64(0.9)) == polylog(2.5, Fugacity(0.9)) == polylog(2.5, 0.9)
-    assert polylog(2.5, np.array(0.9)).shape == ()
-    assert polylog(2.5, np.array(0.9)) == polylog(2.5, square)[1, 0]
-    outside = np.array([[0.5, 1.5]])
-    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        polylog_tail(2.5, outside, 3)
-    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        specfun._check_polylog_args((2.5,), outside)
-    with pytest.raises(DomainError, match="diverges"):
-        specfun._check_polylog_args((1.0, 2.5), square)
+        assert polylog(nu, 0.0) == 0.0
+        for f in POLYLOG_GRID[1:]:
+            assert rel(polylog(nu, float(f)), polylog_mp(nu, f)) <= 1e-14, (nu, f)
 
 
 def test_polylog_sum_matches_mpmath():
-    # each band edge of the array direct series and the switch to Robinson's
-    # expansion at 1/2, one ulp to either side, and the ends; the error is
+    # mixed-sign weighted sums of polylogs, as the Doppler tail combines them,
+    # one ulp to either side of each edge where the direct series for f <= 1/2
+    # changes length (e^-x, x = ln 2, 2, 6, 36.8) and at the ends; the error is
     # relative to sum_k |w_k g_k|, since mixed-sign weights can cancel
     grid = [0.0, 1e-300, 1.0 - 1e-12, 1.0]
-    for edge, _ in specfun._DIRECT_BANDS:
+    for x in (math.log(2.0), 2.0, 6.0, 36.8):
+        edge = math.exp(-x)
         grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-    grid = np.array(grid)
     for terms in (
         ((1.5, 0.7), (2.5, -1.3)),
         ((2.0, -2.0), (3.0, 0.5)),
         ((1.5, 1.0), (2.5, -3.0), (3.5, 2.0), (4.5, -0.25)),
     ):
-        values = polylog_sum(terms, grid)
-        for f, value in zip(grid, values):
+        for f in grid:
+            value = sum(w * polylog(nu, float(f)) for nu, w in terms)
             with mpmath.workdps(30):
-                parts = [w * mpmath.polylog(nu, f) for nu, w in terms]
+                parts = [w * mpmath.polylog(nu, float(f)) for nu, w in terms]
                 error = float(abs(value - sum(parts)))
                 scale = float(sum(abs(p) for p in parts))
             assert error <= 1e-15 * scale, (terms, f)
-    square = grid[:12].reshape(3, 4)
-    assert polylog_sum(((1.5, 2.0),), square).shape == (3, 4)
-    assert np.array_equal(polylog_sum(((1.5, 2.0),), square), 2.0 * polylog(1.5, square))
 
 
 def test_polylog_short_direct_series_matches_mpmath():
     # a float f <= 1/2 sums only the terms above 1e-16 relative: 2 at
-    # f = 1e-300, 7 at 1e-3, 55 at 1/2
-    for nu in (1.5, 3.0, 4.0):
-        for f in (1e-300, 1e-3, 0.05, 0.3, 0.5):
-            assert rel(polylog(nu, f), polylog_mp(nu, f)) <= 1e-15, (nu, f)
+    # f = 1e-300, 7 at 1e-3, 55 at 1/2; also one ulp to either side of
+    # e^-x, x = ln 2, 2, 6 and 36.8, where 55, 20, 8 and 2 terms reach that
+    # bound, and near f = 1 on Robinson's side
+    grid = [1e-300, 1e-3, 0.05, 0.3, 0.5, 1.0 - 1e-12, 1.0]
+    for x in (math.log(2.0), 2.0, 6.0, 36.8):
+        edge = math.exp(-x)
+        grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    for nu in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
+        for f in grid:
+            with mpmath.workdps(30):
+                expected = mpmath.polylog(nu, float(f))
+            assert rel(polylog(nu, float(f)), float(expected)) <= 1e-15, (nu, f)
         assert polylog(nu, 0.0) == 0.0
 
 

@@ -137,10 +137,12 @@ def test_pinhole_validation():
     with pytest.raises(DomainError, match="thermal pinhole radius undefined"):
         mean_delay(CONFIG, 0.0, PinholeSpec(radius_mode="thermal", radius_m=None))
     # g(f) - g(f e^{-c}) loses its digits as R -> 0; a metre-wide section
-    # averages the delay down until D_z/<Delta t> exceeds c
-    for radius, reason in ((1e-11, "too small"), (1e-13, "too small"), (1.0, "v_g is not below c")):
-        with pytest.raises(DomainError, match="pinhole radius R = %g m at T = .* K .*%s" % (radius, reason)):
-            mean_delay(CONFIG, 1.5 * TC, fixed_pinhole(radius))
+    # averages the delay down until D_z/<Delta t> exceeds c, on either path
+    for half_length in (math.inf, 1e-4):
+        for radius, reason in ((1e-11, "too small"), (1e-13, "too small"), (1.0, "v_g is not below c")):
+            pinhole = PinholeSpec(radius_mode="fixed", radius_m=radius, path_half_length_m=half_length)
+            with pytest.raises(DomainError, match="pinhole radius R = %g m at T = .* K .*%s" % (radius, reason)):
+                mean_delay(CONFIG, 1.5 * TC, pinhole)
 
 
 def test_chi_trap_local_matches_point_quadrature():
@@ -208,6 +210,12 @@ def test_delay_at_radius():
         full = delay_at_radius(state, fields, r)
         clipped = delay_at_radius(state, fields, r, path_half_length_m=8.0 * d_z)
         assert rel(clipped, full) < 1e-6
+    # just above Tc the branch point of g_{3/2} at z = i z_th sqrt(2 alpha)
+    # nears the axis, and the z panels are refined toward it
+    near = gas_state(CONFIG, (1.0 + 1e-6) * TC)
+    for r in (0.0, 3e-6):
+        clipped = delay_at_radius(near, fields, r, path_half_length_m=8.0 * cloud_size(near))
+        assert rel(clipped, delay_at_radius(near, fields, r)) < 1e-10, r
     radii = (0.0, 10e-6, 30e-6, 60e-6)
     delays = [delay_at_radius(state, fields, r) for r in radii]
     assert all(a > b for a, b in zip(delays, delays[1:]))
@@ -288,23 +296,41 @@ def test_finite_path_mean_delay_matches_quadrature():
                                                  path_half_length_m=half_length))
         oracle = mean_delay_by_quadrature(SLOW, t, PINHOLE.radius_m, path_half_length_m=half_length)
         assert rel(result.mean_delay_s, oracle) < 1e-6, theta
+    # and just below and above Tc, where the branch point of g_nu at
+    # z = i z_th sqrt(2 alpha) nears the axis, to 1e-10
+    for theta in (0.999, 1.001):
+        t = theta * TC
+        z_th = math.sqrt(KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))
+        for half_length in (0.3 * z_th, 3.0 * z_th):
+            for radius in (3e-6, 15e-6):
+                result = mean_delay(CONFIG, t, PinholeSpec(radius_mode="fixed", radius_m=radius,
+                                                           path_half_length_m=half_length))
+                oracle = mean_delay_by_quadrature(CONFIG, t, radius, path_half_length_m=half_length)
+                assert rel(result.mean_delay_s, oracle) < 1e-10, (theta, half_length / z_th, radius)
+
+
+def test_finite_path_keeps_the_exact_head_at_small_zeta_over_a():
+    # at |zeta/A| = 4.5 and 2.25 the kernel's large-|y| tail alone would be
+    # 0.79% and 11% off; both paths sum the exact Faddeeva head first
+    t = 1.5 * TC
+    finite = PinholeSpec(radius_mode="fixed", radius_m=PINHOLE.radius_m, path_half_length_m=1e-3)
+    for scale in (30.0, 60.0):
+        config = detuned_config("trap", k_g_per_m=scale * CONFIG.fields.k_g_per_m)
+        oracle = mean_delay_by_quadrature(config, t, PINHOLE.radius_m, path_half_length_m=1e-3)
+        assert rel(mean_delay(config, t, finite).mean_delay_s, oracle) < 1e-6, scale
+        assert rel(mean_delay(config, t, PINHOLE).mean_delay_s, mean_delay_by_quadrature(config, t, PINHOLE.radius_m)) < 1e-6
+        # L = 1 mm is 8.3 z_th, beyond which the cut density is e^-34
+        state = gas_state(config, t)
+        for r in (0.0, 5e-6):
+            full = delay_at_radius(state, config.fields, r)
+            assert rel(delay_at_radius(state, config.fields, r, path_half_length_m=1e-3), full) < 1e-12, (scale, r)
 
 
 def test_expansion_only_paths_refuse_small_zeta_over_a():
-    # the finite path sums the kernel's large-|y| tail without its exact
-    # head: at |zeta/A| = 4.5 and 2.25 it would be 0.79% and 11% off, so it
-    # refuses |zeta/A| < 10; the head-free two-term expansion refuses < 5 in
-    # both the local response and the delays
+    # the head-free two-term expansion refuses |zeta/A| < 5 in both the local
+    # response and the delays
     t = 1.5 * TC
     finite = PinholeSpec(radius_mode="fixed", radius_m=PINHOLE.radius_m, path_half_length_m=1e-3)
-    for scale, ratio in ((30.0, "4.5"), (60.0, "2.25")):
-        config = detuned_config("trap", k_g_per_m=scale * CONFIG.fields.k_g_per_m)
-        with pytest.raises(DomainError, match=r"needs \|zeta/A\| >= 10, got \|zeta/A\| = %s" % ratio):
-            mean_delay(config, t, finite)
-        with pytest.raises(DomainError, match=r"needs \|zeta/A\| >= 10"):
-            delay_at_radius(gas_state(config, t), config.fields, 0.0, path_half_length_m=1e-3)
-        # the infinite path keeps the exact head and stays on the oracle
-        assert rel(mean_delay(config, t, PINHOLE).mean_delay_s, mean_delay_by_quadrature(config, t, PINHOLE.radius_m)) < 1e-6
     config = detuned_config("trap", k_g_per_m=60.0 * CONFIG.fields.k_g_per_m)
     state = gas_state(config, t)
     # the delays take their mode from the evaluator
@@ -321,33 +347,6 @@ def test_expansion_only_paths_refuse_small_zeta_over_a():
         trap_gas.trap_response(state, config.fields, 0.0, mode="series")
     with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
         GasResponse(state, config.fields, mode="series")
-
-
-def test_finite_path_weights_match_local_response():
-    # the finite path's real weights of g_{3/2}, g_{5/2} and n_0 on the
-    # separable grid give 2 pi (Re chi + omega Re dchi/domega)/c of the local
-    # response, on the axis, beyond the pinhole (R = 15 um) and up to 12 z_th.
-    # The two round the Boltzmann exponent x = beta V differently, and e^-x
-    # turns that into about x ulp, so the bound is 1e-14 + 4 eps x
-    omega = probe_omega(SPECIES)
-    fast = trap_config(k_g_per_m=10.0 * CONFIG.fields.k_g_per_m)
-    r = np.array([0.0, 2e-6, 15e-6, 40e-6])
-    for config in (CONFIG, fast):
-        for theta in (0.5, 1.0, 1.5):
-            t = theta * TC
-            state = gas_state(config, t)
-            response = GasResponse(state, config.fields)
-            zv = response.zeta_at(config.fields.detuning_g0_rad_s)
-            z_th = math.sqrt(KB_J_PER_K * t / (SPECIES.mass_kg * TRAP.nu_z_rad_s**2))
-            z = z_th * np.array([0.0, 0.05, 0.5, 1.0, 3.0, 6.0, 12.0])
-            grid = trap_gas._excess_inverse_speed(response, zv, r, z)
-            assert grid.shape == (r.size, z.size)
-            for i, j in np.ndindex(grid.shape):
-                local = GasResponse(state, config.fields, float(r[i]), float(z[j])).at(zv)
-                point = 2.0 * math.pi * (local.chi.real + omega * local.dchi_domega.real) / C_M_S
-                exponent = 0.5 * SPECIES.mass_kg * (TRAP.nu_r_rad_s**2 * r[i] ** 2 + TRAP.nu_z_rad_s**2 * z[j] ** 2)
-                bound = 1e-14 + 4.0 * np.finfo(float).eps * exponent / (KB_J_PER_K * t)
-                assert rel(grid[i, j], point) <= bound, (theta, r[i], z[j] / z_th)
 
 
 def test_mean_delay_thermal_pinhole():
@@ -383,9 +382,8 @@ def test_delay_and_vg_continuous_at_tc():
 
 
 def test_delay_result_fields():
-    for theta, branch in ((2.0, "above"), (0.5, "below")):
+    for theta in (2.0, 0.5):
         result = mean_delay(CONFIG, theta * TC, PINHOLE)
-        assert result.branch == branch
         assert result.cloud_size_m == cloud_size(gas_state(CONFIG, theta * TC))
         assert result.group_velocity_m_s == result.cloud_size_m / result.mean_delay_s
         assert result.mean_delay_s > 0.0
