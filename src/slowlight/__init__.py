@@ -9,7 +9,6 @@ ideal-gas vs Thomas-Fermi estimates.
 from .box_gas import (
     GasResponse,
     GasState,
-    box_response,
     doppler_width_param,
     gas_state,
     tc_box,
@@ -36,7 +35,6 @@ from .errors import (
     ValidityWarning,
 )
 from .specfun import (
-    Fugacity,
     faddeeva_w,
     faddeeva_w_prime,
     fugacity_from_temperature,
@@ -58,7 +56,6 @@ from .trap_gas import (
     mean_delay,
     thermal_radius,
     trap_mean_delay,
-    trap_response,
 )
 from .units_params import (
     C_M_S,
@@ -90,7 +87,6 @@ __all__ = [
     "DomainError",
     "ExperimentConfig",
     "FieldParams",
-    "Fugacity",
     "GasResponse",
     "GasState",
     "HBAR_J_S",
@@ -105,7 +101,6 @@ __all__ = [
     "UsageError",
     "ValidityWarning",
     "ZetaValue",
-    "box_response",
     "chi0",
     "cloud_size",
     "coherence_steady_state",
@@ -136,6 +131,5 @@ __all__ = [
     "thermal_series_prefactor",
     "transparency_limit_response",
     "trap_mean_delay",
-    "trap_response",
     "zeta",
 ]

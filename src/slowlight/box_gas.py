@@ -1,10 +1,10 @@
 """Thermodynamic state of the ideal Bose gas, the Doppler kernel of a thermal
-cloud and the local susceptibility of either geometry.
+cloud and GasResponse, the one susceptibility evaluator of either geometry.
 
-The state at one temperature (Tc, fugacity, condensate fraction) serves
-both geometries.  Above Tc the Doppler-averaged response of the thermal
-cloud in a box is the series over l of f^l/l * w(sqrt(l) zeta / A), with
-A = sqrt(2 K_B T/m) k_g/Gamma_ge the thermal Doppler width in linewidth
+The state at one temperature (Tc, the fugacity as a float, the condensate
+fraction) serves both geometries.  Above Tc the Doppler-averaged response of
+the thermal cloud in a box is the series over l of f^l/l * w(sqrt(l) zeta / A),
+with A = sqrt(2 K_B T/m) k_g/Gamma_ge the thermal Doppler width in linewidth
 units; below Tc the f = 1 series plus the zero-momentum condensate term
 -(chi0/zeta) n (1 - (T/Tc)^{3/2}).  Terms with sqrt(l)|zeta/A| < 70 use the
 exact w; from the first l beyond, the large-|y| expansion of w turns the rest
@@ -27,7 +27,6 @@ from .specfun import (
     W_LARGE_Y,
     ZETA_3,
     ZETA_3_2,
-    Fugacity,
     faddeeva_w,
     faddeeva_w_prime,
     fugacity_from_temperature,
@@ -78,7 +77,7 @@ class GasState:
     geometry: object  # Box or HarmonicTrap
     temperature_k: float
     t_c_k: float
-    fugacity: Fugacity
+    fugacity: float
     condensate_fraction: float
 
 
@@ -124,10 +123,7 @@ def gas_state(config, temperature):
     else:
         t_c, nu = tc_trap(species, geometry), 3.0
     theta = temperature / t_c
-    if temperature == 0.0:
-        fugacity = Fugacity(1.0)
-    else:
-        fugacity = fugacity_from_temperature(kind, theta)
+    fugacity = 1.0 if temperature == 0.0 else fugacity_from_temperature(kind, theta)
     if kind == "trap" and temperature > 0.0:
         nu_max = max(geometry.nu_r_rad_s, geometry.nu_z_rad_s)
         if KB_J_PER_K * temperature < 10.0 * HBAR_J_S * nu_max:
@@ -236,13 +232,6 @@ def thermal_series_prefactor(species, temperature, a_param):
         raise float_range_error(prefactor, "T = %.3g K" % temperature, exc) from exc
 
 
-def thermal_response(pref, zv, a_param, fugacity_value, power=0.0, section=0.0, mode="exact"):
-    """(chi, dchi/domega) = (P S, P (zeta'/A) S') of the thermal cloud with
-    the prefactor P at the given (local) fugacity."""
-    s_w, s_wp = thermal_response_series(fugacity_value, zv.value, a_param, power, section, mode)
-    return pref * s_w, pref * (zv.d_domega / a_param) * s_wp
-
-
 def condensate_response(species, zv, density):
     """(chi, dchi/domega) = (-chi0 n/zeta, chi0 n zeta'/zeta^2) of a condensate
     density (or column density) n at rest."""
@@ -252,15 +241,21 @@ def condensate_response(species, zv, density):
 
 class GasResponse:
     """Susceptibility of a gas state under the fields, in a box or at the point
-    (r, z) of a trap: response(detuning) is the ComplexResponse at the probe
-    detuning Delta_g0 (rad/s).
+    (r, z) of a trap (a box refuses a nonzero r or z): response(detuning) is
+    the ComplexResponse at the probe detuning Delta_g0 (rad/s), by default the
+    fields' own.  It is the Doppler kernel at the local fugacity f e^{-beta V}
+    (f, 1 below Tc, in a box) plus the condensate.  Mode "asymptotic" stops
+    the kernel at (A/zeta)^2, in a box the closed form
+    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2]
+    and in a trap -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2} + g_{5/2} A^2/(2 zeta^2)].
 
     Construction is the per-temperature stage, run once for a whole scan:
-    the recoil, the Doppler width A, the local fugacity f e^{-beta V}, the
-    thermal prefactor P and the local condensate density, and in a trap the
-    scales the delays read: a0r, a0z and beta (T > 0).
+    the recoil, the Doppler width A, the local fugacity, the thermal
+    prefactor P and the local condensate density, and in a trap the scales
+    the delays read: a0r, a0z and beta (T > 0).
     A call is the per-detuning stage: zeta (zeta_at), then the Doppler kernel
-    at zeta/A, whose tail polylogs are cached, and the condensate term (at)."""
+    S, S' at zeta/A, whose tail polylogs are cached, for (P S, P (zeta'/A) S'),
+    and the condensate term (at)."""
 
     def __init__(self, state, fields, r=0.0, z=0.0, mode="exact"):
         if not r >= 0.0:
@@ -274,8 +269,10 @@ class GasResponse:
         except ArithmeticError as exc:
             raise float_range_error("zeta", "T = %.3g K" % temperature, exc) from exc
         self.a_param = doppler_width_param(species, fields, temperature)
-        self.fugacity_value = state.fugacity.value
+        self.fugacity_value = state.fugacity
         if isinstance(geometry, Box):
+            if r != 0.0 or z != 0.0:
+                raise ValueError("a box response has no position, got r = %r, z = %r" % (r, z))
             self.density = geometry.number_density_per_m3 * state.condensate_fraction
         else:
             self.a0r = ground_state_size(species, geometry.nu_r_rad_s)
@@ -300,8 +297,8 @@ class GasResponse:
         if temperature > 0.0:
             self.pref = thermal_series_prefactor(species, temperature, self.a_param)
 
-    def zeta_at(self, detuning):
-        """zeta and dzeta/domega at the probe detuning Delta_g0 (rad/s)."""
+    def zeta_at(self, detuning=None):
+        """zeta and dzeta/domega at the probe detuning Delta_g0 (rad/s) or the fields' own."""
         try:
             return zeta(self.fields, self.recoil, detuning)
         except ArithmeticError as exc:
@@ -312,7 +309,8 @@ class GasResponse:
         naming the temperature when it is not finite."""
         chi = dchi = 0j
         if self.temperature > 0.0:
-            chi, dchi = thermal_response(self.pref, zv, self.a_param, self.fugacity_value, mode=self.mode)
+            s_w, s_wp = thermal_response_series(self.fugacity_value, zv.value, self.a_param, mode=self.mode)
+            chi, dchi = self.pref * s_w, self.pref * (zv.d_domega / self.a_param) * s_wp
         if self.state.condensate_fraction > 0.0:
             try:
                 chi_c, dchi_c = condensate_response(self.species, zv, self.density)
@@ -325,17 +323,6 @@ class GasResponse:
             raise DomainError(message % (chi, dchi, self.temperature))
         return ComplexResponse(chi=chi, dchi_domega=dchi)
 
-    def __call__(self, detuning):
+    def __call__(self, detuning=None):
         return self.at(self.zeta_at(detuning))
-
-
-def box_response(state, fields, mode="exact"):
-    """Susceptibility of the box gas in the given state under the given fields:
-    the Doppler kernel at the fugacity f (1 below Tc) plus the condensate.
-    Mode "asymptotic" stops the kernel at (A/zeta)^2, the closed form
-    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2].
-    """
-    if not isinstance(state.geometry, Box):
-        raise ValueError("box response requires a box geometry")
-    return GasResponse(state, fields, mode=mode)(fields.detuning_g0_rad_s)
 

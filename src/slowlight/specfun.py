@@ -13,7 +13,6 @@ polylog runs on math alone.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, SeriesCapError
@@ -91,17 +90,6 @@ _BOLTZMANN_TARGET = 1e-17
 # fails after _NEWTON_STEPS steps (it takes at most 5)
 _NEWTON_RTOL = 1e-9
 _NEWTON_STEPS = 50
-
-
-@dataclass(frozen=True)
-class Fugacity:
-    """Fugacity f = exp(mu/K_B T); f = 1 exactly for T <= Tc."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise DomainError("fugacity must lie in [0, 1], got %r" % self.value)
 
 
 def _upper_gamma(s, z):
@@ -187,16 +175,13 @@ def _horner(coefficients, x):
 def polylog(nu, f):
     """Bose-Einstein function g_nu(f) = sum_{l>=1} f^l / l^nu, f in [0, 1].
 
-    f is a float (or Fugacity).  f <= 1/2 sums the direct series, only as
-    many terms as reach 1e-16 relative; above it,
-    Robinson's expansion in alpha = -ln f,
+    f <= 1/2 sums the direct series, only as many terms as reach 1e-16
+    relative; above it, Robinson's expansion in alpha = -ln f,
     g_nu = Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k / k!,
     with (-alpha)^(n-1)/(n-1)! (H_(n-1) - ln alpha) in place of the leading
     and the k = n-1 terms for integer nu = n (J. E. Robinson, Phys. Rev. 83,
     678 (1951)).  Both are Horner polynomials over per-order tables.
     """
-    if isinstance(f, Fugacity):
-        f = f.value
     f = float(f)
     # the full check, which names the fault, only where one of its tests fails
     if not (nu > 0.0 and 0.0 <= f <= 1.0) or (f == 1.0 and nu <= 1.0):
@@ -222,8 +207,6 @@ def polylog_tail(nu, f, l_start):
     an Euler-Maclaurin sum with an upper-incomplete-gamma integral.  The
     error is about 1e-15 relative to g_nu(f), not to the tail.
     """
-    if isinstance(f, Fugacity):
-        f = f.value
     _check_polylog_args(nu, f)
     if not (l_start >= 0 and float(l_start).is_integer()):
         raise DomainError("polylog tail start must be a nonnegative integer, got %r" % l_start)
@@ -289,7 +272,8 @@ def faddeeva_w_prime(y):
 
 def fugacity_from_temperature(geometry_kind, t_over_tc):
     """Invert g_{3/2}(f) = g_{3/2}(1) (Tc/T)^{3/2} (box) or
-    g_3(f) = g_3(1) (Tc/T)^3 (trap) for the fugacity; f = 1 below Tc.
+    g_3(f) = g_3(1) (Tc/T)^3 (trap) for the fugacity f, a float in [0, 1];
+    f = 1 below Tc.
 
     Newton's method on ln g_nu in x = alpha = -ln f (trap) or x = sqrt(alpha)
     (box), in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}.  It
@@ -304,21 +288,21 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
     if not t_over_tc > 0.0:
         raise DomainError("t_over_tc must be positive, got %r" % t_over_tc)
     if t_over_tc <= 1.0:
-        return Fugacity(1.0)
+        return 1.0
     if geometry_kind == "box":
         nu, power, g_at_one, slope_at_one = 1.5, 2, ZETA_3_2, 2.0 * SQRT_PI
     else:
         nu, power, g_at_one, slope_at_one = 3.0, 1, ZETA_3, ZETA_2
     target = float(g_at_one * t_over_tc**-nu)
     if target < _BOLTZMANN_TARGET:
-        return Fugacity(target)
+        return target
     log_target = math.log(target)
     x = max((g_at_one - target) / slope_at_one, max(-log_target, 0.0) ** (1.0 / power))
     alpha = x**power
     for _ in range(_NEWTON_STEPS):
         f = math.exp(-alpha)
         if f == 1.0:
-            return Fugacity(1.0)
+            return 1.0
         g = polylog(nu, f)
         # d ln g / dx = -g_{nu-1}/g dalpha/dx
         x += (math.log(g) - log_target) * g / (polylog(nu - 1.0, f) * power * x ** (power - 1))
@@ -329,7 +313,7 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
         raise SeriesCapError("fugacity solve did not converge at T/Tc = %r" % t_over_tc)
     f = math.exp(-alpha)
     if f == 1.0:
-        return Fugacity(1.0)
+        return 1.0
     # dg_nu/df = g_{nu-1}/f
     f -= (polylog(nu, f) - target) * f / polylog(nu - 1.0, f)
-    return Fugacity(min(f, 1.0))
+    return min(f, 1.0)

@@ -1,15 +1,15 @@
-"""Semiclassical response of the harmonically trapped ideal Bose gas.
+"""Semiclassical delays of the harmonically trapped ideal Bose gas.
 
-Local susceptibility chi(r, z), per-ray probe delays Delta_t(r) through the
-cloud, uniform pinhole averages over a circular section of radius R, cloud
-sizes, and the experimental group velocity v_g = D_z / <Delta t>.
-The thermal cloud at (r, z) is a box gas at the local fugacity f e^{-beta V},
-so every thermal response is the box Doppler kernel: at p = 0 for chi, at
-p = 1/2 for a column, with the section factor for a pinhole average.  Every
-delay integrates 1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c: the
-pinhole average in closed form on either path, the line of sight in closed
-form on an infinite path and on Gauss-Legendre z panels of the same kernel
-on a finite one.
+Per-ray probe delays Delta_t(r) through the cloud, uniform pinhole averages
+over a circular section of radius R, cloud sizes, and the experimental group
+velocity v_g = D_z / <Delta t>.  The local susceptibility chi(r, z) is
+box_gas.GasResponse: the thermal cloud at (r, z) is a box gas at the local
+fugacity f e^{-beta V}, so every thermal response is the box Doppler kernel:
+at p = 0 for chi, at p = 1/2 for a column, with the section factor for a
+pinhole average.  Every delay integrates 1/v_g - 1/c = 2 pi (Re chi + omega
+Re dchi/domega)/c: the pinhole average in closed form on either path, the
+line of sight in closed form on an infinite path and on Gauss-Legendre z
+panels of the same kernel on a finite one.
 """
 
 import math
@@ -107,16 +107,6 @@ def _excess(chi, dchi, omega):
     return TWO_PI * (chi.real + omega * dchi.real) / C_M_S
 
 
-def trap_response(state, fields, r=0.0, mode="exact"):
-    """Susceptibility of the trapped gas in the given state, in the plane
-    z = 0 at radial distance r: the box response at the local fugacity
-    f e^{-beta V}, -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2} +
-    g_{5/2} A^2/(2 zeta^2) + ...] (mode "asymptotic" stops at A^2), plus the
-    condensate term below Tc."""
-    _require_trap(state.geometry)
-    return GasResponse(state, fields, r, mode=mode)(fields.detuning_g0_rad_s)
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre(points):
     """Gauss-Legendre nodes and weights on [-1, 1] as float tuples, built on first use."""
@@ -196,7 +186,7 @@ def delay_at_radius(state, fields, r, path_half_length_m=math.inf):
     if not path_half_length_m > 0.0:
         raise DomainError("path_half_length_m must be positive")
     response = GasResponse(state, fields, r)
-    zv = response.zeta_at(fields.detuning_g0_rad_s)
+    zv = response.zeta_at()
     column = 0.0
     if state.condensate_fraction > 0.0:
         a0r = response.a0r
@@ -261,7 +251,7 @@ def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
             x = radius / response.a0r
             section = 1.0 - math.exp(-x * x)
         column = trap.atom_count * state.condensate_fraction * (section / area)
-    delay = _path_delay(response, zv, state.fugacity.value, exponent, column, half_length)
+    delay = _path_delay(response, zv, state.fugacity, exponent, column, half_length)
 
     d_z = cloud_size(state)
     # a negative delay is anomalous dispersion and comes back as v_g < 0
@@ -281,4 +271,4 @@ def mean_delay(config, temperature, pinhole, fc_mode="paper"):
     start and the library call the benchmark times.  Every other response
     takes a GasState from gas_state."""
     response = GasResponse(gas_state(config, temperature), config.fields)
-    return trap_mean_delay(response, response.zeta_at(config.fields.detuning_g0_rad_s), pinhole, fc_mode=fc_mode)
+    return trap_mean_delay(response, response.zeta_at(), pinhole, fc_mode=fc_mode)

@@ -16,6 +16,7 @@ load); everything else is plain SI.  Unknown keys are rejected.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 import warnings
 
@@ -124,7 +125,10 @@ def probe_omega(species):
 def ground_state_size(species, nu):
     """Oscillator ground-state size a_0 = sqrt(hbar / m nu) (a DomainError beyond the float range)."""
     m_nu = species.mass_kg * nu
-    a0 = math.sqrt(HBAR_J_S / m_nu) if m_nu > 0.0 else math.inf
+    if m_nu >= sys.float_info.min:
+        a0 = math.sqrt(HBAR_J_S / m_nu)
+    else:  # m nu is subnormal or 0, though hbar/m/nu may be a normal float
+        a0 = math.sqrt(HBAR_J_S / species.mass_kg / nu) if min(species.mass_kg, nu) > 0.0 else math.inf
     return in_float_range(a0, "a_0 = sqrt(hbar/m nu)", "m = %.3g kg, nu = %.3g rad/s", species.mass_kg, nu)
 
 

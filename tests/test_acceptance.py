@@ -13,7 +13,7 @@ from scipy.special import wofz
 
 from slowlight import (
     C_M_S,
-    box_response,
+    GasResponse,
     coherence_steady_state,
     dipole_moment_sq,
     faddeeva_w,
@@ -139,7 +139,7 @@ def test_criterion_5a_coherence_vs_bloch():
 def test_criterion_5b_box_series_vs_quadrature():
     worst = 0.0
     for theta in (0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0):
-        resp = box_response(gas_state(BOX, theta * TC_BOX), BOX.fields)
+        resp = GasResponse(gas_state(BOX, theta * TC_BOX), BOX.fields)()
         chi_q, dchi_q = chi_box_by_quadrature(BOX, theta * TC_BOX)
         worst = max(worst, rel(resp.chi, chi_q), rel(resp.dchi_domega, dchi_q))
     _report("5b", "box Doppler series vs direct quadrature, 10 temperatures", worst < 1e-8,
@@ -165,8 +165,8 @@ def test_criterion_5d_asymptotic_vs_exact():
     for a_param in (0.05, 0.1, 0.18):
         t = temperature_for_doppler_a(config, a_param)
         state = gas_state(config, t)
-        difference = rel(box_response(state, config.fields, mode="asymptotic").chi,
-                         box_response(state, config.fields).chi)
+        difference = rel(GasResponse(state, config.fields, mode="asymptotic")().chi,
+                         GasResponse(state, config.fields)().chi)
         worst_ratio = max(worst_ratio, difference / (10.0 * a_param**4))
     _report("5d", "first Doppler correction truncates at order (A/|zeta|)^4", worst_ratio < 1.0,
             "worst difference / bound = %.3g (bound 10 (A/|zeta|)^4)" % worst_ratio)
@@ -212,8 +212,8 @@ def test_criterion_8_physical_invariants():
     problems = []
     # continuity across the condensation point
     eps = 1e-10
-    below_box = box_response(gas_state(BOX, TC_BOX * (1 - eps)), BOX.fields)
-    above_box = box_response(gas_state(BOX, TC_BOX * (1 + eps)), BOX.fields)
+    below_box = GasResponse(gas_state(BOX, TC_BOX * (1 - eps)), BOX.fields)()
+    above_box = GasResponse(gas_state(BOX, TC_BOX * (1 + eps)), BOX.fields)()
     if rel(below_box.chi, above_box.chi) > 1e-8:
         problems.append("box chi jumps at Tc")
     below = mean_delay(TRAP, TC_TRAP * (1 - eps), PINHOLE)
@@ -231,14 +231,14 @@ def test_criterion_8_physical_invariants():
             detuning_g0_rad_s=rng.uniform(-2.0, 2.0) * gamma,
             detuning_r0_rad_s=rng.uniform(-2.0, 2.0) * gamma,
         )
-        resp = box_response(gas_state(BOX, rng.uniform(0.5, 2.5) * TC_BOX), fields)
+        resp = GasResponse(gas_state(BOX, rng.uniform(0.5, 2.5) * TC_BOX), fields)()
         if not resp.chi.imag > 0.0:
             problems.append("Im chi <= 0 at a random detuning")
             break
     # sweeps stay subluminal with positive delays
     omega = probe_omega(BOX.species)
     for theta in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0):
-        v_g = group_velocity_from_response(box_response(gas_state(BOX, theta * TC_BOX), BOX.fields), omega)
+        v_g = group_velocity_from_response(GasResponse(gas_state(BOX, theta * TC_BOX), BOX.fields)(), omega)
         if not 0.0 < v_g < C_M_S:
             problems.append("box v_g outside (0, c) at theta=%g" % theta)
     for theta in (0.5, 0.8, 1.2, 2.0, 3.0):

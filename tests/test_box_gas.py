@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import wofz
 
 import slowlight.box_gas
@@ -16,8 +19,9 @@ from slowlight import (
     KB_J_PER_K,
     Box,
     DomainError,
+    GasResponse,
     SeriesCapError,
-    box_response,
+    ValidityWarning,
     chi0,
     doppler_width_param,
     faddeeva_w_prime,
@@ -73,14 +77,14 @@ def test_box_thermo_above_tc():
     assert th.temperature_k == t
     assert th.condensate_fraction == 0.0
     # n lambda_T^3 = g_{3/2}(f): the fugacity solves the density equation
-    g32 = float(mpmath.polylog(1.5, th.fugacity.value))
+    g32 = float(mpmath.polylog(1.5, th.fugacity))
     target = float(mpmath.zeta(1.5)) * 1.5**-1.5
     assert rel(g32, target) < 1e-12
 
 
 def test_box_thermo_below_tc():
     th = gas_state(CONFIG, 0.5 * TC)
-    assert th.fugacity.value == 1.0
+    assert th.fugacity == 1.0
     assert th.condensate_fraction == 1.0 - 0.5**1.5
     assert gas_state(CONFIG, 0.0).condensate_fraction == 1.0
 
@@ -88,9 +92,11 @@ def test_box_thermo_below_tc():
 def test_box_thermo_errors():
     with pytest.raises(DomainError, match="temperature must be nonnegative"):
         gas_state(CONFIG, -1e-9)
-    trap = trap_config()
-    with pytest.raises(ValueError, match="requires a box geometry"):
-        box_response(gas_state(trap, 1e-7), trap.fields)
+    # a box has no position, so a radius or height there would be ignored
+    state = gas_state(CONFIG, 1.5 * TC)
+    for position in ({"r": 1e-6}, {"z": -1e-6}, {"z": math.nan}, {"r": 0.0, "z": 1.0}):
+        with pytest.raises(ValueError, match="a box response has no position"):
+            GasResponse(state, FIELDS, **position)
 
 
 def test_gas_state_refuses_a_non_finite_temperature(tmp_path, capsys):
@@ -110,10 +116,28 @@ def test_gas_state_refuses_a_non_finite_temperature(tmp_path, capsys):
     )
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(["box", "trap"]), theta=st.floats(min_value=0.0, max_value=1e300))
+@example(geometry="box", theta=0.0)
+@example(geometry="trap", theta=0.0)
+@example(geometry="box", theta=1.0)
+@example(geometry="trap", theta=1.0)
+def test_gas_state_fugacity_is_a_float_in_the_unit_interval(geometry, theta):
+    config = CONFIG if geometry == "box" else trap_config()
+    t_c = gas_state(config, 0.0).t_c_k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        state = gas_state(config, theta * t_c)
+    assert type(state.fugacity) is float
+    assert 0.0 <= state.fugacity <= 1.0
+    if state.temperature_k <= t_c:
+        assert state.fugacity == 1.0
+
+
 def test_chi_box_exact_matches_quadrature():
     worst = 0.0
     for theta in (0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0):
-        resp = box_response(gas_state(CONFIG, theta * TC), CONFIG.fields)
+        resp = GasResponse(gas_state(CONFIG, theta * TC), CONFIG.fields)()
         chi_q, dchi_q = chi_box_by_quadrature(CONFIG, theta * TC)
         worst = max(worst, rel(resp.chi, chi_q), rel(resp.dchi_domega, dchi_q))
     assert worst < 1e-8
@@ -126,7 +150,7 @@ def test_chi_box_detuned_matches_quadrature():
     for config in (detuned_config("box"), detuned_config("box", k_g_per_m=1.5 * FIELDS.k_g_per_m)):
         for a_target in (0.05, 0.18):
             t = temperature_for_doppler_a(config, a_target)
-            resp = box_response(gas_state(config, t), config.fields)
+            resp = GasResponse(gas_state(config, t), config.fields)()
             chi_q, dchi_q = chi_box_by_quadrature(config, t)
             assert rel(resp.chi, chi_q) < 1e-8
             assert rel(resp.dchi_domega, dchi_q) < 1e-8
@@ -154,7 +178,7 @@ def test_chi_box_exact_head_then_tail_matches_quadrature(monkeypatch):
             tails.clear()
             # the kernel caches its tail polylogs; count the tails of this call
             slowlight.box_gas._tail_polylogs.cache_clear()
-            resp = box_response(gas_state(config, theta * tc), config.fields)
+            resp = GasResponse(gas_state(config, theta * tc), config.fields)()
             assert bool(tails) == (scale < 200 or theta < 1.2), (scale, theta)
             assert not tails or min(tails) > 0, (scale, theta)
             if scale >= 200:
@@ -173,7 +197,7 @@ def test_default_box_response_needs_no_faddeeva_terms(monkeypatch, capsys):
         exact = getattr(slowlight.box_gas, name)
         monkeypatch.setattr(slowlight.box_gas, name, lambda y, name=name, exact=exact: calls.append(name) or exact(y))
     for theta in (0.5, 1.0 + 1e-4, 2.0):
-        box_response(gas_state(CONFIG, theta * TC), CONFIG.fields)
+        GasResponse(gas_state(CONFIG, theta * TC), CONFIG.fields)()
     assert main(["chi", "--geometry", "box", "--temperature-nk", "200"]) == 0
     capsys.readouterr()
     assert calls == []
@@ -197,7 +221,7 @@ def test_far_detuned_dispersive_limit():
     # probe far below resonance: Re chi -> +n chi_0 Gamma_ge / Delta, tiny absorption
     delta = 100.0 * FIELDS.gamma_ge_rad_s
     far = box_config(omega_coupling_rad_s=0.0, detuning_g0_rad_s=delta)
-    resp = box_response(gas_state(far, 1.5 * TC), far.fields)
+    resp = GasResponse(gas_state(far, 1.5 * TC), far.fields)()
     expected = DENSITY * chi0(SPECIES) * FIELDS.gamma_ge_rad_s / (delta + recoil_frequency(SPECIES, FIELDS))
     assert resp.chi.real > 0.0
     assert rel(resp.chi.real, expected) < 0.02
@@ -205,7 +229,7 @@ def test_far_detuned_dispersive_limit():
 
 
 def test_condensate_response_at_zero_temperature():
-    resp = box_response(gas_state(CONFIG, 0.0), CONFIG.fields)
+    resp = GasResponse(gas_state(CONFIG, 0.0), CONFIG.fields)()
     z = zeta(FIELDS, recoil_frequency(SPECIES, FIELDS))
     assert rel(resp.chi, -DENSITY * chi0(SPECIES) / z.value) < 1e-14
     assert rel(resp.dchi_domega, DENSITY * chi0(SPECIES) * z.d_domega / z.value**2) < 1e-14
@@ -217,16 +241,16 @@ def test_asymptotic_matches_exact_when_doppler_small():
     for a_target in (0.05, 0.1, 0.18):
         t = temperature_for_doppler_a(config, a_target)
         state = gas_state(config, t)
-        exact = box_response(state, config.fields)
-        asym = box_response(state, config.fields, mode="asymptotic")
+        exact = GasResponse(state, config.fields)()
+        asym = GasResponse(state, config.fields, mode="asymptotic")()
         difference = rel(asym.chi, exact.chi)
         assert difference < 10.0 * a_target**4
         # the truncation error is real: the two routes must not collapse
         assert difference > 1e-3 * a_target**4
     for theta in (1.2, 2.0, 3.0):
         state = gas_state(CONFIG, theta * TC)
-        exact = box_response(state, FIELDS)
-        asym = box_response(state, FIELDS, mode="asymptotic")
+        exact = GasResponse(state, FIELDS)()
+        asym = GasResponse(state, FIELDS, mode="asymptotic")()
         assert rel(asym.chi, exact.chi) < 1e-3
         assert rel(asym.dchi_domega, exact.dchi_domega) < 1e-3
 
@@ -235,24 +259,24 @@ def test_asymptotic_domain_guard():
     config = detuned_config("box")
     state = gas_state(config, temperature_for_doppler_a(config, 0.25))
     with pytest.raises(DomainError, match="asymptotic expansion requires"):
-        box_response(state, config.fields, mode="asymptotic")
+        GasResponse(state, config.fields, mode="asymptotic")()
 
 
 def test_chi_box_exact_at_vanishing_doppler_width_is_a_domain_error():
     # K_B T underflows, so A = 0 and the series prefactor divides by zero
     with pytest.raises(DomainError, match=r"thermal prefactor .* at T = 1e-307 K"):
-        box_response(gas_state(CONFIG, 1e-307), CONFIG.fields)
+        GasResponse(gas_state(CONFIG, 1e-307), CONFIG.fields)()
 
 
 def test_chi_box_exact_at_overflowing_temperature_is_a_domain_error():
     with pytest.raises(DomainError, match=r"chi = .* is not finite at T = 1e\+290 K"):
-        box_response(gas_state(CONFIG, 1e290), CONFIG.fields)
+        GasResponse(gas_state(CONFIG, 1e290), CONFIG.fields)()
 
 
 def test_chi_continuous_at_tc():
     eps = 1e-11
-    below = box_response(gas_state(CONFIG, TC * (1.0 - eps)), CONFIG.fields)
-    above = box_response(gas_state(CONFIG, TC * (1.0 + eps)), CONFIG.fields)
+    below = GasResponse(gas_state(CONFIG, TC * (1.0 - eps)), CONFIG.fields)()
+    above = GasResponse(gas_state(CONFIG, TC * (1.0 + eps)), CONFIG.fields)()
     assert rel(below.chi, above.chi) < 1e-10
     assert rel(below.dchi_domega, above.dchi_domega) < 1e-10
 
@@ -264,19 +288,19 @@ def test_doppler_series_cap():
 
 def test_vg_box_dilute_limit():
     dilute = replace(CONFIG, geometry=Box(number_density_per_m3=1.0))
-    v = group_velocity_from_response(box_response(gas_state(dilute, 2.0 * tc_box(SPECIES, 1.0)), FIELDS), OMEGA)
+    v = group_velocity_from_response(GasResponse(gas_state(dilute, 2.0 * tc_box(SPECIES, 1.0)), FIELDS)(), OMEGA)
     assert 1.0 - 1e-9 < v / C_M_S < 1.0
 
 
 def test_vg_box_default_sweep():
     values = [
-        group_velocity_from_response(box_response(gas_state(CONFIG, theta * TC), FIELDS), OMEGA)
+        group_velocity_from_response(GasResponse(gas_state(CONFIG, theta * TC), FIELDS)(), OMEGA)
         for theta in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0)
     ]
     assert all(0.0 < v < C_M_S for v in values)
     # total density is fixed in a box, so the group velocity barely moves with T
     flat = [
-        group_velocity_from_response(box_response(gas_state(CONFIG, theta * TC), FIELDS), OMEGA)
+        group_velocity_from_response(GasResponse(gas_state(CONFIG, theta * TC), FIELDS)(), OMEGA)
         for theta in (0.5, 1.0, 1.5, 2.0)
     ]
     assert (max(flat) - min(flat)) / min(flat) < 0.05
@@ -284,8 +308,8 @@ def test_vg_box_default_sweep():
 
 def test_vg_box_modes():
     state = gas_state(CONFIG, 1.5 * TC)
-    asymptotic = group_velocity_from_response(box_response(state, FIELDS, mode="asymptotic"), OMEGA)
-    exact = group_velocity_from_response(box_response(state, FIELDS, mode="exact"), OMEGA)
+    asymptotic = group_velocity_from_response(GasResponse(state, FIELDS, mode="asymptotic")(), OMEGA)
+    exact = group_velocity_from_response(GasResponse(state, FIELDS, mode="exact")(), OMEGA)
     assert rel(asymptotic, exact) < 1e-3
     with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
-        box_response(state, FIELDS, mode="bogus")
+        GasResponse(state, FIELDS, mode="bogus")()

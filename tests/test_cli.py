@@ -28,13 +28,11 @@ from slowlight import (
     GasResponse,
     PoleError,
     ValidityWarning,
-    box_response,
     cli,
     gas_state,
     serialize_config,
     tc_box,
     tc_trap,
-    trap_response,
 )
 from slowlight.cli import DEFAULT_CONFIG_TEXT, main
 from slowlight.units_params import _DOCUMENT_KEYS, _SCHEMA, _written
@@ -559,7 +557,8 @@ def test_scan_response_is_the_single_point_response(
         state = gas_state(config, theta * t_c)
     detuning = detuning_gamma * gamma
     point = replace(fields, detuning_g0_rad_s=detuning)
-    single = box_response(state, point) if geometry == "box" else trap_response(state, point, r)
+    # called without a detuning, the evaluator takes the fields' own
+    single = GasResponse(state, point, r)()
     scanned = GasResponse(state, fields, r)(detuning)
     assert repr((scanned.chi, scanned.dchi_domega)) == repr((single.chi, single.dchi_domega))
 
@@ -861,7 +860,7 @@ def test_condensate_term_beyond_the_float_range_is_a_domain_error(tmp_path, caps
     message = "the condensate response leaves the floating-point range at T = 2e-07 K (complex exponentiation)"
     config = slowlight.load_config(path.read_text())
     with pytest.raises(slowlight.DomainError, match=re.escape(message)):
-        box_response(gas_state(config, 2e-7), config.fields)
+        GasResponse(gas_state(config, 2e-7), config.fields)()
     rc, out, err = run(capsys, ["chi", "--temperature-nk", "200", "--config", str(path)])
     assert (rc, out, err) == (2, "", "physics error: at detuning=-2 gamma (T=2e-07 K): %s\n" % message)
 

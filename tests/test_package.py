@@ -2,11 +2,15 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import slowlight
+import slowlight.cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+README = ROOT / "README.md"
 
 
 def test_public_names_are_sorted_unique_and_resolve():
@@ -66,3 +70,16 @@ def test_benchmark_names_resolve():
         except (AttributeError, ImportError):
             missing.append("%s: %s" % (name, chain))
     assert not missing, missing
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    # the README's python examples run in order, in one namespace, beside an
+    # experiment.cfg that holds the default configuration
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) >= 2
+    (tmp_path / "experiment.cfg").write_text(slowlight.cli.DEFAULT_CONFIG_TEXT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out.count("\n") >= 5

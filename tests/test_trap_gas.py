@@ -28,10 +28,10 @@ from slowlight import (
     recoil_frequency,
     tc_trap,
     thermal_radius,
-    trap_response,
     zeta,
 )
 from slowlight import trap_gas
+from slowlight.cli import main
 
 from _configs import box_config, detuned_config, fixed_pinhole, trap_config
 from _oracles import chi_trap_point_by_quadrature, mean_delay_by_quadrature
@@ -73,6 +73,21 @@ def test_oscillator_and_thermal_sizes():
         thermal_radius(SPECIES, TRAP, 0.0)
 
 
+def test_ground_state_size_where_m_nu_underflows(tmp_path, capsys):
+    # m nu = 1.2e-338 is subnormal, but a_0 = sqrt(hbar/m nu) = 9.4e151 m is
+    # a normal float, so neither it nor a chi scan of such a trap is refused
+    nu = 3.16e-313
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(mpmath.mpf(HBAR_J_S) / (mpmath.mpf(SPECIES.mass_kg) * mpmath.mpf(nu)))
+    assert rel(ground_state_size(SPECIES, nu), float(exact)) < 1e-15
+    path = tmp_path / "flat.cfg"
+    path.write_text("geometry.kind = trap\ngeometry.nu_r_hz = 70\ngeometry.nu_z_rad = %r\ngeometry.atom_count = 8.3e6\n" % nu)
+    assert main(["chi", "--temperature-nk", "200", "--config", str(path), "--d-points", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
 def test_trap_thermo_above_tc():
     t = 1.5 * TC
     th = gas_state(CONFIG, t)
@@ -80,13 +95,13 @@ def test_trap_thermo_above_tc():
     assert th.temperature_k == t
     assert th.condensate_fraction == 0.0
     # N (theta/Tc scaling): g_3(f) = g_3(1) theta^{-3}
-    g3 = float(mpmath.polylog(3, th.fugacity.value))
+    g3 = float(mpmath.polylog(3, th.fugacity))
     assert rel(g3, float(mpmath.zeta(3)) * 1.5**-3) < 1e-12
 
 
 def test_trap_thermo_below_tc():
     th = gas_state(CONFIG, 0.5 * TC)
-    assert th.fugacity.value == 1.0
+    assert th.fugacity == 1.0
     assert th.condensate_fraction == 1.0 - 0.5**3
     assert gas_state(CONFIG, 0.0).condensate_fraction == 1.0
     # the thermal prefactor identity behind the delay formulas:
@@ -158,7 +173,7 @@ def test_chi_trap_local_matches_point_quadrature():
         (SLOW, 1.5 * TC, 0.0),
     )
     for config, t, r in cases:
-        resp = trap_response(gas_state(config, t), config.fields, r)
+        resp = GasResponse(gas_state(config, t), config.fields, r)()
         chi_q, dchi_q = chi_trap_point_by_quadrature(config, t, r)
         assert rel(resp.chi, chi_q) < 1e-8
         assert rel(resp.dchi_domega, dchi_q) < 1e-8
@@ -167,33 +182,35 @@ def test_chi_trap_local_matches_point_quadrature():
 def test_chi_trap_local_edges():
     # the gas is gone a meter from the axis
     state = gas_state(CONFIG, 1.5 * TC)
-    far = trap_response(state, CONFIG.fields, 1.0)
+    far = GasResponse(state, CONFIG.fields, 1.0)()
     assert far.chi == 0j
     assert far.dchi_domega == 0j
     # the evaluator itself refuses a negative or nan radius, which would
     # otherwise give chi = 0 or a polylog domain error
     for r in (-1e-6, -1.0, math.nan):
         with pytest.raises(DomainError, match="radial position must be nonnegative"):
-            trap_response(state, CONFIG.fields, r)
-        with pytest.raises(DomainError, match="radial position must be nonnegative"):
             GasResponse(state, CONFIG.fields, r)
     # r^2 overflows a float beyond about 1e154 m: a typed error, not an OverflowError
     for call in (
-        lambda: trap_response(state, CONFIG.fields, 1e200),
+        lambda: GasResponse(state, CONFIG.fields, 1e200)(),
         lambda: delay_at_radius(state, CONFIG.fields, 1e200),
         lambda: delay_at_radius(state, CONFIG.fields, 1e200, path_half_length_m=1e-3),
     ):
         with pytest.raises(DomainError, match=r"local density at r = 1e\+200 m, z = 0 m leaves the floating"):
             call()
+    # the trap's delays refuse a box evaluator
     box = box_config()
+    in_box = GasResponse(gas_state(box, 1.5 * TC), box.fields)
     with pytest.raises(ValueError, match="requires a harmonic-trap geometry"):
-        trap_response(gas_state(box, 1.5 * TC), box.fields, 0.0)
+        trap_gas.trap_mean_delay(in_box, in_box.zeta_at(), PINHOLE)
+    with pytest.raises(ValueError, match="requires a harmonic-trap geometry"):
+        delay_at_radius(in_box.state, box.fields, 0.0)
 
 
 def test_chi_trap_local_with_overflowing_coupling_is_a_domain_error():
     config = trap_config(omega_coupling_rad_s=1e210)
     with pytest.raises(DomainError, match=r"zeta leaves the floating-point range at T = 1\.5e-07 K"):
-        trap_response(gas_state(config, 1.5e-7), config.fields, 0.0)
+        GasResponse(gas_state(config, 1.5e-7), config.fields, 0.0)()
 
 
 def test_gas_state_far_above_tc_has_no_condensate():
@@ -234,7 +251,7 @@ def test_extreme_temperatures_give_finite_values_or_physics_errors(temperature):
     pinholes = (PINHOLE, PinholeSpec(radius_mode="thermal"), finite_path)
     fields = CONFIG.fields
     calls = [
-        lambda: trap_response(gas_state(CONFIG, temperature), fields, 0.0),
+        lambda: GasResponse(gas_state(CONFIG, temperature), fields, 0.0)(),
         lambda: delay_at_radius(gas_state(CONFIG, temperature), fields, 0.0),
         lambda: delay_at_radius(gas_state(CONFIG, temperature), fields, 0.0, path_half_length_m=1e-3),
         lambda: cloud_size(gas_state(CONFIG, temperature)),
@@ -337,14 +354,12 @@ def test_expansion_only_paths_refuse_small_zeta_over_a():
     asymptotic = GasResponse(state, config.fields, mode="asymptotic")
     zv = asymptotic.zeta_at(config.fields.detuning_g0_rad_s)
     for call in (
-        lambda: trap_gas.trap_response(state, config.fields, 0.0, mode="asymptotic"),
+        asymptotic,
         lambda: trap_gas.trap_mean_delay(asymptotic, zv, PINHOLE),
         lambda: trap_gas.trap_mean_delay(asymptotic, zv, finite),
     ):
         with pytest.raises(DomainError, match=r"asymptotic expansion requires \|zeta/A\| >= 5, got \|zeta/A\| = 2.25"):
             call()
-    with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
-        trap_gas.trap_response(state, config.fields, 0.0, mode="series")
     with pytest.raises(ValueError, match="mode must be 'exact' or 'asymptotic'"):
         GasResponse(state, config.fields, mode="series")
 
