@@ -274,6 +274,8 @@ class GasResponse:
             if r != 0.0 or z != 0.0:
                 raise ValueError("a box response has no position, got r = %r, z = %r" % (r, z))
             self.density = geometry.number_density_per_m3 * state.condensate_fraction
+        elif math.isnan(z):
+            raise DomainError("axial position must be a number, got %r" % z)
         else:
             self.a0r = ground_state_size(species, geometry.nu_r_rad_s)
             self.a0z = ground_state_size(species, geometry.nu_z_rad_s)

@@ -1,9 +1,11 @@
 """Special functions for the statistical sums: Bose-Einstein polylogarithms
 g_nu(f) = sum_{l>=1} f^l / l^nu of a float (a Horner direct series for
-f <= 1/2, Robinson's expansion in alpha = -ln f above), partial tails of g_nu
-(to about 1e-15 of g_nu(f), not of the tail), the Faddeeva function
-w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y| expansion, and inversion of
-the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu by Newton's method.
+f <= 1/2, Robinson's expansion in alpha = -ln f above, each cut to the
+length its argument needs), partial tails of g_nu (to about 1e-15 of
+g_nu(f), not of the tail), the Faddeeva function w(y) = exp(-y^2)(1 + erf(iy))
+with its large-|y| expansion, and inversion of the fugacity relations
+g_nu(f) = g_nu(1) (Tc/T)^nu by Newton's method from the second-order
+expansion at Tc (4-6 polylog calls a solve within 10% of Tc, at most 10).
 
 The zeta values behind g_nu(1) and Robinson's expansion come from Borwein's
 series, so importing this module imports no scipy; scipy.special is imported
@@ -13,6 +15,7 @@ polylog runs on math alone.
 """
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 from .errors import DomainError, SeriesCapError
@@ -58,15 +61,19 @@ def _zeta(s):
 ZETA_3_2 = _zeta(1.5)
 ZETA_2 = _zeta(2.0)
 ZETA_3 = _zeta(3.0)
+ZETA_1_2 = _zeta(0.5)
 
-# g_nu(f) for f <= 1/2 truncates the direct series after 63 terms (remainder
-# below 2^-63 relative); above 1/2 it sums 24 terms of Robinson's expansion,
-# whose terms fall as (alpha/2 pi)^k with alpha = -ln f <= ln 2
+# g_nu(f) for f <= 1/2 sums at most 63 terms of the direct series (remainder
+# below 2^-63 relative), and only l <= 1 + ceil(_DIRECT_LOG_TOL / -ln f) of
+# them, so that the first term dropped is below f e^-36.8 = 1e-16 f; above
+# 1/2 it sums at most 24 terms of Robinson's expansion, whose terms fall as
+# (alpha/2 pi)^k with alpha = -ln f < ln 2, and only the K lowest powers for
+# the smallest K whose dropped terms sum_{k>=K} |c_k| alpha^k stay below
+# _ROBINSON_CUT (5 terms at alpha = 1e-3, 18 near ln 2 for nu = 3/2)
 _DIRECT_TERMS = 63
-# a float f <= 1/2 sums only l <= 1 + ceil(_DIRECT_LOG_TOL / -ln f), so that
-# the first term dropped is below f e^-36.8 = 1e-16 f
 _DIRECT_LOG_TOL = 36.8
 _ROBINSON_TERMS = 24
+_ROBINSON_CUT = 2.0**-60
 
 # a polylog tail after fewer head terms is g_nu less the head, after more an
 # Euler-Maclaurin sum: past 2000 terms the Doppler series weights the tail by
@@ -86,9 +93,11 @@ _W_PRIME_ASYMPTOTIC_RADIUS = 35.0
 # below this target g_nu(f) = f (1 + f/2^nu + ...) rounds to f, so f = target
 _BOLTZMANN_TARGET = 1e-17
 # Newton's iteration for the fugacity stops once a step moves alpha = -ln f
-# by at most this relative amount, or by a few ulp of f near 1 (2^-50), and
-# fails after _NEWTON_STEPS steps (it takes at most 5)
-_NEWTON_RTOL = 1e-9
+# by at most this relative amount, or by a few ulp of f near 1 (2^-50): the
+# last step in f then squares the error left, about 1e-10 alpha.  It fails
+# after _NEWTON_STEPS steps; from the second-order start it takes 1-2 steps
+# within 10% of Tc (4-6 polylog calls a solve), and at most 4 (10 calls)
+_NEWTON_RTOL = 1e-5
 _NEWTON_STEPS = 50
 
 
@@ -147,20 +156,59 @@ def _check_polylog_args(nu, f):
 
 @lru_cache(maxsize=32)
 def _polylog_tables(nu):
-    """Horner coefficients of g_nu, highest power first: the direct series
-    l^-nu, and Robinson's zeta(nu-k)(-1)^k/k! with its leading-term factor
+    """Horner coefficients of g_nu, highest power first, as the suffix tuples
+    each length of sum reads: the direct series l^-nu (direct[K] holds its
+    first K terms), and Robinson's zeta(nu-k)(-1)^k/k! cut to length (the
+    edges and sums of _robinson_cuts), with its leading-term factor
     (Gamma(1-nu), or (-1)^(n-1)/(n-1)! with the harmonic number H_(n-1) for
-    integer nu = n, whose k = n-1 term is dropped)."""
+    integer nu = n, whose k = n-1 term is dropped).  Built on first use of
+    each order."""
     direct = tuple(float(l) ** -nu for l in range(_DIRECT_TERMS, 0, -1))
     n = int(nu) if float(nu).is_integer() else None
     robinson = tuple(
         _zeta(nu - k) * (-1.0) ** k / math.factorial(k) if nu - k != 1.0 else 0.0
         for k in range(_ROBINSON_TERMS - 1, -1, -1)
     )
+    direct = tuple(direct[len(direct) - k :] for k in range(len(direct) + 1))
+    edges, sums = _robinson_cuts(robinson)
     if n is None:
-        return direct, robinson, math.gamma(1.0 - nu), None
+        return direct, edges, sums, math.gamma(1.0 - nu), None
     harmonic = math.fsum(1.0 / j for j in range(1, n))
-    return direct, robinson, (-1.0) ** (n - 1) / math.factorial(n - 1), harmonic
+    return direct, edges, sums, (-1.0) ** (n - 1) / math.factorial(n - 1), harmonic
+
+
+def _robinson_cuts(robinson):
+    """(edges, sums) for the Robinson coefficients c_k, highest power first:
+    sums[i] holds the i+1 lowest powers, and edges[i] is the largest alpha at
+    which the terms that length drops, sum_{k>i} |c_k| alpha^k, stay below
+    _ROBINSON_CUT, found by Newton's method on their log in ln alpha (convex,
+    so it falls to the edge from alpha = ln 2).  The last length holds up to
+    ln 2, where Robinson's range ends, and its edge is inf."""
+    sizes = [abs(c) for c in reversed(robinson)]
+
+    def dropped(length, alpha):
+        terms = [sizes[k] * alpha**k for k in range(length, len(sizes))]
+        return sum(terms), sum(k * term for k, term in enumerate(terms, length))
+
+    edges, sums = [], []
+    for length in range(1, len(sizes) + 1):
+        sums.append(robinson[len(robinson) - length :])
+        alpha = math.log(2.0)
+        excess, slope = dropped(length, alpha)
+        if excess <= _ROBINSON_CUT:
+            edges.append(math.inf)
+            break
+        for _ in range(100):
+            step = math.log(excess / _ROBINSON_CUT) * excess / slope
+            alpha *= math.exp(-step)
+            excess, slope = dropped(length, alpha)
+            if step <= 1e-14:
+                break
+        while excess > _ROBINSON_CUT:
+            alpha = math.nextafter(alpha, 0.0)
+            excess = dropped(length, alpha)[0]
+        edges.append(alpha)
+    return tuple(edges), tuple(sums)
 
 
 def _horner(coefficients, x):
@@ -180,20 +228,21 @@ def polylog(nu, f):
     g_nu = Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k / k!,
     with (-alpha)^(n-1)/(n-1)! (H_(n-1) - ln alpha) in place of the leading
     and the k = n-1 terms for integer nu = n (J. E. Robinson, Phys. Rev. 83,
-    678 (1951)).  Both are Horner polynomials over per-order tables.
+    678 (1951)), only as many terms as leave a remainder below 2^-60.  Both
+    are Horner polynomials over per-order tables of the suffixes each length
+    reads.
     """
     f = float(f)
     # the full check, which names the fault, only where one of its tests fails
     if not (nu > 0.0 and 0.0 <= f <= 1.0) or (f == 1.0 and nu <= 1.0):
         _check_polylog_args(nu, f)
-    direct, robinson, lead, harmonic = _polylog_tables(nu)
+    direct, edges, sums, lead, harmonic = _polylog_tables(nu)
     if f <= 0.5:
         if f == 0.0:
             return 0.0
-        terms = min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / -math.log(f)) + 1)
-        return _horner(direct[-terms:], f) * f
+        return _horner(direct[min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / -math.log(f)) + 1)], f) * f
     alpha = -math.log(f)
-    total = _horner(robinson, alpha)
+    total = _horner(sums[bisect_left(edges, alpha)], alpha)
     if alpha == 0.0:
         return total
     leading = lead * alpha ** (nu - 1.0)
@@ -270,6 +319,15 @@ def faddeeva_w_prime(y):
     return _finite_w(out, a, arr.shape, "dw/dy")
 
 
+def _smaller_root(curvature, slope, deficit):
+    """The smaller positive root y of curvature y^2 - slope y + deficit = 0,
+    or the tangent's deficit/slope where there is no real root."""
+    discriminant = slope * slope - 4.0 * curvature * deficit
+    if discriminant < 0.0:
+        return deficit / slope
+    return 2.0 * deficit / (slope + math.sqrt(discriminant))
+
+
 def fugacity_from_temperature(geometry_kind, t_over_tc):
     """Invert g_{3/2}(f) = g_{3/2}(1) (Tc/T)^{3/2} (box) or
     g_3(f) = g_3(1) (Tc/T)^3 (trap) for the fugacity f, a float in [0, 1];
@@ -277,10 +335,10 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
 
     Newton's method on ln g_nu in x = alpha = -ln f (trap) or x = sqrt(alpha)
     (box), in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}.  It
-    starts from the larger of two underestimates: the tangent at Tc,
-    g_nu ~ g_nu(1) - g_{nu-1}(1) alpha (trap) or g_{3/2}(1) - 2 sqrt(pi) x
-    (box), and the Boltzmann limit g_nu ~ f.  A last Newton step in f itself
-    puts f within a few ulp of the root.  f = 1 where exp(-alpha) rounds to
+    starts from the larger of two estimates: the root of the second-order
+    expansion at Tc (of the tangent where that has none, far above Tc), and
+    the Boltzmann limit g_nu ~ f.  A last Newton step in f itself puts f
+    within a few ulp of the root.  f = 1 where exp(-alpha) rounds to
     1, and f = target where the target is so small that g_nu(f) rounds to f.
     """
     if geometry_kind not in ("box", "trap"):
@@ -289,15 +347,22 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
         raise DomainError("t_over_tc must be positive, got %r" % t_over_tc)
     if t_over_tc <= 1.0:
         return 1.0
-    if geometry_kind == "box":
-        nu, power, g_at_one, slope_at_one = 1.5, 2, ZETA_3_2, 2.0 * SQRT_PI
-    else:
-        nu, power, g_at_one, slope_at_one = 3.0, 1, ZETA_3, ZETA_2
+    nu, power, g_at_one = (1.5, 2, ZETA_3_2) if geometry_kind == "box" else (3.0, 1, ZETA_3)
     target = float(g_at_one * t_over_tc**-nu)
     if target < _BOLTZMANN_TARGET:
         return target
     log_target = math.log(target)
-    x = max((g_at_one - target) / slope_at_one, max(-log_target, 0.0) ** (1.0 / power))
+    deficit = g_at_one - target
+    if geometry_kind == "box":
+        # g_{3/2} ~ zeta(3/2) - 2 sqrt(pi) x - zeta(1/2) x^2
+        x = _smaller_root(-ZETA_1_2, 2.0 * SQRT_PI, deficit)
+    else:
+        # g_3 ~ zeta(3) - zeta(2) alpha + (3/2 - ln alpha) alpha^2/2, with the
+        # log frozen at the previous estimate, from the tangent's
+        x = deficit / ZETA_2
+        for _ in range(2):
+            x = _smaller_root(0.75 - 0.5 * math.log(x), ZETA_2, deficit)
+    x = max(x, max(-log_target, 0.0) ** (1.0 / power))
     alpha = x**power
     for _ in range(_NEWTON_STEPS):
         f = math.exp(-alpha)

@@ -482,6 +482,19 @@ def test_help_and_tf_import_no_hashlib():
     assert _fresh_interpreter(_CLI_IMPORTS) == [[], ["json"]]
 
 
+def test_help_builds_no_polylog_tables():
+    # the per-order polylog tables are built on first use, not at import
+    code = (
+        "import contextlib, io\n"
+        "import slowlight.cli\n"
+        "from slowlight import specfun\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert slowlight.cli.main(['--help']) == 0\n"
+        "print(specfun._polylog_tables.cache_info().currsize)\n"
+    )
+    assert _fresh_interpreter(code) == 0
+
+
 def test_lazy_numpy_imports_work_from_cold():
     namespace = {}
     exec(_LAZY_CALLS, namespace)

@@ -154,13 +154,19 @@ def test_polylog_short_direct_series_matches_mpmath():
     # a float f <= 1/2 sums only the terms above 1e-16 relative: 2 at
     # f = 1e-300, 7 at 1e-3, 55 at 1/2; also one ulp to either side of
     # e^-x, x = ln 2, 2, 6 and 36.8, where 55, 20, 8 and 2 terms reach that
-    # bound, and near f = 1 on Robinson's side
+    # bound, and near f = 1 on Robinson's side, where the sum is cut to length:
+    # one ulp to either side of each edge e^-alpha where that length changes
     grid = [1e-300, 1e-3, 0.05, 0.3, 0.5, 1.0 - 1e-12, 1.0]
     for x in (math.log(2.0), 2.0, 6.0, 36.8):
         edge = math.exp(-x)
         grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
     for nu in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
-        for f in grid:
+        cuts = []
+        # the last length, edge inf, holds to f = 1/2
+        for alpha in specfun._polylog_tables(nu)[1][:-1]:
+            edge = math.exp(-alpha)
+            cuts += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        for f in grid + cuts:
             with mpmath.workdps(30):
                 expected = mpmath.polylog(nu, float(f))
             assert rel(polylog(nu, float(f)), float(expected)) <= 1e-15, (nu, f)
@@ -201,13 +207,35 @@ def test_fugacity_solver_round_trip():
 
 
 def test_fugacity_solver_matches_mpmath_oracle():
-    # close above Tc, where the box relation is infinitely steep, and far
-    # above it, where the trap fugacity is small
+    # close above Tc, where the box relation is infinitely steep, from
+    # T/Tc - 1 = 1e-10 on, and far above it, where the trap fugacity is small
     rng = np.random.default_rng(5)
-    thetas = np.concatenate((1.0 + 10.0 ** rng.uniform(-8.0, 0.0, 6), rng.uniform(2.0, 100.0, 6)))
+    thetas = np.concatenate(
+        ([1.0 + 1e-10], 1.0 + 10.0 ** rng.uniform(-10.0, 0.0, 20), rng.uniform(2.0, 100.0, 20))
+    )
     for kind, oracle in (("box", box_fugacity_oracle), ("trap", trap_fugacity_oracle)):
         for theta in thetas:
             assert rel(fugacity_from_temperature(kind, theta), oracle(theta)) <= 2e-12, (kind, theta)
+
+
+def test_fugacity_solve_makes_few_polylog_calls(monkeypatch):
+    # each Newton step in alpha and the last step in f take g_nu and g_{nu-1};
+    # from the second-order start within 10% of Tc that is one or two steps
+    # in alpha, and at most four anywhere above Tc
+    calls = []
+    uncounted = specfun.polylog
+    monkeypatch.setattr(specfun, "polylog", lambda nu, f: calls.append(nu) or uncounted(nu, f))
+
+    def calls_per_solve(kind, theta):
+        calls.clear()
+        fugacity_from_temperature(kind, float(theta))
+        return len(calls)
+
+    for kind in ("box", "trap"):
+        for excess in (1e-6, 1e-3, 1e-2, 5e-2, 0.1):
+            assert calls_per_solve(kind, 1.0 + excess) <= 6, (kind, excess)
+        for theta in 1.0 + np.geomspace(1e-10, 1e3 - 1.0, 200):
+            assert calls_per_solve(kind, theta) <= 10, (kind, theta)
 
 
 def test_fugacity_far_above_tc_matches_mpmath_oracle():

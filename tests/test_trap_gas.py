@@ -190,6 +190,11 @@ def test_chi_trap_local_edges():
     for r in (-1e-6, -1.0, math.nan):
         with pytest.raises(DomainError, match="radial position must be nonnegative"):
             GasResponse(state, CONFIG.fields, r)
+    # and a nan axial position, below Tc as above it, rather than letting the
+    # polylog or the condensate density meet the nan
+    for theta in (0.5, 1.5):
+        with pytest.raises(DomainError, match="axial position must be a number, got nan"):
+            GasResponse(gas_state(CONFIG, theta * TC), CONFIG.fields, z=math.nan)
     # r^2 overflows a float beyond about 1e154 m: a typed error, not an OverflowError
     for call in (
         lambda: GasResponse(state, CONFIG.fields, 1e200)(),
