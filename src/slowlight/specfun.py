@@ -4,8 +4,8 @@ f <= 1/2, Robinson's expansion in alpha = -ln f above, each cut to the
 length its argument needs), partial tails of g_nu (to about 1e-15 of
 g_nu(f), not of the tail), the Faddeeva function w(y) = exp(-y^2)(1 + erf(iy))
 with its large-|y| expansion, and inversion of the fugacity relations
-g_nu(f) = g_nu(1) (Tc/T)^nu by Newton's method from the second-order
-expansion at Tc (4-6 polylog calls a solve within 10% of Tc, at most 10).
+g_nu(f) = g_nu(1) (Tc/T)^nu by one Newton evaluation (2 polylog calls a
+solve) from a per-geometry start table, built on the first solve above Tc.
 
 The zeta values behind g_nu(1) and Robinson's expansion come from Borwein's
 series, so importing this module imports no scipy; scipy.special is imported
@@ -92,12 +92,20 @@ _W_PRIME_ASYMPTOTIC_RADIUS = 35.0
 
 # below this target g_nu(f) = f (1 + f/2^nu + ...) rounds to f, so f = target
 _BOLTZMANN_TARGET = 1e-17
-# Newton's iteration for the fugacity stops once a step moves alpha = -ln f
-# by at most this relative amount, or by a few ulp of f near 1 (2^-50): the
-# last step in f then squares the error left, about 1e-10 alpha.  It fails
-# after _NEWTON_STEPS steps; from the second-order start it takes 1-2 steps
-# within 10% of Tc (4-6 polylog calls a solve), and at most 4 (10 calls)
-_NEWTON_RTOL = 1e-5
+# the fugacity start table holds y = -ln g_nu(e^-alpha) at the nodes
+# w_i = sqrt(_START_ALPHA_MAX) (i/N)^2, i = 1..N, of w = sqrt(alpha), packed
+# toward Tc; g_nu(e^-40) < _BOLTZMANN_TARGET, so they bracket every target
+# but those within alpha = 9.3e-9 of Tc.  With N = 256 its cubic Hermite
+# start is within 7e-9 alpha of the root (built in 0.6-1.1 ms, 25 kB)
+_START_NODES = 256
+_START_ALPHA_MAX = 40.0
+# Newton's iteration for the fugacity stops once the step an evaluation
+# implies would move alpha = -ln f by at most this relative amount, or by a
+# few ulp of f near 1 (2^-50): the step in f from that same evaluation then
+# squares the error left.  It fails after _NEWTON_STEPS evaluations; from the
+# table start, and from the second-order start next to Tc, the first one
+# stops it (2 polylog calls a solve)
+_NEWTON_RTOL = 1e-8
 _NEWTON_STEPS = 50
 
 
@@ -320,12 +328,45 @@ def faddeeva_w_prime(y):
 
 
 def _smaller_root(curvature, slope, deficit):
-    """The smaller positive root y of curvature y^2 - slope y + deficit = 0,
-    or the tangent's deficit/slope where there is no real root."""
-    discriminant = slope * slope - 4.0 * curvature * deficit
-    if discriminant < 0.0:
-        return deficit / slope
-    return 2.0 * deficit / (slope + math.sqrt(discriminant))
+    """The smaller positive root y of curvature y^2 - slope y + deficit = 0
+    (real for the small deficits of the interval next to Tc)."""
+    return 2.0 * deficit / (slope + math.sqrt(slope * slope - 4.0 * curvature * deficit))
+
+
+@lru_cache(maxsize=2)
+def _start_table(nu, power):
+    """(y, x, dx/dy) at the _START_NODES nodes w = sqrt(alpha) of the
+    fugacity start table for g_nu: y = -ln g_nu(e^-alpha), increasing, and
+    the Newton variable x = alpha^(1/power) with
+    dx/dy = g_nu / (g_{nu-1} power x^(power-1)).  The table holds x, not w:
+    a trap's y grows as alpha = w^2 at Tc, so its w(y) has a square-root
+    branch there and would interpolate to only 1e-4 alpha over the first ten
+    intervals.  Built on the first solve above Tc of each geometry."""
+    ys, xs, slopes = [], [], []
+    for i in range(1, _START_NODES + 1):
+        w = math.sqrt(_START_ALPHA_MAX) * (i / _START_NODES) ** 2
+        x = w if power == 2 else w * w
+        f = math.exp(-w * w)
+        g = polylog(nu, f)
+        ys.append(-math.log(g))
+        xs.append(x)
+        slopes.append(g / (polylog(nu - 1.0, f) * power * x ** (power - 1)))
+    return tuple(ys), tuple(xs), tuple(slopes)
+
+
+def _interpolated_start(nu, power, y):
+    """x = alpha^(1/power) at y = -ln g_nu(e^-alpha) by cubic Hermite
+    interpolation of x(y) between the start-table nodes around y, or None
+    where y lies before the first node."""
+    ys, xs, slopes = _start_table(nu, power)
+    i = bisect_left(ys, y)
+    if i == 0:
+        return None
+    y0, x0, x1 = ys[i - 1], xs[i - 1], xs[i]
+    h = ys[i] - y0
+    t = (y - y0) / h
+    m0, m1 = h * slopes[i - 1], h * slopes[i]
+    return x0 + t * (m0 + t * (3.0 * (x1 - x0) - 2.0 * m0 - m1 + t * (2.0 * (x0 - x1) + m0 + m1)))
 
 
 def fugacity_from_temperature(geometry_kind, t_over_tc):
@@ -335,11 +376,16 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
 
     Newton's method on ln g_nu in x = alpha = -ln f (trap) or x = sqrt(alpha)
     (box), in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}.  It
-    starts from the larger of two estimates: the root of the second-order
-    expansion at Tc (of the tangent where that has none, far above Tc), and
-    the Boltzmann limit g_nu ~ f.  A last Newton step in f itself puts f
-    within a few ulp of the root.  f = 1 where exp(-alpha) rounds to
-    1, and f = target where the target is so small that g_nu(f) rounds to f.
+    starts from a cubic Hermite interpolation of x in ln g_nu over a
+    per-geometry table (256 nodes packed toward Tc in sqrt(alpha), built on
+    the first solve above Tc in 0.6-1.1 ms), and in the interval next to
+    Tc that the table does not bracket, from the root of the second-order
+    expansion at Tc.  Once an evaluation of g_nu and g_{nu-1} implies a step
+    in alpha of at most 1e-8 alpha, a Newton step in f itself from those
+    same values puts f within a few ulp of the root.  From either start the
+    first evaluation does, so a solve makes 2 polylog calls.  f = 1 where
+    exp(-alpha) rounds to 1, and f = target where the target is so small
+    that g_nu(f) rounds to f.
     """
     if geometry_kind not in ("box", "trap"):
         raise ValueError("geometry_kind must be 'box' or 'trap', got %r" % geometry_kind)
@@ -352,33 +398,28 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
     if target < _BOLTZMANN_TARGET:
         return target
     log_target = math.log(target)
+    x = _interpolated_start(nu, power, -log_target)
     deficit = g_at_one - target
-    if geometry_kind == "box":
+    if x is None and geometry_kind == "box":
         # g_{3/2} ~ zeta(3/2) - 2 sqrt(pi) x - zeta(1/2) x^2
         x = _smaller_root(-ZETA_1_2, 2.0 * SQRT_PI, deficit)
-    else:
+    elif x is None:
         # g_3 ~ zeta(3) - zeta(2) alpha + (3/2 - ln alpha) alpha^2/2, with the
         # log frozen at the previous estimate, from the tangent's
         x = deficit / ZETA_2
         for _ in range(2):
             x = _smaller_root(0.75 - 0.5 * math.log(x), ZETA_2, deficit)
-    x = max(x, max(-log_target, 0.0) ** (1.0 / power))
     alpha = x**power
     for _ in range(_NEWTON_STEPS):
         f = math.exp(-alpha)
         if f == 1.0:
             return 1.0
         g = polylog(nu, f)
+        g_below = polylog(nu - 1.0, f)
         # d ln g / dx = -g_{nu-1}/g dalpha/dx
-        x += (math.log(g) - log_target) * g / (polylog(nu - 1.0, f) * power * x ** (power - 1))
+        x += (math.log(g) - log_target) * g / (g_below * power * x ** (power - 1))
         alpha, previous = x**power, alpha
         if abs(alpha - previous) <= _NEWTON_RTOL * alpha + 2.0**-50:
-            break
-    else:
-        raise SeriesCapError("fugacity solve did not converge at T/Tc = %r" % t_over_tc)
-    f = math.exp(-alpha)
-    if f == 1.0:
-        return 1.0
-    # dg_nu/df = g_{nu-1}/f
-    f -= (polylog(nu, f) - target) * f / polylog(nu - 1.0, f)
-    return min(f, 1.0)
+            # dg_nu/df = g_{nu-1}/f, at the f that g and g_below were taken at
+            return min(f - (g - target) * f / g_below, 1.0)
+    raise SeriesCapError("fugacity solve did not converge at T/Tc = %r" % t_over_tc)

@@ -483,16 +483,23 @@ def test_help_and_tf_import_no_hashlib():
 
 
 def test_help_builds_no_polylog_tables():
-    # the per-order polylog tables are built on first use, not at import
+    # the per-order polylog tables and the fugacity start tables are built on
+    # first use, not at import; tf and a chi below Tc (the trap's is about
+    # 420 nK) solve no fugacity, and a sweep builds one start table
     code = (
         "import contextlib, io\n"
         "import slowlight.cli\n"
         "from slowlight import specfun\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert slowlight.cli.main(['--help']) == 0\n"
-        "print(specfun._polylog_tables.cache_info().currsize)\n"
+        "built = []\n"
+        "for argv in (['--help'], ['tf'], ['chi', '--temperature-nk', '200'], ['sweep']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert slowlight.cli.main(argv) == 0\n"
+        "    built.append([f.cache_info().currsize for f in (specfun._polylog_tables, specfun._start_table)])\n"
+        "print(built)\n"
     )
-    assert _fresh_interpreter(code) == 0
+    built = _fresh_interpreter(code)
+    assert built[0] == [0, 0]
+    assert [start for _, start in built] == [0, 0, 0, 1]
 
 
 def test_lazy_numpy_imports_work_from_cold():
@@ -730,6 +737,11 @@ _PINNED_STDOUT = (
     (["chi", "--temperature-nk", "500", "--omega-coupling-gamma", "0"],
      "ed6dc649c8dd0050d8e84b03e804cdd01d82b769db17614aeccecc6560617b4c"),
     (["tf"], "456ff43fd30c6d743437635848d28f2d7445b11f2b76b5cdb5466d6c222c307e"),
+    # far above Tc, where every fugacity starts from the interpolated table
+    (["sweep", "--geometry", "box", "--t-min", "1.5", "--t-max", "1000", "--t-scale", "log"],
+     "155a5961e12ba9fdb5881d5abb8b552d27759bc441aaee84f781aa269608b7ac"),
+    (["sweep", "--t-min", "1.1", "--t-max", "100", "--t-scale", "log"],
+     "d95c6448b7a236cf1c5698a4bf1935252b987d19438aaf0cbaa5351501a8c244"),
 )
 
 

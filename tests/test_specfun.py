@@ -219,9 +219,9 @@ def test_fugacity_solver_matches_mpmath_oracle():
 
 
 def test_fugacity_solve_makes_few_polylog_calls(monkeypatch):
-    # each Newton step in alpha and the last step in f take g_nu and g_{nu-1};
-    # from the second-order start within 10% of Tc that is one or two steps
-    # in alpha, and at most four anywhere above Tc
+    # each evaluation takes g_nu and g_{nu-1}; from the table start (or the
+    # second-order start next to Tc) the first one is close enough to give
+    # the last step in f, so a solve makes one evaluation in both geometries
     calls = []
     uncounted = specfun.polylog
     monkeypatch.setattr(specfun, "polylog", lambda nu, f: calls.append(nu) or uncounted(nu, f))
@@ -232,10 +232,41 @@ def test_fugacity_solve_makes_few_polylog_calls(monkeypatch):
         return len(calls)
 
     for kind in ("box", "trap"):
+        fugacity_from_temperature(kind, 2.0)  # builds the start table outside the count
         for excess in (1e-6, 1e-3, 1e-2, 5e-2, 0.1):
-            assert calls_per_solve(kind, 1.0 + excess) <= 6, (kind, excess)
+            assert calls_per_solve(kind, 1.0 + excess) <= 2, (kind, excess)
         for theta in 1.0 + np.geomspace(1e-10, 1e3 - 1.0, 200):
-            assert calls_per_solve(kind, theta) <= 10, (kind, theta)
+            assert calls_per_solve(kind, theta) <= 2, (kind, theta)
+
+
+def _ulps_from_mpmath_root(kind, theta, f):
+    """|f - f*| in ulp of f, for the root f* of the solver's own float target
+    (its zeta(3/2) is 1 ulp above mpmath's, which moves f* by a few ulp), by
+    three 40-digit Newton steps in x = alpha (trap) or sqrt(alpha) (box) from
+    the returned f, or from the tangent at Tc where f rounds to 1."""
+    nu, power, g_at_one = (1.5, 2, specfun.ZETA_3_2) if kind == "box" else (3.0, 1, specfun.ZETA_3)
+    target = float(g_at_one * theta**-nu)
+    with mpmath.workdps(40):
+        target_mp = mpmath.mpf(target)
+        if f < 1.0:
+            x = (-mpmath.log(f)) ** (mpmath.mpf(1) / power)
+        else:
+            x = (mpmath.zeta(nu) - target_mp) / (2 * mpmath.sqrt(mpmath.pi) if kind == "box" else mpmath.zeta(2))
+        for _ in range(3):
+            z = mpmath.exp(-(x**power))
+            g = mpmath.polylog(nu, z)
+            slope = mpmath.polylog(nu - 1, z) * power * x ** (power - 1)
+            x += (mpmath.log(g) - mpmath.log(target_mp)) * g / slope
+        return float(abs(f - mpmath.exp(-(x**power))) / math.ulp(f))
+
+
+def test_fugacity_within_a_few_ulp_of_mpmath_root():
+    # the step in f from the last evaluation puts f within a few ulp of the
+    # root, from T/Tc - 1 = 1e-10, where a box f rounds to 1, to 1e3
+    for kind in ("box", "trap"):
+        for theta in 1.0 + np.geomspace(1e-10, 1e3, 150):
+            theta = float(theta)
+            assert _ulps_from_mpmath_root(kind, theta, fugacity_from_temperature(kind, theta)) <= 4.0, (kind, theta)
 
 
 def test_fugacity_far_above_tc_matches_mpmath_oracle():
