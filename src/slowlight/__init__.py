@@ -39,7 +39,6 @@ from .specfun import (
     faddeeva_w_prime,
     fugacity_from_temperature,
     polylog,
-    polylog_tail,
 )
 from .tf_model import (
     TfGeometry,
@@ -118,7 +117,6 @@ __all__ = [
     "load_config",
     "mean_delay",
     "polylog",
-    "polylog_tail",
     "probe_omega",
     "recoil_frequency",
     "serialize_config",

@@ -46,6 +46,8 @@ from .units_params import (
 
 _SERIES_CHUNK = 512
 _SERIES_CAP = 10**6
+# the start of the last chunk that the cap lets the series sum
+_LAST_CHUNK_START = 1 + _SERIES_CHUNK * ((_SERIES_CAP - 1) // _SERIES_CHUNK)
 # the large-|y| tail keeps term k >= 1 of W_LARGE_Y while (2k+1) c_k
 # |A/zeta|^2k >= 2^-60, that is while |A/zeta|^2 reaches these, up to k = 3
 _TAIL_THRESHOLDS = tuple((2.0**-60 / ((2 * k + 1) * c)) ** (1.0 / k) for k, c in enumerate(W_LARGE_Y[:4]) if k)
@@ -157,8 +159,9 @@ def tail_terms(z_over_a, mode="exact"):
 @lru_cache(maxsize=256)
 def _tail_polylogs(terms, power, u, head, section):
     """G_k = sum_{l > head} s_l u^l / l^(k+3/2+p) for k < terms (for a section
-    c > 0, two tails of order one higher over c).  Cached: the G_k depend on
-    neither zeta nor the fields, so a chi scan computes them once."""
+    c > 0, two tails of order one higher over c), after a head of 0 or a
+    whole number of chunks.  Cached: the G_k depend on neither zeta nor the
+    fields, so a chi scan computes them once."""
     tail = polylog if head == 0 else lambda nu, f: polylog_tail(nu, f, head)
     if section == 0.0:
         return tuple([tail(k + 1.5 + power, u) for k in range(terms)])
@@ -175,8 +178,10 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, sect
     stop for u < 1.  From the first l where |y| >= 70 the rest of the series is
     the large-|y| tail of TAIL_TABLE, summed in closed form over polylogs
     g_{k+3/2+p} (the whole of g_nu when that is l = 1, as at the sodium EIT
-    defaults; a polylog tail otherwise).  Mode "asymptotic" is that tail from
-    l = 1, cut after k = 1.
+    defaults; otherwise a polylog tail after whole chunks of exact terms).
+    Mode "asymptotic" is that tail from l = 1, cut after k = 1.  At u = 1
+    only the tail ends the series, so where no chunk within the cap reaches
+    it, the SeriesCapError comes before any term is summed.
     """
     u = fugacity_value
     z_over_a = zeta_value / a_param
@@ -184,6 +189,8 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, sect
     s_w = 0.0 + 0.0j
     s_wp = 0.0 + 0.0j
     l0 = 1
+    if u == 1.0 and mode == "exact" and math.sqrt(_LAST_CHUNK_START) * abs_ratio < _TAIL_MIN_ABS_Y:
+        l0 = _SERIES_CAP + 1  # straight to the SeriesCapError
     while l0 <= _SERIES_CAP:
         if mode == "asymptotic" or math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
             r = 1.0 / z_over_a  # A/zeta
@@ -240,12 +247,13 @@ def condensate_response(species, zv, density):
 
 
 class GasResponse:
-    """Susceptibility of a gas state under the fields, in a box or at the point
-    (r, z) of a trap (a box refuses a nonzero r or z): response(detuning) is
-    the ComplexResponse at the probe detuning Delta_g0 (rad/s), by default the
-    fields' own.  It is the Doppler kernel at the local fugacity f e^{-beta V}
-    (f, 1 below Tc, in a box) plus the condensate.  Mode "asymptotic" stops
-    the kernel at (A/zeta)^2, in a box the closed form
+    """Susceptibility of a gas state under the fields, in a box or at radius
+    r in the z = 0 plane of a trap (a box refuses a nonzero r):
+    response(detuning) is the ComplexResponse at the probe detuning Delta_g0
+    (rad/s), by default the fields' own.  It is the Doppler kernel at the
+    local fugacity f e^{-beta V} (f, 1 below Tc, in a box) plus the
+    condensate.  Mode "asymptotic" stops the kernel at (A/zeta)^2, in a box
+    the closed form
     chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2]
     and in a trap -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2} + g_{5/2} A^2/(2 zeta^2)].
 
@@ -257,7 +265,7 @@ class GasResponse:
     S, S' at zeta/A, whose tail polylogs are cached, for (P S, P (zeta'/A) S'),
     and the condensate term (at)."""
 
-    def __init__(self, state, fields, r=0.0, z=0.0, mode="exact"):
+    def __init__(self, state, fields, r=0.0, mode="exact"):
         if not r >= 0.0:
             raise DomainError("radial position must be nonnegative, got %r" % r)
         if mode not in ("exact", "asymptotic"):
@@ -271,11 +279,9 @@ class GasResponse:
         self.a_param = doppler_width_param(species, fields, temperature)
         self.fugacity_value = state.fugacity
         if isinstance(geometry, Box):
-            if r != 0.0 or z != 0.0:
-                raise ValueError("a box response has no position, got r = %r, z = %r" % (r, z))
+            if r != 0.0:
+                raise ValueError("a box response has no position, got r = %r" % r)
             self.density = geometry.number_density_per_m3 * state.condensate_fraction
-        elif math.isnan(z):
-            raise DomainError("axial position must be a number, got %r" % z)
         else:
             self.a0r = ground_state_size(species, geometry.nu_r_rad_s)
             self.a0z = ground_state_size(species, geometry.nu_z_rad_s)
@@ -285,16 +291,16 @@ class GasResponse:
                     k_t = KB_J_PER_K * temperature
                     beta = 1.0 / k_t if k_t > 0.0 else math.inf
                     self.beta = in_float_range(beta, "beta = 1/(K_B T)", "T = %.3g K (K_B T = %r J)", temperature, k_t)
-                    potential = 0.5 * species.mass_kg * (geometry.nu_r_rad_s**2 * r**2 + geometry.nu_z_rad_s**2 * z**2)
+                    potential = 0.5 * species.mass_kg * (geometry.nu_r_rad_s**2 * r**2)
                     self.fugacity_value *= math.exp(-self.beta * potential)
                 if state.condensate_fraction > 0.0:
                     volume = math.pi**1.5 * self.a0r**2 * self.a0z
                     peak = geometry.atom_count * state.condensate_fraction / volume if volume > 0.0 else math.inf
                     peak = in_float_range(peak, "the condensate peak density", "T = %.3g K", temperature)
-                    self.density = peak * math.exp(-(r / self.a0r) ** 2 - (z / self.a0z) ** 2)
+                    self.density = peak * math.exp(-((r / self.a0r) ** 2))
             except OverflowError as exc:
-                # r^2 or z^2 of a finite position beyond about 1e154 m
-                quantity = "the local density at r = %.3g m, z = %.3g m" % (r, z)
+                # r^2 of a finite radius beyond about 1e154 m
+                quantity = "the local density at r = %.3g m" % r
                 raise float_range_error(quantity, "T = %.3g K" % temperature, exc) from exc
         if temperature > 0.0:
             self.pref = thermal_series_prefactor(species, temperature, self.a_param)

@@ -16,9 +16,6 @@ class TfGeometry:
     chemical_potential_j: float
     r_tf_r_m: float
     r_tf_z_m: float
-    nu_ho_rad_s: float
-    a_ho_m: float
-    scattering_length_m: float
 
 
 def hau_group_velocity(probe_omega_rad_s, omega_coupling_rad_s, density_per_m3, dipole_sq):
@@ -74,14 +71,7 @@ def tf_geometry(species, trap, n_atoms, scattering_length_m):
         raise float_range_error(quantity, "N = %.3g" % n_atoms, exc) from exc
     for value in (mu, r_tf_r, r_tf_z):
         in_float_range(value, quantity, "N = %.3g (mu = %.3g, R_r = %.3g, R_z = %.3g)", n_atoms, mu, r_tf_r, r_tf_z)
-    return TfGeometry(
-        chemical_potential_j=mu,
-        r_tf_r_m=r_tf_r,
-        r_tf_z_m=r_tf_z,
-        nu_ho_rad_s=nu_bar,
-        a_ho_m=a_ho,
-        scattering_length_m=scattering_length_m,
-    )
+    return TfGeometry(chemical_potential_j=mu, r_tf_r_m=r_tf_r, r_tf_z_m=r_tf_z)
 
 
 def tf_t0_density(n_atoms, geometry):

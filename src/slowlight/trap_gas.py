@@ -2,14 +2,15 @@
 
 Per-ray probe delays Delta_t(r) through the cloud, uniform pinhole averages
 over a circular section of radius R, cloud sizes, and the experimental group
-velocity v_g = D_z / <Delta t>.  The local susceptibility chi(r, z) is
-box_gas.GasResponse: the thermal cloud at (r, z) is a box gas at the local
-fugacity f e^{-beta V}, so every thermal response is the box Doppler kernel:
-at p = 0 for chi, at p = 1/2 for a column, with the section factor for a
-pinhole average.  Every delay integrates 1/v_g - 1/c = 2 pi (Re chi + omega
-Re dchi/domega)/c: the pinhole average in closed form on either path, the
-line of sight in closed form on an infinite path and on Gauss-Legendre z
-panels of the same kernel on a finite one.
+velocity v_g = D_z / <Delta t>.  The local susceptibility chi(r) in the
+plane z = 0 is box_gas.GasResponse: the thermal cloud at any point is a box
+gas at the local fugacity f e^{-beta V}, so every thermal response is the
+box Doppler kernel: at p = 0 for chi, at p = 1/2 for a column, with the
+section factor for a pinhole average.  Every delay integrates
+1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c: the pinhole average
+in closed form on either path, the line of sight in closed form on an
+infinite path and, for a pinhole average only, on Gauss-Legendre z panels
+of the same kernel on a finite one.
 """
 
 import math
@@ -119,12 +120,12 @@ def _gauss_legendre(points):
 def _z_rule(z_th, alpha, path_half_length_m):
     """Composite _Z_POINTS-point Gauss-Legendre rule on [0, L] as (node, weight)
     pairs: panel edges at _Z_EDGES z_th and, for a kernel branch point at
-    z = i z_th sqrt(2 alpha) (alpha = 0: none), at z_th 4^-k while that is
-    more than twice the larger of sqrt(2 alpha) and _Z_FINEST; clipped to L
-    and closed at L, or at 9 z_th, beyond which the density is below e^-40."""
+    z = i z_th sqrt(2 alpha), alpha > 0, at z_th 4^-k while that is more
+    than twice the larger of sqrt(2 alpha) and _Z_FINEST; clipped to L and
+    closed at L, or at 9 z_th, beyond which the density is below e^-40."""
     nodes, weights = _gauss_legendre(_Z_POINTS)
     ladder = list(_Z_EDGES)
-    finest = max(math.sqrt(2.0 * alpha), _Z_FINEST) if alpha > 0.0 else math.inf
+    finest = max(math.sqrt(2.0 * alpha), _Z_FINEST)
     while ladder[0] > 2.0 * finest:
         ladder.insert(0, ladder[0] / 4.0)
     end = min(path_half_length_m, _Z_EDGES[-1] * z_th)
@@ -142,9 +143,9 @@ def _path_delay(response, zv, u, section, column, path_half_length_m):
     subtracted by construction.
 
     Infinite L: the Doppler kernel at p = 1/2 times the column length
-    sqrt(2 pi K_B T/m)/nu_z.  Finite L: the kernel at p = 0 of
-    u e^{-z^2/2 z_th^2}, z_th^2 = K_B T/(m nu_z^2), summed over _z_rule, and
-    the condensate column times erf(L/a0_z)."""
+    sqrt(2 pi K_B T/m)/nu_z.  Finite L, only for a pinhole average (c > 0):
+    the kernel at p = 0 of u e^{-z^2/2 z_th^2}, z_th^2 = K_B T/(m nu_z^2),
+    summed over _z_rule, and the condensate column times erf(L/a0_z)."""
     species, temperature, a_param = response.species, response.temperature, response.a_param
     omega = probe_omega(species)
     delay = 0.0
@@ -169,29 +170,25 @@ def _path_delay(response, zv, u, section, column, path_half_length_m):
     return delay
 
 
-def delay_at_radius(state, fields, r, path_half_length_m=math.inf):
-    """Probe delay accumulated along the line of sight at radius r (s) in
-    the given state: 2 int_0^L (1/v_g - 1/c) dz, the L/c vacuum term
+def delay_at_radius(state, fields, r):
+    """Probe delay accumulated along the infinite line of sight at radius r
+    (s) in the given state: 2 int_0^inf (1/v_g - 1/c) dz, the vacuum term
     subtracted by construction.
 
-    The thermal part is the Doppler kernel of y_r = f e^{-beta m nu_r^2 r^2/2}:
-    on an infinite path at p = 1/2 (the z integral multiplies term l by
-    l^-1/2), to first order (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0
-    Re{zeta'(omega)(g_2(y_r)/zeta^2 + (3/2) A^2 g_3(y_r)/zeta^4)}; on a finite
-    path at p = 0 of y_r e^{-beta m nu_z^2 z^2/2} on composite 10-point
-    Gauss-Legendre z panels.  Below Tc the condensate column at r adds its
-    term, times erf(L/a0_z) on a finite path.
+    The thermal part is the Doppler kernel of y_r = f e^{-beta m nu_r^2 r^2/2}
+    at p = 1/2 (the z integral multiplies term l by l^-1/2), to first order
+    (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0
+    Re{zeta'(omega)(g_2(y_r)/zeta^2 + (3/2) A^2 g_3(y_r)/zeta^4)}.  Below Tc
+    the condensate column at r adds its term.
     """
     _require_trap(state.geometry)
-    if not path_half_length_m > 0.0:
-        raise DomainError("path_half_length_m must be positive")
     response = GasResponse(state, fields, r)
     zv = response.zeta_at()
     column = 0.0
     if state.condensate_fraction > 0.0:
         a0r = response.a0r
         column = state.geometry.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
-    delay = _path_delay(response, zv, response.fugacity_value, 0.0, column, path_half_length_m)
+    delay = _path_delay(response, zv, response.fugacity_value, 0.0, column, math.inf)
     if not math.isfinite(delay):
         raise DomainError("the delay at r = %.3g m is %r at T = %.3g K" % (r, delay, state.temperature_k))
     return delay

@@ -204,9 +204,14 @@ def _zeta_local(config):
 
 
 def _bose_log(u, t):
-    """-ln(1 - u e^{-t^2}) written as -ln((1-u) + u(1-e^{-t^2})) so the
-    u = 1 case stays finite down to the smallest quadrature nodes."""
-    return -np.log((1.0 - u) + u * (-np.expm1(-t * t)))
+    """-ln(1 - u e^{-t^2}): -log1p(-u e^{-t^2}) where u e^{-t^2} <= 1/2, which
+    keeps its relative accuracy as u -> 0, and -ln((1-u) + u(1-e^{-t^2}))
+    above, so the u = 1 case stays finite down to the smallest quadrature
+    nodes.  The second form alone loses about 1e-16/(u e^{-t^2}) of itself."""
+    x = u * np.exp(-t * t)
+    small = x <= 0.5
+    g = np.log((1.0 - u) + u * (-np.expm1(-t * t)), where=~small, out=np.zeros(small.shape))
+    return -np.log1p(-x, where=small, out=g)
 
 
 def _thermal_kernel(u, a_param, zv, zp, coeff):

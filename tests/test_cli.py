@@ -457,8 +457,6 @@ config = slowlight.load_config(slowlight.cli.DEFAULT_CONFIG_TEXT)
 t_c = slowlight.tc_trap(config.species, config.geometry)
 finite = slowlight.PinholeSpec(radius_mode="fixed", radius_m=15e-6, path_half_length_m=1e-3)
 values = [slowlight.mean_delay(config, theta * t_c, finite).mean_delay_s for theta in (0.6, 1.4)]
-state = slowlight.gas_state(config, 1.4 * t_c)
-values.append(slowlight.delay_at_radius(state, config.fields, 5e-6, path_half_length_m=1e-3))
 values.extend(slowlight.thermal_response_series(0.5, 3.0 + 1.0j, 1.0))
 result = json.dumps([status, out.getvalue()] + [repr(value) for value in values])
 """
@@ -915,11 +913,27 @@ def _fuzzed_lines(draw):
     return lines
 
 
+def _assert_exits_cleanly(argv, context):
+    """main(argv) exits 0, 1 or 2 with nothing escaping it, prints no nan or
+    inf, and an arithmetic fault anywhere names the quantity that left the
+    float range: cli._annotate's generic "<Exception>: ..." branch never fires."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2), (context, argv)
+    assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE), (context, argv)
+    if rc == 2:
+        message = err.getvalue().removeprefix("physics error: ")
+        if message.startswith(("at ", "tf estimate: ")):
+            message = message.split(": ", 1)[1]
+        assert "Error: " not in message, (context, argv, err.getvalue())
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(lines=_fuzzed_lines())
 def test_extreme_documents_exit_cleanly_with_named_quantities(lines):
-    # an arithmetic fault anywhere names the quantity that left the float
-    # range: cli._annotate's generic "<Exception>: ..." branch never fires
     keys = {_DOCUMENT_KEYS[line.split(" = ")[0]][0] for line in lines}
     kept = [line for line in DEFAULT_CONFIG_TEXT.splitlines() if _DOCUMENT_KEYS.get(line.split(" = ")[0], (None,))[0] not in keys]
     with tempfile.TemporaryDirectory() as directory:
@@ -927,18 +941,34 @@ def test_extreme_documents_exit_cleanly_with_named_quantities(lines):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(kept + lines) + "\n")
         for argv in _FUZZ_RUNS:
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ValidityWarning)
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = main(argv + ["--config", path])
-            assert rc in (0, 1, 2), (lines, argv)
-            assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE), (lines, argv)
-            if rc == 2:
-                message = err.getvalue().removeprefix("physics error: ")
-                if message.startswith(("at ", "tf estimate: ")):
-                    message = message.split(": ", 1)[1]
-                assert "Error: " not in message, (lines, argv, err.getvalue())
+            _assert_exits_cleanly(argv + ["--config", path], lines)
+
+
+# every float flag of each subcommand; the detunings take either sign
+_FUZZED_FLAGS = {
+    "sweep": ("--omega-coupling-gamma", "--t-min", "--t-max", "--pinhole-radius-um"),
+    "chi": ("--omega-coupling-gamma", "--temperature-nk", "--d-min-gamma", "--d-max-gamma"),
+    "tf": ("--omega-coupling-gamma", "--atom-count", "--scattering-length-nm"),
+}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """One run of _FUZZ_RUNS with 1-2 of its float flags, each log-uniform
+    over 1e-320..1e308."""
+    argv = list(draw(st.sampled_from(_FUZZ_RUNS)))
+    for flag in draw(st.lists(st.sampled_from(_FUZZED_FLAGS[argv[0]]), min_size=1, max_size=2, unique=True)):
+        value = 10.0 ** draw(st.floats(-320.0, 308.0))
+        if flag.startswith("--d-") and draw(st.booleans()):
+            value = -value
+        argv += [flag, repr(value)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=_fuzzed_argv())
+def test_extreme_flags_exit_cleanly_with_named_quantities(argv):
+    _assert_exits_cleanly(argv, "flags")
 
 
 def test_tf_usage_errors(capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -83,3 +84,38 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out.count("\n") >= 5
+
+
+def _readme_calls():
+    """(span, call) for every call in an inline code span of the README's
+    prose whose function is in slowlight.__all__ and whose positional
+    arguments are bare names (keywords may hold anything)."""
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        try:
+            tree = ast.parse(span)
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in slowlight.__all__
+                and all(isinstance(arg, ast.Name) for arg in node.args)
+            ):
+                yield span, node
+
+
+def test_readme_calls_match_signatures():
+    # a call written in the README's prose names the parameters it passes, in
+    # order, and passes no more than the signature takes
+    calls = list(_readme_calls())
+    assert len(calls) >= 8
+    for span, call in calls:
+        signature = inspect.signature(getattr(slowlight, call.func.id))
+        names = [arg.id for arg in call.args]
+        try:
+            bound = signature.bind(*names, **{keyword.arg: None for keyword in call.keywords})
+        except TypeError as exc:
+            raise AssertionError("%r: %s" % (span, exc)) from None
+        assert all(bound.arguments.get(name) == name for name in names), (span, list(signature.parameters))
