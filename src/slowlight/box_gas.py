@@ -1,11 +1,12 @@
 """Thermodynamic state of the ideal Bose gas, the Doppler kernel of a thermal
 cloud and GasResponse, the one susceptibility evaluator of either geometry.
 
-The state at one temperature (Tc, the fugacity as a float, the condensate
-fraction) serves both geometries.  Above Tc the Doppler-averaged response of
-the thermal cloud in a box is the series over l of f^l/l * w(sqrt(l) zeta / A),
-with A = sqrt(2 K_B T/m) k_g/Gamma_ge the thermal Doppler width in linewidth
-units; below Tc the f = 1 series plus the zero-momentum condensate term
+The state at one temperature (Tc, alpha = -ln f of the fugacity f, the
+condensate fraction) serves both geometries.  Above Tc the Doppler-averaged
+response of the thermal cloud in a box is the series over l of
+e^{-l alpha}/l * w(sqrt(l) zeta / A), with A = sqrt(2 K_B T/m) k_g/Gamma_ge
+the thermal Doppler width in linewidth units; below Tc the alpha = 0 series
+plus the zero-momentum condensate term
 -(chi0/zeta) n (1 - (T/Tc)^{3/2}).  Terms with sqrt(l)|zeta/A| < 70 use the
 exact w; from the first l beyond, the large-|y| expansion of w turns the rest
 of the series into polylogs in closed form, which at the sodium EIT defaults
@@ -79,7 +80,7 @@ class GasState:
     geometry: object  # Box or HarmonicTrap
     temperature_k: float
     t_c_k: float
-    fugacity: float
+    alpha: float  # -ln f of the fugacity f, in [0, inf]; 0 at and below Tc
     condensate_fraction: float
 
 
@@ -108,7 +109,7 @@ def doppler_width_param(species, fields, temperature):
 def gas_state(config, temperature):
     """GasState at the given temperature (T = 0 allowed: pure condensate).
 
-    The fugacity solves g_nu(f) = g_nu(1) (Tc/T)^nu and the condensate
+    alpha = -ln f solves g_nu(e^-alpha) = g_nu(1) (Tc/T)^nu and the condensate
     fraction is 1 - (T/Tc)^nu, with nu = 3/2 in a box and nu = 3 in a trap.
     A trapped gas warns where the semiclassical K_B T >> hbar nu fails.
     """
@@ -125,7 +126,7 @@ def gas_state(config, temperature):
     else:
         t_c, nu = tc_trap(species, geometry), 3.0
     theta = temperature / t_c
-    fugacity = 1.0 if temperature == 0.0 else fugacity_from_temperature(kind, theta)
+    alpha = 0.0 if temperature == 0.0 else fugacity_from_temperature(kind, theta)
     if kind == "trap" and temperature > 0.0:
         nu_max = max(geometry.nu_r_rad_s, geometry.nu_z_rad_s)
         if KB_J_PER_K * temperature < 10.0 * HBAR_J_S * nu_max:
@@ -140,7 +141,7 @@ def gas_state(config, temperature):
         geometry=geometry,
         temperature_k=temperature,
         t_c_k=t_c,
-        fugacity=fugacity,
+        alpha=alpha,
         condensate_fraction=1.0 - theta**nu if theta < 1.0 else 0.0,
     )
 
@@ -157,45 +158,45 @@ def tail_terms(z_over_a, mode="exact"):
 
 
 @lru_cache(maxsize=256)
-def _tail_polylogs(terms, power, u, head, section):
-    """G_k = sum_{l > head} s_l u^l / l^(k+3/2+p) for k < terms (for a section
-    c > 0, two tails of order one higher over c), after a head of 0 or a
-    whole number of chunks.  Cached: the G_k depend on neither zeta nor the
-    fields, so a chi scan computes them once."""
-    tail = polylog if head == 0 else lambda nu, f: polylog_tail(nu, f, head)
+def _tail_polylogs(terms, power, alpha, head, section):
+    """G_k = sum_{l > head} s_l e^{-l alpha} / l^(k+3/2+p) for k < terms (for a
+    section c > 0, two tails of order one higher, at alpha and alpha + c,
+    over c), after a head of 0 or a whole number of chunks.  Cached: the G_k
+    depend on neither zeta nor the fields, so a chi scan computes them once."""
+    tail = polylog if head == 0 else lambda nu, a: polylog_tail(nu, a, head)
     if section == 0.0:
-        return tuple([tail(k + 1.5 + power, u) for k in range(terms)])
-    shrunk = u * math.exp(-section)
-    return tuple([(tail(k + 2.5 + power, u) - tail(k + 2.5 + power, shrunk)) / section for k in range(terms)])
+        return tuple([tail(k + 1.5 + power, alpha) for k in range(terms)])
+    shrunk = alpha + section
+    return tuple([(tail(k + 2.5 + power, alpha) - tail(k + 2.5 + power, shrunk)) / section for k in range(terms)])
 
 
-def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, section=0.0, mode="exact"):
-    """Doppler kernel of one thermal cloud: returns (S, S') with
-    S = sum_l s_l u^l/l^(1+p) w(sqrt(l) zeta/A), S' = sum_l s_l u^l/l^(1/2+p) w'(sqrt(l) zeta/A),
-    p = power, s_l = (1 - e^{-lc})/(lc) for section = c > 0 and 1 for c = 0.
+def thermal_response_series(alpha, zeta_value, a_param, power=0.0, section=0.0, mode="exact"):
+    """Doppler kernel of one thermal cloud in the state alpha = -ln u: returns
+    (S, S') with S = sum_l s_l e^{-l alpha}/l^(1+p) w(sqrt(l) zeta/A),
+    S' = sum_l s_l e^{-l alpha}/l^(1/2+p) w'(sqrt(l) zeta/A), p = power,
+    s_l = (1 - e^{-lc})/(lc) for section = c > 0 and 1 for c = 0; (0, 0) at alpha = inf.
 
     Chunks of exact w while |y| = sqrt(l)|zeta/A| < 70, with a geometric early
-    stop for u < 1.  From the first l where |y| >= 70 the rest of the series is
+    stop for alpha > 0.  From the first l where |y| >= 70 the rest of the series is
     the large-|y| tail of TAIL_TABLE, summed in closed form over polylogs
     g_{k+3/2+p} (the whole of g_nu when that is l = 1, as at the sodium EIT
     defaults; otherwise a polylog tail after whole chunks of exact terms).
-    Mode "asymptotic" is that tail from l = 1, cut after k = 1.  At u = 1
+    Mode "asymptotic" is that tail from l = 1, cut after k = 1.  At alpha = 0
     only the tail ends the series, so where no chunk within the cap reaches
     it, the SeriesCapError comes before any term is summed.
     """
-    u = fugacity_value
     z_over_a = zeta_value / a_param
     abs_ratio = abs(z_over_a)
     s_w = 0.0 + 0.0j
     s_wp = 0.0 + 0.0j
     l0 = 1
-    if u == 1.0 and mode == "exact" and math.sqrt(_LAST_CHUNK_START) * abs_ratio < _TAIL_MIN_ABS_Y:
+    if alpha == 0.0 and mode == "exact" and math.sqrt(_LAST_CHUNK_START) * abs_ratio < _TAIL_MIN_ABS_Y:
         l0 = _SERIES_CAP + 1  # straight to the SeriesCapError
     while l0 <= _SERIES_CAP:
         if mode == "asymptotic" or math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
             r = 1.0 / z_over_a  # A/zeta
             sum_a = sum_b = 0
-            g = _tail_polylogs(tail_terms(z_over_a, mode), power, u, l0 - 1, section)
+            g = _tail_polylogs(tail_terms(z_over_a, mode), power, alpha, l0 - 1, section)
             for (c, d, m, n), g_k in zip(TAIL_TABLE, g):
                 sum_a += c * r**m * g_k
                 sum_b += d * r**n * g_k
@@ -205,14 +206,14 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, sect
         hi = min(l0 + _SERIES_CHUNK - 1, _SERIES_CAP)
         l = np.arange(l0, hi + 1, dtype=float)
         y = np.sqrt(l) * z_over_a
-        ul = u**l / l**power
+        ul = np.exp(-alpha * l) / l**power
         if section > 0.0:
             ul *= -np.expm1(-l * section) / (l * section)
         s_w += complex((ul / l * faddeeva_w(y)).sum())
         s_wp += complex((ul / np.sqrt(l) * faddeeva_w_prime(y)).sum())
-        if u < 1.0:
+        if alpha > 0.0:
             # remainder bounds from |w| <= 1, |w'| <= 2 on the upper half plane
-            geom = u ** (hi + 1) / (1.0 - u)
+            geom = math.exp(-alpha * (hi + 1)) / -math.expm1(-alpha)
             if (
                 geom * _W_BOUND / (hi + 1) <= _SERIES_REL_TOL * abs(s_w)
                 and geom * _WPRIME_BOUND / math.sqrt(hi + 1) <= _SERIES_REL_TOL * abs(s_wp)
@@ -220,8 +221,8 @@ def thermal_response_series(fugacity_value, zeta_value, a_param, power=0.0, sect
                 return s_w, s_wp
         l0 = hi + 1
     raise SeriesCapError(
-        "Doppler series not converged within %d terms (fugacity %.6g, |zeta/A| = %.3g)"
-        % (_SERIES_CAP, u, abs_ratio)
+        "Doppler series not converged within %d terms (alpha = -ln f = %.6g, |zeta/A| = %.3g)"
+        % (_SERIES_CAP, alpha, abs_ratio)
     )
 
 
@@ -251,14 +252,14 @@ class GasResponse:
     r in the z = 0 plane of a trap (a box refuses a nonzero r):
     response(detuning) is the ComplexResponse at the probe detuning Delta_g0
     (rad/s), by default the fields' own.  It is the Doppler kernel at the
-    local fugacity f e^{-beta V} (f, 1 below Tc, in a box) plus the
+    local state alpha + beta V (alpha, 0 below Tc, in a box) plus the
     condensate.  Mode "asymptotic" stops the kernel at (A/zeta)^2, in a box
     the closed form
-    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(f)/(2 g_{3/2}(1))) (A/zeta)^2]
+    chi = -(n chi0/zeta)[1 + (T/Tc)^{3/2} (g_{5/2}(e^-alpha)/(2 g_{3/2}(1))) (A/zeta)^2]
     and in a trap -(chi0/zeta)(m K_B T/2 pi hbar^2)^{3/2} [g_{3/2} + g_{5/2} A^2/(2 zeta^2)].
 
     Construction is the per-temperature stage, run once for a whole scan:
-    the recoil, the Doppler width A, the local fugacity, the thermal
+    the recoil, the Doppler width A, the local state alpha, the thermal
     prefactor P and the local condensate density, and in a trap the scales
     the delays read: a0r, a0z and beta (T > 0).
     A call is the per-detuning stage: zeta (zeta_at), then the Doppler kernel
@@ -277,7 +278,7 @@ class GasResponse:
         except ArithmeticError as exc:
             raise float_range_error("zeta", "T = %.3g K" % temperature, exc) from exc
         self.a_param = doppler_width_param(species, fields, temperature)
-        self.fugacity_value = state.fugacity
+        self.alpha = state.alpha
         if isinstance(geometry, Box):
             if r != 0.0:
                 raise ValueError("a box response has no position, got r = %r" % r)
@@ -292,7 +293,7 @@ class GasResponse:
                     beta = 1.0 / k_t if k_t > 0.0 else math.inf
                     self.beta = in_float_range(beta, "beta = 1/(K_B T)", "T = %.3g K (K_B T = %r J)", temperature, k_t)
                     potential = 0.5 * species.mass_kg * (geometry.nu_r_rad_s**2 * r**2)
-                    self.fugacity_value *= math.exp(-self.beta * potential)
+                    self.alpha += self.beta * potential
                 if state.condensate_fraction > 0.0:
                     volume = math.pi**1.5 * self.a0r**2 * self.a0z
                     peak = geometry.atom_count * state.condensate_fraction / volume if volume > 0.0 else math.inf
@@ -317,7 +318,7 @@ class GasResponse:
         naming the temperature when it is not finite."""
         chi = dchi = 0j
         if self.temperature > 0.0:
-            s_w, s_wp = thermal_response_series(self.fugacity_value, zv.value, self.a_param, mode=self.mode)
+            s_w, s_wp = thermal_response_series(self.alpha, zv.value, self.a_param, mode=self.mode)
             chi, dchi = self.pref * s_w, self.pref * (zv.d_domega / self.a_param) * s_wp
         if self.state.condensate_fraction > 0.0:
             try:

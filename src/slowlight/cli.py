@@ -173,7 +173,7 @@ def cmd_sweep(args):
             delay, size, v_g = delays.mean_delay_s, delays.cloud_size_m, delays.group_velocity_m_s
         if not 0.0 < v_g < C_M_S:
             raise DomainError("group velocity %.6g m/s is not in (0, c)" % v_g)
-        return (theta, temperature, state.fugacity, resp.chi.real, resp.chi.imag, delay, size, v_g)
+        return (theta, temperature, math.exp(-state.alpha), resp.chi.real, resp.chi.imag, delay, size, v_g)
 
     return _write_csv(
         args.output, text, _CSV_HEADER, thetas, row, lambda theta: "t_over_tc=%.6g (T=%.6g K)" % (theta, theta * t_c)

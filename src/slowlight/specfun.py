@@ -1,12 +1,13 @@
 """Special functions for the statistical sums: Bose-Einstein polylogarithms
-g_nu(f) = sum_{l>=1} f^l / l^nu of a float (a Horner direct series for
-f <= 1/2, Robinson's expansion in alpha = -ln f above, each cut to the
-length its argument needs), Euler-Maclaurin tails of g_nu after a head of
-512 or more terms (to about 2e-16 of g_nu(f), not of the tail), the Faddeeva
-function w(y) = exp(-y^2)(1 + erf(iy)) with its large-|y| expansion, and
-inversion of the fugacity relations g_nu(f) = g_nu(1) (Tc/T)^nu by one
-Newton evaluation (2 polylog calls a solve) from a per-geometry start table,
-built on the first solve above Tc.
+g_nu(e^-alpha) = sum_{l>=1} e^(-l alpha) / l^nu of alpha = -ln f in [0, inf],
+the Bose state every layer carries for the fugacity f (a double f rounds to 1
+below alpha = 5e-17), by a Horner direct series for alpha >= ln 2 and
+Robinson's expansion in alpha below, each cut to the length alpha needs;
+Euler-Maclaurin tails of g_nu after a head of 512 or more terms (to about
+2e-16 of g_nu, not of the tail); the Faddeeva function w(y) with its
+large-|y| expansion; and the fugacity relations g_nu(e^-alpha) =
+g_nu(1) (Tc/T)^nu solved for alpha by one Newton evaluation (2 polylog calls)
+from a per-geometry start table, built on the first solve above Tc.
 
 The zeta values behind g_nu(1) and Robinson's expansion come from Borwein's
 series, so importing this module imports no scipy; scipy.special is imported
@@ -64,13 +65,14 @@ ZETA_2 = _zeta(2.0)
 ZETA_3 = _zeta(3.0)
 ZETA_1_2 = _zeta(0.5)
 
-# g_nu(f) for f <= 1/2 sums at most 63 terms of the direct series (remainder
-# below 2^-63 relative), and only l <= 1 + ceil(_DIRECT_LOG_TOL / -ln f) of
-# them, so that the first term dropped is below f e^-36.8 = 1e-16 f; above
-# 1/2 it sums at most 24 terms of Robinson's expansion, whose terms fall as
-# (alpha/2 pi)^k with alpha = -ln f < ln 2, and only the K lowest powers for
+# g_nu(e^-alpha) for alpha >= ln 2 sums at most 63 terms of the direct series
+# in f = e^-alpha (remainder below 2^-63 relative), only l <= 1 +
+# ceil(_DIRECT_LOG_TOL / alpha) of them, so that the first term dropped is
+# below f e^-36.8 = 1e-16 f; below ln 2 at most 24 terms of Robinson's
+# expansion, whose terms fall as (alpha/2 pi)^k, only the K lowest powers for
 # the smallest K whose dropped terms sum_{k>=K} |c_k| alpha^k stay below
 # _ROBINSON_CUT (5 terms at alpha = 1e-3, 18 near ln 2 for nu = 3/2)
+_LN2 = math.log(2.0)
 _DIRECT_TERMS = 63
 _DIRECT_LOG_TOL = 36.8
 _ROBINSON_TERMS = 24
@@ -86,7 +88,7 @@ W_LARGE_Y = (1.0, 0.5, 0.75, 1.875, 6.5625)
 # cancellation; at 35 both branches are accurate to ~5e-13)
 _W_PRIME_ASYMPTOTIC_RADIUS = 35.0
 
-# below this target g_nu(f) = f (1 + f/2^nu + ...) rounds to f, so f = target
+# below this target g_nu(e^-alpha) = f (1 + f/2^nu + ...) rounds to f = e^-alpha
 _BOLTZMANN_TARGET = 1e-17
 # the fugacity start table holds y = -ln g_nu(e^-alpha) at the nodes
 # w_i = sqrt(_START_ALPHA_MAX) (i/N)^2, i = 1..N, of w = sqrt(alpha), packed
@@ -95,12 +97,12 @@ _BOLTZMANN_TARGET = 1e-17
 # start is within 7e-9 alpha of the root (built in 0.6-1.1 ms, 25 kB)
 _START_NODES = 256
 _START_ALPHA_MAX = 40.0
-# Newton's iteration for the fugacity stops once the step an evaluation
-# implies would move alpha = -ln f by at most this relative amount, or by a
-# few ulp of f near 1 (2^-50): the step in f from that same evaluation then
-# squares the error left.  It fails after _NEWTON_STEPS evaluations; from the
-# table start, and from the second-order start next to Tc, the first one
-# stops it (2 polylog calls a solve)
+# Newton's iteration for alpha stops once the step an evaluation implies
+# would move alpha by at most this relative amount, or by 2^-50, above the
+# eps g_nu/g_{nu-1} <= eps a double g_nu leaves in alpha: the step in alpha
+# itself from that evaluation then squares the error left.  It fails after
+# _NEWTON_STEPS evaluations; from the table start, and from the second-order
+# start next to Tc, the first one stops it (2 polylog calls a solve)
 _NEWTON_RTOL = 1e-8
 _NEWTON_STEPS = 50
 
@@ -193,11 +195,11 @@ def _horner(coefficients, x):
     return acc
 
 
-def polylog(nu, f):
-    """Bose-Einstein function g_nu(f) = sum_{l>=1} f^l / l^nu, f in [0, 1].
+def polylog(nu, alpha):
+    """g_nu(e^-alpha) = sum_{l>=1} e^(-l alpha) / l^nu, alpha = -ln f in [0, inf].
 
-    f <= 1/2 sums the direct series, only as many terms as reach 1e-16
-    relative; above it, Robinson's expansion in alpha = -ln f,
+    alpha >= ln 2 sums the direct series in e^-alpha, only as many terms as
+    reach 1e-16 relative; below it, Robinson's expansion in alpha,
     g_nu = Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k / k!,
     with (-alpha)^(n-1)/(n-1)! (H_(n-1) - ln alpha) in place of the leading
     and the k = n-1 terms for integer nu = n (J. E. Robinson, Phys. Rev. 83,
@@ -205,20 +207,18 @@ def polylog(nu, f):
     are Horner polynomials over per-order tables of the suffixes each length
     reads.
     """
-    f = float(f)
+    alpha = float(alpha)
     # one test on the common path, and the fault named only where it fails
-    if not (nu > 0.0 and 0.0 <= f <= 1.0) or (f == 1.0 and nu <= 1.0):
+    if not (nu > 0.0 and alpha >= 0.0) or (alpha == 0.0 and nu <= 1.0):
         if not nu > 0.0:
             raise DomainError("polylog order must be positive, got %r" % nu)
-        if not 0.0 <= f <= 1.0:
-            raise DomainError("polylog argument must lie in [0, 1], got %r" % f)
-        raise DomainError("polylog(nu<=1, 1) diverges")
+        if not alpha >= 0.0:
+            raise DomainError("polylog argument alpha = -ln f must lie in [0, inf], got %r" % alpha)
+        raise DomainError("polylog(nu<=1, alpha=0) diverges")
     direct, edges, sums, lead, harmonic = _polylog_tables(nu)
-    if f <= 0.5:
-        if f == 0.0:
-            return 0.0
-        return _horner(direct[min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / -math.log(f)) + 1)], f) * f
-    alpha = -math.log(f)
+    if alpha >= _LN2:
+        f = math.exp(-alpha)
+        return _horner(direct[min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / alpha) + 1)], f) * f
     total = _horner(sums[bisect_left(edges, alpha)], alpha)
     if alpha == 0.0:
         return total
@@ -226,21 +226,20 @@ def polylog(nu, f):
     return total + (leading if harmonic is None else leading * (harmonic - math.log(alpha)))
 
 
-def polylog_tail(nu, f, l_start):
-    """Partial tail sum_{l > l_start} f^l / l^nu (0 <= f <= 1) by
+def polylog_tail(nu, alpha, l_start):
+    """Partial tail sum_{l > l_start} e^(-l alpha) / l^nu (alpha >= 0) by
     Euler-Maclaurin, with an upper-incomplete-gamma integral.  The Doppler
     kernel asks for it only after whole 512-term chunks of exact terms: from
-    a head of 512 on, its error is about 2e-16 of g_nu(f), but it grows fast
-    at shorter heads (8e-15 at 64, 8e-9 at 8)."""
-    if f == 0.0:
-        return 0.0
+    a head of 512 on, its error is about 2e-16 of g_nu(e^-alpha), but it grows
+    fast at shorter heads (8e-15 at 64, 8e-9 at 8)."""
     length = float(l_start)
-    alpha = -math.log(f) if f < 1.0 else 0.0
+    damp = math.exp(-alpha * length)
+    if damp == 0.0:
+        return 0.0
     if alpha == 0.0:
         integral = length ** (1.0 - nu) / (nu - 1.0)
     else:
         integral = alpha ** (nu - 1.0) * _upper_gamma(1.0 - nu, alpha * length)
-    damp = math.exp(-alpha * length)
     h = damp * length**-nu
     hp = -damp * (alpha * length**-nu + nu * length ** -(nu + 1.0))
     hppp = -damp * (
@@ -250,7 +249,6 @@ def polylog_tail(nu, f, l_start):
         + nu * (nu + 1.0) * (nu + 2.0) * length ** -(nu + 3.0)
     )
     return integral - h / 2.0 - hp / 12.0 + hppp / 720.0
-
 
 
 def _finite_w(out, y, shape, name):
@@ -321,12 +319,12 @@ def _start_table(nu, power):
     ys, xs, slopes = [], [], []
     for i in range(1, _START_NODES + 1):
         w = math.sqrt(_START_ALPHA_MAX) * (i / _START_NODES) ** 2
-        x = w if power == 2 else w * w
-        f = math.exp(-w * w)
-        g = polylog(nu, f)
+        alpha = w * w
+        x = w if power == 2 else alpha
+        g = polylog(nu, alpha)
         ys.append(-math.log(g))
         xs.append(x)
-        slopes.append(g / (polylog(nu - 1.0, f) * power * x ** (power - 1)))
+        slopes.append(g / (polylog(nu - 1.0, alpha) * power * x ** (power - 1)))
     return tuple(ys), tuple(xs), tuple(slopes)
 
 
@@ -346,33 +344,33 @@ def _interpolated_start(nu, power, y):
 
 
 def fugacity_from_temperature(geometry_kind, t_over_tc):
-    """Invert g_{3/2}(f) = g_{3/2}(1) (Tc/T)^{3/2} (box) or
-    g_3(f) = g_3(1) (Tc/T)^3 (trap) for the fugacity f, a float in [0, 1];
-    f = 1 below Tc.
+    """Invert g_{3/2}(e^-alpha) = g_{3/2}(1) (Tc/T)^{3/2} (box) or
+    g_3(e^-alpha) = g_3(1) (Tc/T)^3 (trap) for alpha = -ln f of the fugacity
+    f, a float in [0, inf]; alpha = 0 at and below Tc.
 
-    Newton's method on ln g_nu in x = alpha = -ln f (trap) or x = sqrt(alpha)
-    (box), in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}.  It
+    Newton's method on ln g_nu in x = alpha (trap) or x = sqrt(alpha) (box),
+    in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}.  It
     starts from a cubic Hermite interpolation of x in ln g_nu over a
     per-geometry table (256 nodes packed toward Tc in sqrt(alpha), built on
     the first solve above Tc in 0.6-1.1 ms), and in the interval next to
     Tc that the table does not bracket, from the root of the second-order
     expansion at Tc.  Once an evaluation of g_nu and g_{nu-1} implies a step
-    in alpha of at most 1e-8 alpha, a Newton step in f itself from those
-    same values puts f within a few ulp of the root.  From either start the
-    first evaluation does, so a solve makes 2 polylog calls.  f = 1 where
-    exp(-alpha) rounds to 1, and f = target where the target is so small
-    that g_nu(f) rounds to f.
+    in alpha of at most 1e-8 alpha, a Newton step in alpha itself from those
+    same values closes the solve.  From either start the first evaluation
+    does, so a solve makes 2 polylog calls.  alpha = -ln target where the
+    target is so small that g_nu(e^-alpha) rounds to e^-alpha, and inf where
+    the target underflows to 0.
     """
     if geometry_kind not in ("box", "trap"):
         raise ValueError("geometry_kind must be 'box' or 'trap', got %r" % geometry_kind)
     if not t_over_tc > 0.0:
         raise DomainError("t_over_tc must be positive, got %r" % t_over_tc)
     if t_over_tc <= 1.0:
-        return 1.0
+        return 0.0
     nu, power, g_at_one = (1.5, 2, ZETA_3_2) if geometry_kind == "box" else (3.0, 1, ZETA_3)
     target = float(g_at_one * t_over_tc**-nu)
     if target < _BOLTZMANN_TARGET:
-        return target
+        return -math.log(target) if target > 0.0 else math.inf
     log_target = math.log(target)
     x = _interpolated_start(nu, power, -log_target)
     deficit = g_at_one - target
@@ -387,15 +385,12 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
             x = _smaller_root(0.75 - 0.5 * math.log(x), ZETA_2, deficit)
     alpha = x**power
     for _ in range(_NEWTON_STEPS):
-        f = math.exp(-alpha)
-        if f == 1.0:
-            return 1.0
-        g = polylog(nu, f)
-        g_below = polylog(nu - 1.0, f)
+        g = polylog(nu, alpha)
+        g_below = polylog(nu - 1.0, alpha)
         # d ln g / dx = -g_{nu-1}/g dalpha/dx
         x += (math.log(g) - log_target) * g / (g_below * power * x ** (power - 1))
         alpha, previous = x**power, alpha
         if abs(alpha - previous) <= _NEWTON_RTOL * alpha + 2.0**-50:
-            # dg_nu/df = g_{nu-1}/f, at the f that g and g_below were taken at
-            return min(f - (g - target) * f / g_below, 1.0)
+            # dg_nu/dalpha = -g_{nu-1}, at the alpha that g and g_below were taken at
+            return max(previous + (g - target) / g_below, 0.0)
     raise SeriesCapError("fugacity solve did not converge at T/Tc = %r" % t_over_tc)

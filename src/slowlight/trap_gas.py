@@ -4,13 +4,13 @@ Per-ray probe delays Delta_t(r) through the cloud, uniform pinhole averages
 over a circular section of radius R, cloud sizes, and the experimental group
 velocity v_g = D_z / <Delta t>.  The local susceptibility chi(r) in the
 plane z = 0 is box_gas.GasResponse: the thermal cloud at any point is a box
-gas at the local fugacity f e^{-beta V}, so every thermal response is the
-box Doppler kernel: at p = 0 for chi, at p = 1/2 for a column, with the
-section factor for a pinhole average.  Every delay integrates
-1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c: the pinhole average
-in closed form on either path, the line of sight in closed form on an
-infinite path and, for a pinhole average only, on Gauss-Legendre z panels
-of the same kernel on a finite one.
+gas in the local state alpha + beta V (alpha = -ln f of the fugacity f), so
+every thermal response is the box Doppler kernel: at p = 0 for chi, at
+p = 1/2 for a column, with the section factor for a pinhole average.  Every
+delay integrates 1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c: the
+pinhole average in closed form on either path, the line of sight in closed
+form on an infinite path and, for a pinhole average only, on Gauss-Legendre
+z panels of the same kernel on a finite one.
 """
 
 import math
@@ -21,7 +21,7 @@ from .box_gas import GasResponse, condensate_response, gas_state, thermal_respon
 from .errors import DomainError, in_float_range
 from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, ground_state_size, probe_omega
 
-# below this c = beta m nu_r^2 R^2 / 2 the difference g(f) - g(f e^{-c})
+# below this c = beta m nu_r^2 R^2 / 2 the difference g(e^-alpha) - g(e^-(alpha+c))
 # of the pinhole average keeps fewer than about six digits
 _MIN_SECTION_EXPONENT = 1e-9
 # a finite path sums the kernel on _Z_POINTS-point Gauss-Legendre panels with
@@ -136,15 +136,15 @@ def _z_rule(z_th, alpha, path_half_length_m):
             yield mid + half * x, half * w
 
 
-def _path_delay(response, zv, u, section, column, path_half_length_m):
-    """2 int_0^L (1/v_g - 1/c) dz of the thermal cloud at the fugacity u in
+def _path_delay(response, zv, alpha, section, column, path_half_length_m):
+    """2 int_0^L (1/v_g - 1/c) dz of the thermal cloud in the state alpha in
     the plane z = 0 (with the section factor c) and of the condensate column
     density that an infinite path crosses, so the L/c vacuum term is
     subtracted by construction.
 
     Infinite L: the Doppler kernel at p = 1/2 times the column length
     sqrt(2 pi K_B T/m)/nu_z.  Finite L, only for a pinhole average (c > 0):
-    the kernel at p = 0 of u e^{-z^2/2 z_th^2}, z_th^2 = K_B T/(m nu_z^2),
+    the kernel at p = 0 of alpha + z^2/2 z_th^2, z_th^2 = K_B T/(m nu_z^2),
     summed over _z_rule, and the condensate column times erf(L/a0_z)."""
     species, temperature, a_param = response.species, response.temperature, response.a_param
     omega = probe_omega(species)
@@ -152,16 +152,16 @@ def _path_delay(response, zv, u, section, column, path_half_length_m):
     if temperature > 0.0:
         if math.isinf(path_half_length_m):
             length = math.sqrt(TWO_PI * KB_J_PER_K * temperature / species.mass_kg) / response.state.geometry.nu_z_rad_s
-            s_w, s_wp = thermal_response_series(u, zv.value, a_param, 0.5, section, response.mode)
+            s_w, s_wp = thermal_response_series(alpha, zv.value, a_param, 0.5, section, response.mode)
         else:
             z_th = math.sqrt(_thermal_size_sq(species, response.state.geometry.nu_z_rad_s, temperature))
-            # g_nu(u e^{-x}) branches at x = ln u and g_nu(u e^{-c-x}) at x = ln u - c, with
-            # x = z^2/2 z_th^2; at u = 1 the first is z^(2 nu - 2), smooth on [0, L]
-            alpha = -math.log(u) if 0.0 < u < 1.0 else (section if u == 1.0 else math.inf)
+            # g_nu(e^{-alpha-x}) branches at x = -alpha and g_nu(e^{-alpha-c-x}) at
+            # x = -alpha - c, with x = z^2/2 z_th^2; at alpha = 0 the first is
+            # z^(2 nu - 2), smooth on [0, L]
             length, s_w, s_wp = 2.0, 0j, 0j
-            for z, weight in _z_rule(z_th, alpha, path_half_length_m):
+            for z, weight in _z_rule(z_th, alpha or section, path_half_length_m):
                 t = z / z_th
-                s, s_p = thermal_response_series(u * math.exp(-0.5 * t * t), zv.value, a_param, 0.0, section, response.mode)
+                s, s_p = thermal_response_series(alpha + 0.5 * t * t, zv.value, a_param, 0.0, section, response.mode)
                 s_w += weight * s
                 s_wp += weight * s_p
         delay += length * _excess(response.pref * s_w, response.pref * (zv.d_domega / a_param) * s_wp, omega)
@@ -175,10 +175,10 @@ def delay_at_radius(state, fields, r):
     (s) in the given state: 2 int_0^inf (1/v_g - 1/c) dz, the vacuum term
     subtracted by construction.
 
-    The thermal part is the Doppler kernel of y_r = f e^{-beta m nu_r^2 r^2/2}
+    The thermal part is the Doppler kernel of alpha_r = alpha + beta m nu_r^2 r^2/2
     at p = 1/2 (the z integral multiplies term l by l^-1/2), to first order
     (omega/c)(m (K_B T)^2 / hbar^3 nu_z) chi0
-    Re{zeta'(omega)(g_2(y_r)/zeta^2 + (3/2) A^2 g_3(y_r)/zeta^4)}.  Below Tc
+    Re{zeta'(omega)(g_2(e^-alpha_r)/zeta^2 + (3/2) A^2 g_3(e^-alpha_r)/zeta^4)}.  Below Tc
     the condensate column at r adds its term.
     """
     _require_trap(state.geometry)
@@ -188,7 +188,7 @@ def delay_at_radius(state, fields, r):
     if state.condensate_fraction > 0.0:
         a0r = response.a0r
         column = state.geometry.atom_count * state.condensate_fraction * math.exp(-(r / a0r) ** 2) / (math.pi * a0r**2)
-    delay = _path_delay(response, zv, response.fugacity_value, 0.0, column, math.inf)
+    delay = _path_delay(response, zv, response.alpha, 0.0, column, math.inf)
     if not math.isfinite(delay):
         raise DomainError("the delay at r = %.3g m is %r at T = %.3g K" % (r, delay, state.temperature_k))
     return delay
@@ -200,18 +200,18 @@ def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
     <Delta t> = (1/pi R^2) int_0^R 2 pi r Delta_t(r) dr, as a DelayResult.
 
     Either path averages the thermal part in closed form: the Doppler kernel
-    of delay_at_radius at the fugacity f (1 below Tc) with the section factor
+    of delay_at_radius in the state alpha (0 below Tc) with the section factor
     (1 - e^{-lc})/(lc), c = beta m nu_r^2 R^2/2.  On an infinite path that is,
     to first order, 2 pi (omega/c) chi0 ((K_B T)^3/(hbar^3 nu_z nu_r^2)) (1/(pi R^2))
-    Re{zeta'(omega)([g_3(f)-g_3(f e^{-c})]/zeta^2
-    + (3/2)(A^2/zeta^4)[g_4(f)-g_4(f e^{-c})])}.  Below Tc the condensate adds
+    Re{zeta'(omega)([g_3(e^-alpha)-g_3(e^-(alpha+c))]/zeta^2
+    + (3/2)(A^2/zeta^4)[g_4(e^-alpha)-g_4(e^-(alpha+c))])}.  Below Tc the condensate adds
     its column with the section factor F_C: 2/(pi R^2) in fc_mode "paper",
     the Gaussian (1 - e^{-R^2/a0r^2})/(pi R^2) in fc_mode "exact" and on every
     finite path, where it is times erf(L/a0_z).  The response's mode
     "asymptotic" stops the kernel at A^2 on either path.
 
     Raises DomainError when pi R^2 or c leaves the float range, when the
-    pinhole is so small (c < 1e-9) that g(f) - g(f e^{-c}) loses its digits,
+    pinhole is so small (c < 1e-9) that g(e^-alpha) - g(e^-(alpha+c)) loses its digits,
     or when the delay is zero, non-finite or so short that
     v_g = D_z/<Delta t> would reach c.
     """
@@ -248,7 +248,7 @@ def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
             x = radius / response.a0r
             section = 1.0 - math.exp(-x * x)
         column = trap.atom_count * state.condensate_fraction * (section / area)
-    delay = _path_delay(response, zv, state.fugacity, exponent, column, half_length)
+    delay = _path_delay(response, zv, state.alpha, exponent, column, half_length)
 
     d_z = cloud_size(state)
     # a negative delay is anomalous dispersion and comes back as v_g < 0

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 HBAR = 1.0545718176461565e-34
 KB = 1.380649e-23
@@ -49,20 +48,21 @@ def zeta_constant(nu, head=100_000):
     return head_sum + tail
 
 
-def polylog_bruteforce(nu, f):
-    """g_nu(f) summed directly until the geometric tail is < 1e-17 relative."""
-    if f == 1.0:
+def polylog_bruteforce(nu, alpha):
+    """g_nu(e^-alpha) summed directly until the geometric tail is < 1e-17 relative."""
+    if alpha == 0.0:
         return zeta_constant(nu)
-    alpha = -math.log(f)
     count = max(1000, int(80.0 / alpha))
     l = np.arange(1, count + 1, dtype=float)
-    return float(np.sum(f**l / l**nu))
+    return float(np.sum(np.exp(-alpha * l) / l**nu))
 
 
-def polylog_mp(nu, f):
-    """mpmath polylog at 30 digits (used inside the fugacity inversions)."""
-    with mpmath.workdps(30):
-        return float(mpmath.polylog(nu, f))
+def polylog_mp(nu, alpha):
+    """mpmath g_nu(e^-alpha) as an mpf, with e^-alpha taken in mpmath to 30
+    digits of alpha itself, which a small alpha would lose in f."""
+    extra = max(0, int(-math.log10(alpha))) if 0.0 < alpha < 1.0 else 0
+    with mpmath.workdps(30 + extra):
+        return +mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(alpha)))
 
 
 def faddeeva_by_quadrature(y):
@@ -203,19 +203,23 @@ def _zeta_local(config):
     return zeta_by_formula(fields, recoil)
 
 
-def _bose_log(u, t):
-    """-ln(1 - u e^{-t^2}): -log1p(-u e^{-t^2}) where u e^{-t^2} <= 1/2, which
-    keeps its relative accuracy as u -> 0, and -ln((1-u) + u(1-e^{-t^2}))
-    above, so the u = 1 case stays finite down to the smallest quadrature
-    nodes.  The second form alone loses about 1e-16/(u e^{-t^2}) of itself."""
-    x = u * np.exp(-t * t)
+def _bose_log(alpha, t):
+    """-ln(1 - u e^{-t^2}) of u = e^-alpha: -log1p(-x) of x = e^-alpha e^{-t^2}
+    where x <= 1/2, which keeps its relative accuracy as x -> 0 (a product,
+    since the sum alpha + t^2 would lose ulp(alpha) at large alpha), and
+    -ln(-expm1(-(alpha + t^2))) above, where that sum is below ln 2: it holds
+    1 - x to a few ulp however small alpha and t are, so alpha = 0 stays
+    finite down to the smallest quadrature nodes.  The form
+    -ln((1-u) + u(1-e^{-t^2})) of a float u loses about 1e-16/x of itself,
+    and u itself rounds to 1 below alpha = 5e-17."""
+    x = np.exp(-alpha) * np.exp(-t * t)
     small = x <= 0.5
-    g = np.log((1.0 - u) + u * (-np.expm1(-t * t)), where=~small, out=np.zeros(small.shape))
+    g = np.log(-np.expm1(-(alpha + t * t)), where=~small, out=np.zeros(small.shape))
     return -np.log1p(-x, where=small, out=g)
 
 
-def _thermal_kernel(u, a_param, zv, zp, coeff):
-    """(chi, dchi) of the thermal cloud with fugacity-like weight u.
+def _thermal_kernel(alpha, a_param, zv, zp, coeff):
+    """(chi, dchi) of the thermal cloud in the state alpha = -ln u.
 
     chi  = coeff Int dt [-ln(1 - u e^{-t^2})] (-2 zeta)/(zeta^2 - A^2 t^2)
     dchi = coeff zeta' Int dt [-ln(...)] 2 (zeta^2 + A^2 t^2)/(zeta^2 - A^2 t^2)^2
@@ -223,7 +227,7 @@ def _thermal_kernel(u, a_param, zv, zp, coeff):
     reproduces -chi0 (m K_B T / 2 pi hbar^2)^{3/2} g_{3/2}(u)/zeta.
     """
     t, w = gl_panels(T_MESH_EDGES)
-    g = _bose_log(u, t)
+    g = _bose_log(alpha, t)
     at2 = (a_param * t) ** 2
     denom = zv * zv - at2
     chi = coeff * np.sum(w * g * (-2.0 * zv / denom))
@@ -232,25 +236,58 @@ def _thermal_kernel(u, a_param, zv, zp, coeff):
 
 
 def _invert_polylog(nu, target):
-    # f <= g_nu(f) <= zeta(nu) f brackets the root at every target, and the
-    # tiny xtol leaves the relative tolerance in charge however small f is
-    hi = 1.0 - 1e-16
-    if polylog_mp(nu, hi) <= target:
-        return 1.0
-    lo = target / float(mpmath.zeta(nu))
-    return brentq(lambda f: polylog_mp(nu, f) - target, lo, min(target, hi), xtol=1e-300, rtol=8.9e-16)
+    """alpha = -ln f of the root of g_nu(e^-alpha) = target (0 where
+    target >= zeta(nu)), solved in mpmath: f itself would round to 1 for
+    every alpha below about 5e-17.  Newton's method on ln g_nu in
+    x = sqrt(alpha) for nu < 2 and x = alpha otherwise, with
+    dg_nu/dalpha = -g_{nu-1}, kept inside a bracket that starts as
+    [0, a], a = ln(zeta(nu)/target) (g_nu(e^-alpha) <= zeta(nu) e^-alpha),
+    and halves wherever a step would leave it.  It works at 40 digits plus
+    twice the decades of a below 1: the e^-alpha it passes to mpmath then
+    holds alpha, which near Tc is of order a^2 or above, to 1e-40 of itself."""
+    power = 2 if nu < 2.0 else 1
+    with mpmath.workdps(40):
+        target = mpmath.mpf(target)
+        if target >= mpmath.zeta(nu):
+            return 0.0
+        a = mpmath.log(mpmath.zeta(nu) / target)
+    with mpmath.workdps(40 + 2 * max(0, int(-mpmath.log10(a)))):
+        lo, hi = mpmath.mpf(0), a ** (mpmath.mpf(1) / power)
+        x = hi
+        for _ in range(200):
+            z = mpmath.exp(-(x**power))
+            g = mpmath.polylog(nu, z)
+            if g > target:
+                lo = x
+            else:
+                hi = x
+            step = mpmath.log(g / target) * g / (mpmath.polylog(nu - 1, z) * power * x ** (power - 1))
+            if abs(step) <= mpmath.mpf(10) ** -25 * x:
+                return float((x + step) ** power)
+            x = x + step if lo < x + step < hi else (lo + hi) / 2
+    raise ArithmeticError("alpha oracle did not converge at target %r" % float(target))
 
 
-def box_fugacity_oracle(theta):
+def box_alpha_oracle(theta):
+    """alpha = -ln f of the box fugacity at T/Tc = theta (0 at and below Tc)."""
     if theta <= 1.0:
-        return 1.0
+        return 0.0
     return _invert_polylog(1.5, zeta_constant(1.5) * theta**-1.5)
 
 
-def trap_fugacity_oracle(theta):
+def trap_alpha_oracle(theta):
+    """alpha = -ln f of the trap fugacity at T/Tc = theta (0 at and below Tc)."""
     if theta <= 1.0:
-        return 1.0
+        return 0.0
     return _invert_polylog(3.0, zeta_constant(3.0) * theta**-3.0)
+
+
+def box_fugacity_oracle(theta):
+    return math.exp(-box_alpha_oracle(theta))
+
+
+def trap_fugacity_oracle(theta):
+    return math.exp(-trap_alpha_oracle(theta))
 
 
 def box_tc_oracle(species, number_density):
@@ -275,9 +312,9 @@ def chi_box_by_quadrature(config, temperature):
     zv, zp = _zeta_local(config)
     chi0 = _chi0(species)
     theta = temperature / box_tc_oracle(species, n)
-    f = box_fugacity_oracle(theta)
+    alpha = box_alpha_oracle(theta)
     coeff = chi0 * (2.0 * species.mass_kg * KB * temperature / HBAR**2) ** 1.5 / (8.0 * math.pi**2)
-    chi, dchi = _thermal_kernel(f, _doppler_a(species, fields, temperature), zv, zp, coeff)
+    chi, dchi = _thermal_kernel(alpha, _doppler_a(species, fields, temperature), zv, zp, coeff)
     if theta < 1.0:
         n0 = n * (1.0 - theta**1.5)
         chi += -chi0 * n0 / zv
@@ -291,11 +328,10 @@ def chi_trap_point_by_quadrature(config, temperature, r):
     zv, zp = _zeta_local(config)
     chi0 = _chi0(species)
     theta = temperature / trap_tc_oracle(species, trap)
-    f = trap_fugacity_oracle(theta)
     beta = 1.0 / (KB * temperature)
-    u = f * math.exp(-beta * species.mass_kg * trap.nu_r_rad_s**2 * r * r / 2.0)
+    alpha = trap_alpha_oracle(theta) + beta * species.mass_kg * trap.nu_r_rad_s**2 * r * r / 2.0
     coeff = chi0 * (2.0 * species.mass_kg * KB * temperature / HBAR**2) ** 1.5 / (8.0 * math.pi**2)
-    chi, dchi = _thermal_kernel(u, _doppler_a(species, fields, temperature), zv, zp, coeff)
+    chi, dchi = _thermal_kernel(alpha, _doppler_a(species, fields, temperature), zv, zp, coeff)
     if theta < 1.0:
         a0_r = math.sqrt(HBAR / (species.mass_kg * trap.nu_r_rad_s))
         a0_z = math.sqrt(HBAR / (species.mass_kg * trap.nu_z_rad_s))
@@ -335,7 +371,7 @@ def mean_delay_by_quadrature(config, temperature, radius_m, path_half_length_m=m
     chi0 = _chi0(species)
     omega = 2.0 * math.pi * C_LIGHT / species.wavelength_ge_m
     theta = temperature / trap_tc_oracle(species, trap)
-    f = trap_fugacity_oracle(theta)
+    alpha = trap_alpha_oracle(theta)
     beta = 1.0 / (KB * temperature)
     a_param = _doppler_a(species, fields, temperature)
     coeff = chi0 * (2.0 * m * KB * temperature / HBAR**2) ** 1.5 / (8.0 * math.pi**2)
@@ -367,8 +403,7 @@ def mean_delay_by_quadrature(config, temperature, radius_m, path_half_length_m=m
         r = r_nodes[start : start + 16]
         w_r = r_weights[start : start + 16]
         potential = 0.5 * m * (nu_r**2 * r[:, None] ** 2 + nu_z**2 * z_nodes[None, :] ** 2)
-        u = f * np.exp(-beta * potential)
-        g = _bose_log(u[:, :, None], t_nodes[None, None, :])
+        g = _bose_log((alpha + beta * potential)[:, :, None], t_nodes[None, None, :])
         h = g.reshape(-1, t_nodes.size) @ kernels
         chi = coeff * (h[:, 0] + 1j * h[:, 1])
         dchi = coeff * zp * (h[:, 2] + 1j * h[:, 3])

@@ -25,8 +25,10 @@ from slowlight import (
     chi0,
     doppler_width_param,
     faddeeva_w_prime,
+    fugacity_from_temperature,
     gas_state,
     group_velocity_from_response,
+    polylog,
     probe_omega,
     recoil_frequency,
     tc_box,
@@ -76,15 +78,15 @@ def test_box_thermo_above_tc():
     assert th.t_c_k == TC
     assert th.temperature_k == t
     assert th.condensate_fraction == 0.0
-    # n lambda_T^3 = g_{3/2}(f): the fugacity solves the density equation
-    g32 = float(mpmath.polylog(1.5, th.fugacity))
+    # n lambda_T^3 = g_{3/2}(e^-alpha): alpha solves the density equation
+    g32 = float(mpmath.polylog(1.5, mpmath.exp(-th.alpha)))
     target = float(mpmath.zeta(1.5)) * 1.5**-1.5
     assert rel(g32, target) < 1e-12
 
 
 def test_box_thermo_below_tc():
     th = gas_state(CONFIG, 0.5 * TC)
-    assert th.fugacity == 1.0
+    assert th.alpha == 0.0
     assert th.condensate_fraction == 1.0 - 0.5**1.5
     assert gas_state(CONFIG, 0.0).condensate_fraction == 1.0
 
@@ -122,16 +124,16 @@ def test_gas_state_refuses_a_non_finite_temperature(tmp_path, capsys):
 @example(geometry="trap", theta=0.0)
 @example(geometry="box", theta=1.0)
 @example(geometry="trap", theta=1.0)
-def test_gas_state_fugacity_is_a_float_in_the_unit_interval(geometry, theta):
+def test_gas_state_alpha_is_a_float_from_zero_to_inf(geometry, theta):
     config = CONFIG if geometry == "box" else trap_config()
     t_c = gas_state(config, 0.0).t_c_k
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         state = gas_state(config, theta * t_c)
-    assert type(state.fugacity) is float
-    assert 0.0 <= state.fugacity <= 1.0
+    assert type(state.alpha) is float
+    assert 0.0 <= state.alpha <= math.inf
     if state.temperature_k <= t_c:
-        assert state.fugacity == 1.0
+        assert state.alpha == 0.0
 
 
 def test_chi_box_exact_matches_quadrature():
@@ -141,6 +143,17 @@ def test_chi_box_exact_matches_quadrature():
         chi_q, dchi_q = chi_box_by_quadrature(CONFIG, theta * TC)
         worst = max(worst, rel(resp.chi, chi_q), rel(resp.dchi_domega, dchi_q))
     assert worst < 1e-8
+
+
+def test_chi_box_near_tc_matches_quadrature():
+    # within T/Tc - 1 = 1e-7 of Tc, where a double f rounds to 1 below
+    # 8e-9 and the quadrature oracle solves for alpha = -ln f in mpmath
+    for excess in (1e-9, 3e-9, 1e-8, 1e-7):
+        t = (1.0 + excess) * TC
+        resp = GasResponse(gas_state(CONFIG, t), CONFIG.fields)()
+        chi_q, dchi_q = chi_box_by_quadrature(CONFIG, t)
+        assert rel(resp.chi, chi_q) < 1e-8, excess
+        assert rel(resp.dchi_domega, dchi_q) < 1e-8, excess
 
 
 def test_chi_box_detuned_matches_quadrature():
@@ -159,7 +172,7 @@ def test_chi_box_detuned_matches_quadrature():
 def test_chi_box_exact_head_then_tail_matches_quadrature(monkeypatch):
     # a probe wave number 10-20x the sodium one brings |zeta/A| down to 12-37,
     # so the series sums one chunk of exact w before the large-|y| tail
-    # (f = 1 below Tc, f = 0.964 at 1.2 Tc, which the geometric stop does not end).
+    # (alpha = 0 below Tc, 0.037 at 1.2 Tc, which the geometric stop does not end).
     # 200-1000x brings it to 0.26-1.9: heads of 1536 to 72704 exact terms;
     # there the geometric stop at 1.2 Tc ends the series after ~750 terms,
     # before the tail.  Every head is a whole number of 512-term chunks, after
@@ -168,7 +181,9 @@ def test_chi_box_exact_head_then_tail_matches_quadrature(monkeypatch):
     heads = []
     polylog_tail = slowlight.box_gas.polylog_tail
     monkeypatch.setattr(
-        slowlight.box_gas, "polylog_tail", lambda nu, f, l_start: tails.append(l_start) or polylog_tail(nu, f, l_start)
+        slowlight.box_gas,
+        "polylog_tail",
+        lambda nu, alpha, l_start: tails.append(l_start) or polylog_tail(nu, alpha, l_start),
     )
     for scale, tolerance in ((10, 1e-8), (20, 1e-8), (200, 1e-13), (1000, 1e-13)):
         config = detuned_config("box", k_g_per_m=scale * 2.0 * math.pi / 589e-9)
@@ -279,15 +294,30 @@ def test_chi_continuous_at_tc():
 
 
 def test_doppler_series_cap(monkeypatch):
-    # at u = 1 only the large-|y| tail ends the series; where no chunk within
-    # the cap reaches |y| = 70 the kernel refuses before any Faddeeva term
+    # at alpha = 0 only the large-|y| tail ends the series; where no chunk
+    # within the cap reaches |y| = 70 the kernel refuses before any Faddeeva term
     calls = []
     exact = slowlight.box_gas.faddeeva_w
     monkeypatch.setattr(slowlight.box_gas, "faddeeva_w", lambda y: calls.append(y) or exact(y))
     for section in (0.0, 0.5):
         with pytest.raises(SeriesCapError, match="Doppler series not converged within 1000000 terms"):
-            thermal_response_series(1.0, 0.05j, 1.0, section=section)
+            thermal_response_series(0.0, 0.05j, 1.0, section=section)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind, theta", [("trap", 1e150), ("trap", 1e300), ("box", 1e300), ("box", math.inf), ("trap", math.inf)])
+def test_alpha_is_inf_where_the_target_underflows(kind, theta):
+    # g_nu(1) theta^-nu underflows to 0, so f = 0: alpha = inf, which polylog
+    # and the Doppler kernel carry as an empty thermal cloud, on the chunked
+    # exact terms (zeta/A = 3 + i) and on the closed-form tail in either mode
+    nu = 1.5 if kind == "box" else 3.0
+    alpha = fugacity_from_temperature(kind, theta)
+    assert alpha == math.inf
+    assert polylog(nu, alpha) == 0.0 and polylog(nu - 1.0, alpha) == 0.0
+    for z_over_a, mode in ((3.0 + 1.0j, "exact"), (200j, "exact"), (200j, "asymptotic")):
+        for power, section in ((0.0, 0.0), (0.5, 0.0), (0.5, 0.3)):
+            kernel = thermal_response_series(alpha, z_over_a, 1.0, power, section, mode)
+            assert kernel == (0j, 0j), (z_over_a, mode, power, section)
 
 
 def test_vg_box_dilute_limit():

@@ -457,7 +457,7 @@ config = slowlight.load_config(slowlight.cli.DEFAULT_CONFIG_TEXT)
 t_c = slowlight.tc_trap(config.species, config.geometry)
 finite = slowlight.PinholeSpec(radius_mode="fixed", radius_m=15e-6, path_half_length_m=1e-3)
 values = [slowlight.mean_delay(config, theta * t_c, finite).mean_delay_s for theta in (0.6, 1.4)]
-values.extend(slowlight.thermal_response_series(0.5, 3.0 + 1.0j, 1.0))
+values.extend(slowlight.thermal_response_series(0.7, 3.0 + 1.0j, 1.0))
 result = json.dumps([status, out.getvalue()] + [repr(value) for value in values])
 """
 
@@ -724,7 +724,7 @@ _PINNED_STDOUT = (
     (["sweep", "--fc-mode", "exact", "--pinhole-thermal"],
      "abf3f8d7256c31cbee1b5915a65ccd5881ef9cfcd89552dbaf83a7e96f92f44d"),
     (["sweep", "--geometry", "box", "--t-min", "0.99", "--t-max", "1.01", "--t-points", "101"],
-     "36de238db0a269fd4943d97649c75cf5e6a2c5e5d7013ac13537f85ac11703f8"),
+     "55d676f910f829b850cea004ad2977d13cc490d4428d7cef5df5adc74c077b1e"),
     (["sweep", "--geometry", "box", "--mode", "asymptotic", "--t-scale", "log"],
      "69d556eefeb36fc8d2b4b0058935f51f096167bcf7c9913c0359547eae8d61f4"),
     (["chi", "--geometry", "box", "--temperature-nk", "200"],
@@ -739,7 +739,7 @@ _PINNED_STDOUT = (
     (["sweep", "--geometry", "box", "--t-min", "1.5", "--t-max", "1000", "--t-scale", "log"],
      "155a5961e12ba9fdb5881d5abb8b552d27759bc441aaee84f781aa269608b7ac"),
     (["sweep", "--t-min", "1.1", "--t-max", "100", "--t-scale", "log"],
-     "d95c6448b7a236cf1c5698a4bf1935252b987d19438aaf0cbaa5351501a8c244"),
+     "27db9f7cee7eca98fda1ae0e6717693da60ce154b8f5ea27a7ad79cf58d9a764"),
 )
 
 
@@ -778,6 +778,39 @@ def test_chi_error_messages_are_pinned(capsys, flags, message):
         rc, out, err = run(capsys, ["chi"] + flags)
     assert (rc, out) == (2, "")
     assert err == "physics error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "doc, flags, rc, err",
+    [
+        # T/Tc = 2e101 in the trap: every chi is 0
+        (None, ["--temperature-nk", "1e111"], 0, ""),
+        # Tc = 6.5e-224 K in a box of m = 1e191 kg: the thermal prefactor overflows
+        (
+            "geometry.kind = box\ngeometry.number_density_per_m3 = 3.8e18\nspecies.mass_kg = 1e+191\n",
+            ["--temperature-nk", "200"],
+            2,
+            "physics error: at detuning=-2 gamma (T=2e-07 K): the thermal prefactor chi0 (2 m K_B T/hbar^2)^{3/2}/(8 pi A) "
+            "leaves the floating-point range at T = 2e-07 K ((34, 'Numerical result out of range'))\n",
+        ),
+    ],
+    ids=["trap-hot", "box-heavy"],
+)
+def test_chi_where_alpha_is_inf(tmp_path, capsys, doc, flags, rc, err):
+    # g_nu(1) (Tc/T)^nu underflows to 0, so alpha = -ln f is inf: the row is an
+    # empty thermal cloud or the named fault of another quantity
+    argv = ["chi", "--d-points", "3"] + flags
+    if doc is not None:
+        path = tmp_path / "hot.cfg"
+        path.write_text(doc)
+        argv += ["--config", str(path)]
+    config = slowlight.load_config(DEFAULT_CONFIG_TEXT if doc is None else doc)
+    assert gas_state(config, float(flags[1]) * 1e-9).alpha == math.inf
+    got_rc, out, got_err = run(capsys, argv)
+    assert (got_rc, got_err) == (rc, err)
+    if rc == 0:
+        rows = parse_csv(out, "detuning_gamma,detuning_rad_s,re_chi,im_chi")
+        assert len(rows) == 3 and all(row[2] == row[3] == 0.0 for row in rows)
 
 
 def test_sweep_mode_applies_to_trap_rows(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Polylogarithm, Faddeeva function, and fugacity inversion."""
+"""Polylogarithm, Faddeeva function, and fugacity inversion, all in the Bose
+state alpha = -ln f of the fugacity f."""
 
 import cmath
 import math
@@ -22,23 +23,24 @@ from slowlight import (
 )
 
 from _oracles import (
-    box_fugacity_oracle,
+    box_alpha_oracle,
     faddeeva_by_quadrature,
     polylog_bruteforce,
     polylog_mp,
-    trap_fugacity_oracle,
+    trap_alpha_oracle,
     zeta_constant,
 )
 
-# 0, a geometric ladder 1e-8 ... 1/2, both sides of the switch to Robinson's
-# expansion at 1/2, a ladder 1 - 0.1 ... 1 - 1e-12, and 1
+# alpha = inf (f = 0), a geometric ladder from -ln 1e-8 down to ln 2, both
+# sides of the switch to Robinson's expansion at ln 2, a ladder 0.1 ... 1e-12
+# (f = 1 - 0.1 ... 1 - 1e-12), two values that a double f rounds to 1, and 0
 POLYLOG_GRID = np.concatenate(
     (
-        [0.0],
-        np.geomspace(1e-8, 0.5, 12),
-        [np.nextafter(0.5, 1.0), 0.6, 0.75],
-        1.0 - np.geomspace(0.1, 1e-12, 12),
-        [1.0],
+        [math.inf],
+        np.geomspace(-math.log(1e-8), math.log(2.0), 12),
+        [np.nextafter(math.log(2.0), 0.0), -math.log(0.6), -math.log(0.75)],
+        np.geomspace(0.1, 1e-12, 12),
+        [1e-17, 1e-30, 0.0],
     )
 )
 
@@ -48,177 +50,216 @@ def rel(a, b):
 
 
 def test_polylog_at_one_matches_tail_bounded_sums():
-    # the tail-bounded oracle sums carry < 2e-14 error
-    assert rel(polylog(1.5, 1.0), zeta_constant(1.5)) < 1e-10
-    assert rel(polylog(3.0, 1.0), zeta_constant(3.0)) < 1e-10
-    assert rel(polylog(2.5, 1.0), zeta_constant(2.5)) < 1e-10
-    assert rel(polylog(4.0, 1.0), zeta_constant(4.0)) < 1e-10
-    assert abs(polylog(1.5, 1.0) - 2.612375) < 5e-7
-    assert abs(polylog(3.0, 1.0) - 1.202057) < 5e-7
+    # g_nu(1), at alpha = 0; the tail-bounded oracle sums carry < 2e-14 error
+    assert rel(polylog(1.5, 0.0), zeta_constant(1.5)) < 1e-10
+    assert rel(polylog(3.0, 0.0), zeta_constant(3.0)) < 1e-10
+    assert rel(polylog(2.5, 0.0), zeta_constant(2.5)) < 1e-10
+    assert rel(polylog(4.0, 0.0), zeta_constant(4.0)) < 1e-10
+    assert abs(polylog(1.5, 0.0) - 2.612375) < 5e-7
+    assert abs(polylog(3.0, 0.0) - 1.202057) < 5e-7
 
 
 def test_polylog_matches_bruteforce_inside_disc():
+    # alpha = -ln f of f = 1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9995
     for nu in (1.5, 2.5, 3.0, 4.0):
-        for f in (1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9995):
-            assert rel(polylog(nu, f), polylog_bruteforce(nu, f)) < 1e-12
+        for alpha in (13.8, 4.6, 2.3, math.log(2.0), 0.105, 0.01, 1e-3, 5e-4):
+            assert rel(polylog(nu, alpha), polylog_bruteforce(nu, alpha)) < 1e-12
 
 
 def test_polylog_returns_a_float():
     # every real argument gives a float
-    for f in (0, 1, np.float64(0.9), 0.9):
-        assert type(polylog(2.5, f)) is float, f
-    assert polylog(2.5, np.float64(0.9)) == polylog(2.5, 0.9)
+    for alpha in (0, 1, np.float64(0.1), 0.1, math.inf):
+        assert type(polylog(2.5, alpha)) is float, alpha
+    assert polylog(2.5, np.float64(0.1)) == polylog(2.5, 0.1)
 
 
 def test_polylog_tail_splits_the_series():
-    # polylog_tail(nu, f, l_start) sums l > l_start
-    for nu, f in ((1.5, 0.9), (3.0, 0.99)):
-        head = math.fsum(f**l / l**nu for l in range(1, 513))
-        assert rel(head + specfun.polylog_tail(nu, f, 512), polylog(nu, f)) < 1e-12
-    assert specfun.polylog_tail(1.5, 0.0, 512) == 0.0
+    # polylog_tail(nu, alpha, l_start) sums l > l_start
+    for nu, alpha in ((1.5, 0.1), (3.0, 0.01)):
+        head = math.fsum(math.exp(-alpha * l) / l**nu for l in range(1, 513))
+        assert rel(head + specfun.polylog_tail(nu, alpha, 512), polylog(nu, alpha)) < 1e-12
+    assert specfun.polylog_tail(1.5, math.inf, 512) == 0.0
 
 
 def test_polylog_tail_matches_mpmath_relative_to_g():
     # the Euler-Maclaurin tail after the whole 512-term chunks of exact terms
-    # that the Doppler series sums first: its error is a few ulp of g_nu(f) at
+    # that the Doppler series sums first: its error is a few ulp of g_nu at
     # most, which is what the series sees (measured worst 1.9e-16, at f = 0.999)
-    def tail_mp(nu, f, l_start):
+    def tail_mp(nu, alpha, l_start):
         with mpmath.workdps(40):
-            if f == 1.0:
+            if alpha == 0.0:
                 return float(mpmath.zeta(nu, l_start + 1))
-            return float(mpmath.mpf(f) ** (l_start + 1) * mpmath.lerchphi(f, nu, l_start + 1))
+            f = mpmath.exp(-mpmath.mpf(alpha))
+            return float(f ** (l_start + 1) * mpmath.lerchphi(f, nu, l_start + 1))
 
     for nu in (1.5, 3.0, 4.5, 6.0):
-        for f in (0.99, 1.0 - 1e-8, 1.0):
+        for alpha in (0.01, 1e-8, 0.0):
             for l_start in (512, 1024, 1536, 2048, 20000):
-                error = abs(specfun.polylog_tail(nu, f, l_start) - tail_mp(nu, f, l_start))
-                assert error <= 2e-15 * polylog(nu, f), (nu, f, l_start)
+                error = abs(specfun.polylog_tail(nu, alpha, l_start) - tail_mp(nu, alpha, l_start))
+                assert error <= 2e-15 * polylog(nu, alpha), (nu, alpha, l_start)
 
 
 def test_polylog_domain_errors():
     with pytest.raises(DomainError):
-        polylog(0.0, 0.5)
+        polylog(0.0, 0.7)
     with pytest.raises(DomainError):
-        polylog(-1.0, 0.5)
+        polylog(-1.0, 0.7)
     with pytest.raises(DomainError):
         polylog(1.5, -0.1)
     with pytest.raises(DomainError):
-        polylog(1.5, 1.0 + 1e-9)
-    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        polylog(1.5, -1e-9)
+    with pytest.raises(DomainError, match=r"alpha = -ln f must lie in \[0, inf\]"):
         polylog(1.5, math.nan)
     with pytest.raises(DomainError, match="diverges"):
-        polylog(1.0, 1.0)
+        polylog(1.0, 0.0)
     with pytest.raises(DomainError):
-        polylog(0.5, 1.0)
+        polylog(0.5, 0.0)
     # nu in (0, 1] is fine strictly inside the disc
-    assert polylog(0.5, 0.5) > 0.0
+    assert polylog(0.5, 0.7) > 0.0
 
 
 def test_polylog_grid_matches_mpmath():
     for nu in (1.5, 2.0, 2.5, 3.0, 4.0):
-        assert polylog(nu, 0.0) == 0.0
-        for f in POLYLOG_GRID[1:]:
-            assert rel(polylog(nu, float(f)), polylog_mp(nu, f)) <= 1e-14, (nu, f)
+        assert polylog(nu, math.inf) == 0.0
+        for alpha in POLYLOG_GRID[1:]:
+            assert rel(polylog(nu, float(alpha)), polylog_mp(nu, alpha)) <= 1e-14, (nu, alpha)
 
 
 def test_polylog_sum_matches_mpmath():
     # mixed-sign weighted sums of polylogs, as the Doppler tail combines them,
-    # one ulp to either side of each edge where the direct series for f <= 1/2
-    # changes length (e^-x, x = ln 2, 2, 6, 36.8) and at the ends; the error is
-    # relative to sum_k |w_k g_k|, since mixed-sign weights can cancel
-    grid = [0.0, 1e-300, 1.0 - 1e-12, 1.0]
+    # at the alpha = -ln f of one ulp of f to either side of each edge where
+    # the direct series for alpha >= ln 2 changes length (e^-x, x = ln 2, 2,
+    # 6, 36.8) and at the ends; the error is relative to sum_k |w_k g_k|,
+    # since mixed-sign weights can cancel
+    grid = [1e-300]
     for x in (math.log(2.0), 2.0, 6.0, 36.8):
         edge = math.exp(-x)
         grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    grid = [math.inf] + [-math.log(f) for f in grid] + [1e-12, 0.0]
     for terms in (
         ((1.5, 0.7), (2.5, -1.3)),
         ((2.0, -2.0), (3.0, 0.5)),
         ((1.5, 1.0), (2.5, -3.0), (3.5, 2.0), (4.5, -0.25)),
     ):
-        for f in grid:
-            value = sum(w * polylog(nu, float(f)) for nu, w in terms)
+        for alpha in grid:
+            value = sum(w * polylog(nu, float(alpha)) for nu, w in terms)
+            parts = [w * polylog_mp(nu, alpha) for nu, w in terms]
             with mpmath.workdps(30):
-                parts = [w * mpmath.polylog(nu, float(f)) for nu, w in terms]
                 error = float(abs(value - sum(parts)))
                 scale = float(sum(abs(p) for p in parts))
-            assert error <= 1e-15 * scale, (terms, f)
+            assert error <= 1e-15 * scale, (terms, alpha)
 
 
 def test_polylog_short_direct_series_matches_mpmath():
-    # a float f <= 1/2 sums only the terms above 1e-16 relative: 2 at
-    # f = 1e-300, 7 at 1e-3, 55 at 1/2; also one ulp to either side of
-    # e^-x, x = ln 2, 2, 6 and 36.8, where 55, 20, 8 and 2 terms reach that
-    # bound, and near f = 1 on Robinson's side, where the sum is cut to length:
-    # one ulp to either side of each edge e^-alpha where that length changes
-    grid = [1e-300, 1e-3, 0.05, 0.3, 0.5, 1.0 - 1e-12, 1.0]
+    # alpha >= ln 2 sums only the terms above 1e-16 relative: 2 at
+    # f = 1e-300, 7 at 1e-3, 55 at 1/2; also at the alpha = -ln f of one ulp
+    # of f to either side of e^-x, x = ln 2, 2, 6 and 36.8, where 55, 20, 8
+    # and 2 terms reach that bound, and near alpha = 0 on Robinson's side,
+    # where the sum is cut to length: one ulp to either side of each edge
+    # alpha where that length changes
+    grid = [1e-300, 1e-3, 0.05, 0.3, 0.5]
     for x in (math.log(2.0), 2.0, 6.0, 36.8):
         edge = math.exp(-x)
         grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    grid = [-math.log(f) for f in grid] + [1e-12, 0.0]
     for nu in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
         cuts = []
-        # the last length, edge inf, holds to f = 1/2
+        # the last length, edge inf, holds to alpha = ln 2
         for alpha in specfun._polylog_tables(nu)[1][:-1]:
-            edge = math.exp(-alpha)
-            cuts += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-        for f in grid + cuts:
-            with mpmath.workdps(30):
-                expected = mpmath.polylog(nu, float(f))
-            assert rel(polylog(nu, float(f)), float(expected)) <= 1e-15, (nu, f)
-        assert polylog(nu, 0.0) == 0.0
+            cuts += [np.nextafter(alpha, math.inf), alpha, np.nextafter(alpha, 0.0)]
+        for alpha in grid + cuts:
+            expected = polylog_mp(nu, alpha)
+            assert rel(polylog(nu, float(alpha)), float(expected)) <= 1e-15, (nu, alpha)
+        assert polylog(nu, math.inf) == 0.0
 
 
 @settings(derandomize=True, max_examples=40)
 @given(
-    st.floats(min_value=1e-6, max_value=0.999999),
-    st.floats(min_value=1e-6, max_value=0.999999),
+    st.floats(min_value=1e-6, max_value=13.8),
+    st.floats(min_value=1e-6, max_value=13.8),
 )
-def test_polylog_monotone_in_f(f_a, f_b):
-    lo, hi = min(f_a, f_b), max(f_a, f_b)
+def test_polylog_monotone_in_alpha(alpha_a, alpha_b):
+    lo, hi = min(alpha_a, alpha_b), max(alpha_a, alpha_b)
     if hi - lo < 1e-9:
         return
-    assert polylog(1.5, lo) < polylog(1.5, hi)
-    assert polylog(3.0, lo) < polylog(3.0, hi)
+    assert polylog(1.5, lo) > polylog(1.5, hi)
+    assert polylog(3.0, lo) > polylog(3.0, hi)
 
 
 @settings(derandomize=True, max_examples=40)
-@given(st.floats(min_value=1e-6, max_value=0.999999))
-def test_polylog_decreasing_in_order(f):
-    assert polylog(1.5, f) > polylog(2.5, f) > polylog(3.0, f)
+@given(st.floats(min_value=1e-6, max_value=13.8))
+def test_polylog_decreasing_in_order(alpha):
+    assert polylog(1.5, alpha) > polylog(2.5, alpha) > polylog(3.0, alpha)
 
 
 def test_fugacity_solver_round_trip():
     rng = np.random.default_rng(11)
     thetas = 1.0 + 9.0 * rng.random(100)
-    # the brute-force polylog oracle needs f bounded away from 1
+    # the brute-force polylog oracle needs alpha bounded away from 0
     assert thetas.min() > 1.01
     for kind, nu in (("box", 1.5), ("trap", 3.0)):
         g_one = zeta_constant(nu)
         for theta in thetas:
-            f = fugacity_from_temperature(kind, theta)
+            alpha = fugacity_from_temperature(kind, theta)
             target = g_one * theta**-nu
-            assert 0.0 < f < 1.0
-            assert abs(polylog_bruteforce(nu, f) - target) < 5e-13 * target
+            assert 0.0 < alpha < math.inf
+            assert abs(polylog_bruteforce(nu, alpha) - target) < 5e-13 * target
 
 
 def test_fugacity_solver_matches_mpmath_oracle():
     # close above Tc, where the box relation is infinitely steep, from
-    # T/Tc - 1 = 1e-10 on, and far above it, where the trap fugacity is small
+    # T/Tc - 1 = 1e-10 on, and far above it, where the trap fugacity is small;
+    # |expm1(alpha* - alpha)| is the relative error of f = e^-alpha
     rng = np.random.default_rng(5)
     thetas = np.concatenate(
         ([1.0 + 1e-10], 1.0 + 10.0 ** rng.uniform(-10.0, 0.0, 20), rng.uniform(2.0, 100.0, 20))
     )
-    for kind, oracle in (("box", box_fugacity_oracle), ("trap", trap_fugacity_oracle)):
+    for kind, oracle in (("box", box_alpha_oracle), ("trap", trap_alpha_oracle)):
         for theta in thetas:
-            assert rel(fugacity_from_temperature(kind, theta), oracle(theta)) <= 2e-12, (kind, theta)
+            assert abs(math.expm1(oracle(theta) - fugacity_from_temperature(kind, theta))) <= 2e-12, (kind, theta)
+
+
+def test_fugacity_solve_holds_the_state_near_tc():
+    # 400 log-spaced T/Tc - 1 in [1e-10, 1e-6] in either geometry:
+    # g_nu(e^-alpha), taken in 40-digit mpmath at the solver's alpha, meets
+    # g_nu(1) (Tc/T)^nu to 1e-14, also where a double f = e^-alpha would
+    # round to 1 (alpha < 5e-17, a box within T/Tc - 1 = 8e-9 of Tc)
+    for kind, nu in (("box", 1.5), ("trap", 3.0)):
+        worst = 0.0
+        for excess in np.geomspace(1e-10, 1e-6, 400):
+            theta = 1.0 + float(excess)
+            alpha = fugacity_from_temperature(kind, theta)
+            with mpmath.workdps(40):
+                target = mpmath.zeta(nu) * mpmath.mpf(theta) ** -nu
+                error = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(alpha))) / target - 1)
+            worst = max(worst, abs(error))
+        assert worst <= 1e-14, (kind, worst)
+
+
+def test_alpha_oracle_holds_the_box_state_near_tc():
+    # the oracle's former root was a double f bracketed below 1 - 1e-16, so it
+    # returned f = 1 wherever g_{3/2}(1 - 1e-16) <= target: at T/Tc - 1 = 1e-9
+    # that misses the density relation by 1.5e-9.  Its root in alpha meets it
+    # to the 40 digits of mpmath, far below the 1e-14 asked here
+    theta = 1.0 + 1e-9
+    target = zeta_constant(1.5) * theta**-1.5
+    alpha = box_alpha_oracle(theta)
+    assert 0.0 < alpha < 5e-17
+    with mpmath.workdps(40):
+        assert mpmath.polylog(1.5, 1.0 - 1e-16) <= target
+        former_error = float(mpmath.zeta(1.5) / target - 1)
+        error = float(mpmath.polylog(1.5, mpmath.exp(-mpmath.mpf(alpha))) / target - 1)
+    assert former_error > 1e-9
+    assert abs(error) <= 1e-14
 
 
 def test_fugacity_solve_makes_few_polylog_calls(monkeypatch):
     # each evaluation takes g_nu and g_{nu-1}; from the table start (or the
     # second-order start next to Tc) the first one is close enough to give
-    # the last step in f, so a solve makes one evaluation in both geometries
+    # the last step in alpha, so a solve makes one evaluation in both geometries
     calls = []
     uncounted = specfun.polylog
-    monkeypatch.setattr(specfun, "polylog", lambda nu, f: calls.append(nu) or uncounted(nu, f))
+    monkeypatch.setattr(specfun, "polylog", lambda nu, alpha: calls.append(nu) or uncounted(nu, alpha))
 
     def calls_per_solve(kind, theta):
         calls.clear()
@@ -233,30 +274,32 @@ def test_fugacity_solve_makes_few_polylog_calls(monkeypatch):
             assert calls_per_solve(kind, theta) <= 2, (kind, theta)
 
 
-def _ulps_from_mpmath_root(kind, theta, f):
-    """|f - f*| in ulp of f, for the root f* of the solver's own float target
-    (its zeta(3/2) is 1 ulp above mpmath's, which moves f* by a few ulp), by
-    three 40-digit Newton steps in x = alpha (trap) or sqrt(alpha) (box) from
-    the returned f, or from the tangent at Tc where f rounds to 1."""
+def _ulps_from_mpmath_root(kind, theta, alpha):
+    """|alpha - alpha*| for the root alpha* of the solver's own float target
+    (its zeta(3/2) is 1 ulp above mpmath's, which moves the root by a few
+    ulp), in units of the coarser of ulp(alpha*) and ulp(f*)/f*,
+    f* = e^-alpha*: the resolution of a double alpha where alpha > 1, and
+    that of a double f, which resolves alpha to ulp(f)/f = 1.1e-16 at best,
+    near Tc.  alpha* comes from three 60-digit Newton steps in x = alpha
+    (trap) or sqrt(alpha) (box) from the returned alpha."""
     nu, power, g_at_one = (1.5, 2, specfun.ZETA_3_2) if kind == "box" else (3.0, 1, specfun.ZETA_3)
     target = float(g_at_one * theta**-nu)
-    with mpmath.workdps(40):
+    with mpmath.workdps(60):
         target_mp = mpmath.mpf(target)
-        if f < 1.0:
-            x = (-mpmath.log(f)) ** (mpmath.mpf(1) / power)
-        else:
-            x = (mpmath.zeta(nu) - target_mp) / (2 * mpmath.sqrt(mpmath.pi) if kind == "box" else mpmath.zeta(2))
+        x = mpmath.mpf(alpha) ** (mpmath.mpf(1) / power)
         for _ in range(3):
             z = mpmath.exp(-(x**power))
             g = mpmath.polylog(nu, z)
             slope = mpmath.polylog(nu - 1, z) * power * x ** (power - 1)
             x += (mpmath.log(g) - mpmath.log(target_mp)) * g / slope
-        return float(abs(f - mpmath.exp(-(x**power))) / math.ulp(f))
+        root = x**power
+        f_root = float(mpmath.exp(-root))
+        return float(abs(alpha - root)) / max(math.ulp(float(root)), math.ulp(f_root) / f_root)
 
 
 def test_fugacity_within_a_few_ulp_of_mpmath_root():
-    # the step in f from the last evaluation puts f within a few ulp of the
-    # root, from T/Tc - 1 = 1e-10, where a box f rounds to 1, to 1e3
+    # the step in alpha from the last evaluation puts alpha within a few ulp
+    # of the root, from T/Tc - 1 = 1e-10, where a box f would round to 1, to 1e3
     for kind in ("box", "trap"):
         for theta in 1.0 + np.geomspace(1e-10, 1e3, 150):
             theta = float(theta)
@@ -267,24 +310,25 @@ def test_fugacity_far_above_tc_matches_mpmath_oracle():
     # f down to 1e-15 (trap T/Tc = 1e5): the oracle's root solves its
     # relation to 1e-14 relative, and the solver agrees with it
     for kind, nu, oracle, thetas in (
-        ("trap", 3.0, trap_fugacity_oracle, (1e3, 1e4, 1e5)),
-        ("box", 1.5, box_fugacity_oracle, (1e3, 1e6)),
+        ("trap", 3.0, trap_alpha_oracle, (1e3, 1e4, 1e5)),
+        ("box", 1.5, box_alpha_oracle, (1e3, 1e6)),
     ):
         for theta in thetas:
-            f = oracle(theta)
+            alpha = oracle(theta)
             target = zeta_constant(nu) * theta**-nu
-            with mpmath.workdps(30):
-                residual = float((mpmath.polylog(nu, f) - target) / target)
+            residual = float((polylog_mp(nu, alpha) - target) / target)
             assert abs(residual) <= 1e-14, (kind, theta)
-            assert rel(fugacity_from_temperature(kind, theta), f) <= 1e-13, (kind, theta)
+            assert abs(math.expm1(alpha - fugacity_from_temperature(kind, theta))) <= 1e-13, (kind, theta)
 
 
 def test_fugacity_solver_edges():
-    assert fugacity_from_temperature("box", 0.5) == 1.0
-    assert fugacity_from_temperature("trap", 1.0) == 1.0
-    assert fugacity_from_temperature("box", 1.0 + 1e-12) > 0.999
-    assert 0.999 < fugacity_from_temperature("trap", 1.0 + 4.4e-16) < 1.0
-    assert fugacity_from_temperature("box", 2.0) > fugacity_from_temperature("box", 3.0)
+    # alpha = 0 at and below Tc, and just above it small but not 0, where a
+    # double f = e^-alpha would round to 1 in a box
+    assert fugacity_from_temperature("box", 0.5) == 0.0
+    assert fugacity_from_temperature("trap", 1.0) == 0.0
+    assert 0.0 < fugacity_from_temperature("box", 1.0 + 1e-12) < 1e-20
+    assert 0.0 < fugacity_from_temperature("trap", 1.0 + 4.4e-16) < -math.log(0.999)
+    assert fugacity_from_temperature("box", 2.0) < fugacity_from_temperature("box", 3.0)
     with pytest.raises(ValueError, match="geometry_kind must be 'box' or 'trap'"):
         fugacity_from_temperature("lattice", 2.0)
     with pytest.raises(DomainError):
@@ -303,18 +347,19 @@ def test_zeta_tables_match_scipy():
     assert specfun._zeta(0.0) == -0.5
     for k in range(1, 12):
         assert specfun._zeta(-2.0 * k) == 0.0
-    assert polylog(1.5, 1.0) == specfun.ZETA_3_2 and polylog(3.0, 1.0) == specfun.ZETA_3
+    assert polylog(1.5, 0.0) == specfun.ZETA_3_2 and polylog(3.0, 0.0) == specfun.ZETA_3
 
 
 def test_fugacity_monotone_from_tc_to_extreme_temperatures():
     thetas = np.concatenate(([1.0], 1.0 + np.geomspace(1e-15, 0.1, 300), np.geomspace(1.11, 1e3, 300)))
     for kind in ("box", "trap"):
         values = [fugacity_from_temperature(kind, theta) for theta in thetas]
-        assert values[0] == 1.0
-        assert all(a >= b for a, b in zip(values, values[1:])), kind
-        # far above Tc the target g_nu(1) (Tc/T)^nu is its own fugacity, 0 at T = inf
+        assert values[0] == 0.0
+        assert all(a <= b for a, b in zip(values, values[1:])), kind
+        # far above Tc the target g_nu(1) (Tc/T)^nu is its own fugacity, and
+        # alpha = inf where it underflows, as at T = inf
         for theta in (1e150, 1e300, math.inf):
-            assert 0.0 <= fugacity_from_temperature(kind, theta) <= 1.0, (kind, theta)
+            assert 0.0 < fugacity_from_temperature(kind, theta) <= math.inf, (kind, theta)
 
 
 def test_faddeeva_exact_vs_quadrature_oracle():

@@ -94,14 +94,14 @@ def test_trap_thermo_above_tc():
     assert th.t_c_k == TC
     assert th.temperature_k == t
     assert th.condensate_fraction == 0.0
-    # N (theta/Tc scaling): g_3(f) = g_3(1) theta^{-3}
-    g3 = float(mpmath.polylog(3, th.fugacity))
+    # N (theta/Tc scaling): g_3(e^-alpha) = g_3(1) theta^{-3}
+    g3 = float(mpmath.polylog(3, mpmath.exp(-th.alpha)))
     assert rel(g3, float(mpmath.zeta(3)) * 1.5**-3) < 1e-12
 
 
 def test_trap_thermo_below_tc():
     th = gas_state(CONFIG, 0.5 * TC)
-    assert th.fugacity == 1.0
+    assert th.alpha == 0.0
     assert th.condensate_fraction == 1.0 - 0.5**3
     assert gas_state(CONFIG, 0.0).condensate_fraction == 1.0
     # the thermal prefactor identity behind the delay formulas:
@@ -161,15 +161,18 @@ def test_pinhole_validation():
 
 
 def test_oracle_bose_log_keeps_its_digits_at_small_fugacity():
-    # -ln(1 - u e^{-t^2}) against 40-digit mpmath; written as
+    # -ln(1 - u e^{-t^2}) of u = e^-alpha against 60-digit mpmath; written as
     # -ln((1-u) + u(1-e^{-t^2})) alone it loses about 1e-16/(u e^{-t^2}) of
-    # itself: 5e-4 at u = 1e-9 and 0.1 at u = 1e-12 on these nodes
+    # itself: 5e-4 at u = 1e-9 and 0.1 at u = 1e-12 on these nodes.  The
+    # alpha = -ln u of u = 1e-200 ... 0.99 and 1, and two alpha that a double
+    # u rounds to 1
     t = np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.8, 1.0, 2.0, 3.0])
-    for u in (1e-200, 1e-12, 1e-9, 1e-3, 0.3, 0.5, 0.7, 0.99, 1.0):
-        for tv, value in zip(t, _bose_log(u, t)):
-            with mpmath.workdps(40):
-                exact = float(-mpmath.log1p(-mpmath.mpf(u) * mpmath.exp(-mpmath.mpf(tv) ** 2)))
-            assert rel(value, exact) < 1e-15, (u, tv)
+    alphas = [-math.log(u) for u in (1e-200, 1e-12, 1e-9, 1e-3, 0.3, 0.5, 0.7, 0.99)] + [1e-17, 1e-30, 0.0]
+    for alpha in alphas:
+        for tv, value in zip(t, _bose_log(alpha, t)):
+            with mpmath.workdps(60):
+                exact = float(-mpmath.log1p(-mpmath.exp(-(mpmath.mpf(alpha) + mpmath.mpf(tv) ** 2))))
+            assert rel(value, exact) < 1e-15, (alpha, tv)
 
 
 def test_chi_trap_local_matches_point_quadrature():
