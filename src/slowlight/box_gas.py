@@ -32,6 +32,7 @@ from .specfun import (
     faddeeva_w_prime,
     fugacity_from_temperature,
     polylog,
+    polylog_sections,
     polylog_tail,
 )
 from .units_params import (
@@ -53,7 +54,7 @@ _LAST_CHUNK_START = 1 + _SERIES_CHUNK * ((_SERIES_CAP - 1) // _SERIES_CHUNK)
 # |A/zeta|^2k >= 2^-60, that is while |A/zeta|^2 reaches these, up to k = 3
 _TAIL_THRESHOLDS = tuple((2.0**-60 / ((2 * k + 1) * c)) ** (1.0 / k) for k, c in enumerate(W_LARGE_Y[:4]) if k)
 # the tail's terms S = (i/sqrt(pi)) sum_k c_k (A/zeta)^(2k+1) G_k and
-# S' = (-i/sqrt(pi)) sum_k (2k+1) c_k (A/zeta)^(2k+2) G_k, G_k = sum_l s_l u^l/l^(k+3/2+p),
+# S' = (-i/sqrt(pi)) sum_k (2k+1) c_k (A/zeta)^(2k+2) G_k, G_k = sum_l s_l e^{-l alpha}/l^(k+3/2+p),
 # as (c_k, (2k+1) c_k, 2k+1, 2k+2)
 TAIL_TABLE = tuple((c, (2 * k + 1) * c, 2 * k + 1, 2 * k + 2) for k, c in enumerate(W_LARGE_Y[:4]))
 # the 4-term tail is ~1e-13 accurate once |y| = sqrt(l)|zeta|/A >= 70
@@ -118,9 +119,7 @@ def gas_state(config, temperature):
     # a float, so that an overflow in the responses raises or gives inf, not
     # a numpy warning
     temperature = float(temperature)
-    species = config.species
-    geometry = config.geometry
-    kind = config.geometry_kind
+    species, geometry, kind = config.species, config.geometry, config.geometry_kind
     if kind == "box":
         t_c, nu = tc_box(species, geometry.number_density_per_m3), 1.5
     else:
@@ -159,39 +158,42 @@ def tail_terms(z_over_a, mode="exact"):
 
 @lru_cache(maxsize=256)
 def _tail_polylogs(terms, power, alpha, head, section):
-    """G_k = sum_{l > head} s_l e^{-l alpha} / l^(k+3/2+p) for k < terms (for a
-    section c > 0, two tails of order one higher, at alpha and alpha + c,
-    over c), after a head of 0 or a whole number of chunks.  Cached: the G_k
-    depend on neither zeta nor the fields, so a chi scan computes them once."""
+    """G_k = sum_{l > head} s_l e^{-l alpha} / l^(k+3/2+p) for k < terms after a
+    head of 0 or a whole number of chunks (for a section c > 0, two tails of
+    order one higher at alpha and alpha + c over c, or polylog_sections).
+    Cached: the G_k depend on neither zeta nor the fields."""
     tail = polylog if head == 0 else lambda nu, a: polylog_tail(nu, a, head)
     if section == 0.0:
         return tuple([tail(k + 1.5 + power, alpha) for k in range(terms)])
+    if head == 0 and alpha >= 2.0:
+        # from alpha = 2 on a double alpha + c rounds by ulp(alpha)/2 > 1.1e-16, which the difference divides by c
+        return polylog_sections([k + 2.5 + power for k in range(terms)], alpha, section)
     shrunk = alpha + section
     return tuple([(tail(k + 2.5 + power, alpha) - tail(k + 2.5 + power, shrunk)) / section for k in range(terms)])
 
 
 def thermal_response_series(alpha, zeta_value, a_param, power=0.0, section=0.0, mode="exact"):
-    """Doppler kernel of one thermal cloud in the state alpha = -ln u: returns
+    """Doppler kernel of one thermal cloud in the local state alpha: returns
     (S, S') with S = sum_l s_l e^{-l alpha}/l^(1+p) w(sqrt(l) zeta/A),
     S' = sum_l s_l e^{-l alpha}/l^(1/2+p) w'(sqrt(l) zeta/A), p = power,
     s_l = (1 - e^{-lc})/(lc) for section = c > 0 and 1 for c = 0; (0, 0) at alpha = inf.
 
     Chunks of exact w while |y| = sqrt(l)|zeta/A| < 70, with a geometric early
-    stop for alpha > 0.  From the first l where |y| >= 70 the rest of the series is
-    the large-|y| tail of TAIL_TABLE, summed in closed form over polylogs
-    g_{k+3/2+p} (the whole of g_nu when that is l = 1, as at the sodium EIT
-    defaults; otherwise a polylog tail after whole chunks of exact terms).
-    Mode "asymptotic" is that tail from l = 1, cut after k = 1.  At alpha = 0
-    only the tail ends the series, so where no chunk within the cap reaches
-    it, the SeriesCapError comes before any term is summed.
+    stop for alpha > 0; from the first l where |y| >= 70, the large-|y| tail of
+    TAIL_TABLE in closed form over polylogs g_{k+3/2+p} (all of g_nu from l = 1,
+    as at the sodium EIT defaults, else a tail after whole chunks).  Mode
+    "asymptotic" is that tail from l = 1, cut after k = 1.  Where neither the
+    tail nor the geometric stop can end the series within the cap (alpha below
+    2.2e-5), the SeriesCapError comes before any term is summed.
     """
     z_over_a = zeta_value / a_param
     abs_ratio = abs(z_over_a)
-    s_w = 0.0 + 0.0j
-    s_wp = 0.0 + 0.0j
+    s_w = s_wp = 0j
     l0 = 1
-    if alpha == 0.0 and mode == "exact" and math.sqrt(_LAST_CHUNK_START) * abs_ratio < _TAIL_MIN_ABS_Y:
-        l0 = _SERIES_CAP + 1  # straight to the SeriesCapError
+    if mode == "exact" and math.sqrt(_LAST_CHUNK_START) * abs_ratio < _TAIL_MIN_ABS_Y:
+        x = -math.expm1(-alpha)  # 1 - e^-alpha, and |S| <= sum_l e^{-l alpha}/l = -ln x
+        if x * -math.log(x or 1.0) * _SERIES_REL_TOL * (_SERIES_CAP + 1) < math.exp(-alpha * (_SERIES_CAP + 1)):
+            l0 = _SERIES_CAP + 1  # the geometric bound at the cap exceeds tol (-ln x): straight to the SeriesCapError
     while l0 <= _SERIES_CAP:
         if mode == "asymptotic" or math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
             r = 1.0 / z_over_a  # A/zeta

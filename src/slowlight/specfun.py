@@ -2,21 +2,18 @@
 g_nu(e^-alpha) = sum_{l>=1} e^(-l alpha) / l^nu of alpha = -ln f in [0, inf],
 the Bose state every layer carries for the fugacity f (a double f rounds to 1
 below alpha = 5e-17), by a Horner direct series for alpha >= ln 2 and
-Robinson's expansion in alpha below, each cut to the length alpha needs;
-Euler-Maclaurin tails of g_nu after a head of 512 or more terms (to about
-2e-16 of g_nu, not of the tail); the Faddeeva function w(y) with its
-large-|y| expansion; and the fugacity relations g_nu(e^-alpha) =
-g_nu(1) (Tc/T)^nu solved for alpha by one Newton evaluation (2 polylog calls)
-from a per-geometry start table, built on the first solve above Tc.
+Robinson's expansion in alpha below, each cut to the length alpha needs, and
+their pinhole-section averages and Euler-Maclaurin tails; the Faddeeva
+function w(y) with its large-|y| expansion; and the fugacity relations
+g_nu(e^-alpha) = g_nu(1) (Tc/T)^nu solved for alpha (2 polylog calls).
 
-The zeta values behind g_nu(1) and Robinson's expansion come from Borwein's
-series, so importing this module imports no scipy; scipy.special is imported
-on the first exact Faddeeva evaluation or Euler-Maclaurin tail.  numpy, too,
-is imported only by the Faddeeva functions: polylog and polylog_tail run on
-math alone.
+The zeta values come from Borwein's series, so importing this module imports
+no scipy; scipy.special is imported on the first exact Faddeeva evaluation or
+Euler-Maclaurin tail, and numpy only by the Faddeeva functions.
 """
 
 import math
+import operator
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -226,6 +223,15 @@ def polylog(nu, alpha):
     return total + (leading if harmonic is None else leading * (harmonic - math.log(alpha)))
 
 
+def polylog_sections(orders, alpha, section):
+    """((g_nu(e^-alpha) - g_nu(e^-(alpha+c)))/c for nu in orders), c = section > 0,
+    for alpha >= ln 2: the direct series with term l weighted by (1 - e^{-lc}), smallest
+    first, never forming alpha + c, whose rounding the difference would divide by c."""
+    terms = min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / alpha) + 1)
+    weights = [math.exp(-alpha * l) * -math.expm1(-section * l) for l in range(terms, 0, -1)]
+    return tuple([sum(map(operator.mul, _polylog_tables(nu)[0][terms], weights)) / section for nu in orders])
+
+
 def polylog_tail(nu, alpha, l_start):
     """Partial tail sum_{l > l_start} e^(-l alpha) / l^nu (alpha >= 0) by
     Euler-Maclaurin, with an upper-incomplete-gamma integral.  The Doppler
@@ -349,17 +355,13 @@ def fugacity_from_temperature(geometry_kind, t_over_tc):
     f, a float in [0, inf]; alpha = 0 at and below Tc.
 
     Newton's method on ln g_nu in x = alpha (trap) or x = sqrt(alpha) (box),
-    in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}.  It
-    starts from a cubic Hermite interpolation of x in ln g_nu over a
-    per-geometry table (256 nodes packed toward Tc in sqrt(alpha), built on
-    the first solve above Tc in 0.6-1.1 ms), and in the interval next to
-    Tc that the table does not bracket, from the root of the second-order
-    expansion at Tc.  Once an evaluation of g_nu and g_{nu-1} implies a step
-    in alpha of at most 1e-8 alpha, a Newton step in alpha itself from those
-    same values closes the solve.  From either start the first evaluation
-    does, so a solve makes 2 polylog calls.  alpha = -ln target where the
-    target is so small that g_nu(e^-alpha) rounds to e^-alpha, and inf where
-    the target underflows to 0.
+    in which g_nu is smooth at Tc, with dg_nu/dalpha = -g_{nu-1}, from the
+    cubic Hermite start of _start_table or, in the interval next to Tc that it
+    does not bracket, from the root of the second-order expansion at Tc.  Once
+    an evaluation implies a step in alpha of at most 1e-8 alpha, a Newton step
+    in alpha itself from the same g_nu and g_{nu-1} closes the solve; from
+    either start the first does (2 polylog calls).  alpha = -ln target where
+    g_nu(e^-alpha) rounds to e^-alpha, and inf where the target underflows.
     """
     if geometry_kind not in ("box", "trap"):
         raise ValueError("geometry_kind must be 'box' or 'trap', got %r" % geometry_kind)

@@ -21,8 +21,8 @@ from .box_gas import GasResponse, condensate_response, gas_state, thermal_respon
 from .errors import DomainError, in_float_range
 from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, ground_state_size, probe_omega
 
-# below this c = beta m nu_r^2 R^2 / 2 the difference g(e^-alpha) - g(e^-(alpha+c))
-# of the pinhole average keeps fewer than about six digits
+# below this c = beta m nu_r^2 R^2 / 2 the pinhole average's g(e^-alpha) - g(e^-(alpha+c))
+# keeps fewer than about six digits where alpha < 2 (box_gas._tail_polylogs)
 _MIN_SECTION_EXPONENT = 1e-9
 # a finite path sums the kernel on _Z_POINTS-point Gauss-Legendre panels with
 # edges at these multiples of z_th = sqrt(K_B T/m nu_z^2), refined toward
@@ -211,7 +211,7 @@ def trap_mean_delay(response, zv, pinhole, fc_mode="paper"):
     "asymptotic" stops the kernel at A^2 on either path.
 
     Raises DomainError when pi R^2 or c leaves the float range, when the
-    pinhole is so small (c < 1e-9) that g(e^-alpha) - g(e^-(alpha+c)) loses its digits,
+    pinhole is so small (c < 1e-9) that g(e^-alpha) - g(e^-(alpha+c)) may lose its digits,
     or when the delay is zero, non-finite or so short that
     v_g = D_z/<Delta t> would reach c.
     """

@@ -739,7 +739,7 @@ _PINNED_STDOUT = (
     (["sweep", "--geometry", "box", "--t-min", "1.5", "--t-max", "1000", "--t-scale", "log"],
      "155a5961e12ba9fdb5881d5abb8b552d27759bc441aaee84f781aa269608b7ac"),
     (["sweep", "--t-min", "1.1", "--t-max", "100", "--t-scale", "log"],
-     "27db9f7cee7eca98fda1ae0e6717693da60ce154b8f5ea27a7ad79cf58d9a764"),
+     "fc69be3407b856a7573a9e381f9f4c8a661bdd503c01975510b2f21a4ca7cc48"),
 )
 
 

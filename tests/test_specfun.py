@@ -275,13 +275,14 @@ def test_fugacity_solve_makes_few_polylog_calls(monkeypatch):
 
 
 def _ulps_from_mpmath_root(kind, theta, alpha):
-    """|alpha - alpha*| for the root alpha* of the solver's own float target
-    (its zeta(3/2) is 1 ulp above mpmath's, which moves the root by a few
-    ulp), in units of the coarser of ulp(alpha*) and ulp(f*)/f*,
-    f* = e^-alpha*: the resolution of a double alpha where alpha > 1, and
-    that of a double f, which resolves alpha to ulp(f)/f = 1.1e-16 at best,
-    near Tc.  alpha* comes from three 60-digit Newton steps in x = alpha
-    (trap) or sqrt(alpha) (box) from the returned alpha."""
+    """The error of alpha against the root alpha* of the solver's own float
+    target (its zeta(3/2) is 1 ulp above mpmath's, which moves the root by a
+    few ulp), from three 60-digit Newton steps in x = alpha (trap) or
+    sqrt(alpha) (box) from the returned alpha.  Up to alpha* = 1 it is
+    |e^-alpha - f*| in ulp of f = e^-alpha, f* = e^-alpha*, as for a double f;
+    above, where neighbouring doubles alpha move e^-alpha by more than ulp(f)
+    (by 16 to 32 ulp(f) for alpha in [16, 32)), |alpha - alpha*| in ulp of
+    alpha*."""
     nu, power, g_at_one = (1.5, 2, specfun.ZETA_3_2) if kind == "box" else (3.0, 1, specfun.ZETA_3)
     target = float(g_at_one * theta**-nu)
     with mpmath.workdps(60):
@@ -293,13 +294,16 @@ def _ulps_from_mpmath_root(kind, theta, alpha):
             slope = mpmath.polylog(nu - 1, z) * power * x ** (power - 1)
             x += (mpmath.log(g) - mpmath.log(target_mp)) * g / slope
         root = x**power
-        f_root = float(mpmath.exp(-root))
-        return float(abs(alpha - root)) / max(math.ulp(float(root)), math.ulp(f_root) / f_root)
+        if root <= 1:
+            f = mpmath.exp(-mpmath.mpf(alpha))
+            return float(abs(f - mpmath.exp(-root))) / math.ulp(float(f))
+        return float(abs(alpha - root)) / math.ulp(float(root))
 
 
 def test_fugacity_within_a_few_ulp_of_mpmath_root():
-    # the step in alpha from the last evaluation puts alpha within a few ulp
-    # of the root, from T/Tc - 1 = 1e-10, where a box f would round to 1, to 1e3
+    # the step in alpha from the last evaluation puts e^-alpha within a few
+    # ulp of f* up to alpha = 1, and alpha within a few ulp of alpha* above,
+    # from T/Tc - 1 = 1e-10, where a box f would round to 1, to 1e3
     for kind in ("box", "trap"):
         for theta in 1.0 + np.geomspace(1e-10, 1e3, 150):
             theta = float(theta)
