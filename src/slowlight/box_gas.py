@@ -12,6 +12,8 @@ exact w; from the first l beyond, the large-|y| expansion of w turns the rest
 of the series into polylogs in closed form, which at the sodium EIT defaults
 (|zeta/A| >= 150) is the whole series.  With a factor l^-p per term and a
 section factor it is also the trap's column and pinhole response (trap_gas).
+A scan over detuning is one loop per state, which binds those polylogs once;
+a single point is its one-point case, so both give the same bits.
 """
 
 import cmath
@@ -21,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .eit_core import ComplexResponse, zeta
+from .eit_core import ComplexResponse, zeta, zeta_pair
 from .errors import DomainError, SeriesCapError, ValidityWarning, float_range_error, in_float_range
 from .specfun import (
     SQRT_PI,
@@ -48,8 +50,8 @@ from .units_params import (
 
 _SERIES_CHUNK = 512
 _SERIES_CAP = 10**6
-# the start of the last chunk that the cap lets the series sum
-_LAST_CHUNK_START = 1 + _SERIES_CHUNK * ((_SERIES_CAP - 1) // _SERIES_CHUNK)
+# sqrt(l) of the start l of the last chunk that the cap lets the series sum
+_SQRT_LAST_CHUNK_START = math.sqrt(1 + _SERIES_CHUNK * ((_SERIES_CAP - 1) // _SERIES_CHUNK))
 # the large-|y| tail keeps term k >= 1 of W_LARGE_Y while (2k+1) c_k
 # |A/zeta|^2k >= 2^-60, that is while |A/zeta|^2 reaches these, up to k = 3
 _TAIL_THRESHOLDS = tuple((2.0**-60 / ((2 * k + 1) * c)) ** (1.0 / k) for k, c in enumerate(W_LARGE_Y[:4]) if k)
@@ -145,23 +147,12 @@ def gas_state(config, temperature):
     )
 
 
-def tail_terms(z_over_a, mode="exact"):
-    """How many terms k of TAIL_TABLE the kernel's large-|y| tail keeps:
-    those with (2k+1) c_k |A/zeta|^2k >= 2^-60, or in mode "asymptotic" k <= 1,
-    which needs |zeta/A| >= 5."""
-    ratio = abs(z_over_a)
-    if mode == "asymptotic" and ratio < _ASYMPTOTIC_MIN_RATIO:
-        raise DomainError("asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % ratio)
-    terms = 1 + bisect_right(_TAIL_THRESHOLDS, ratio**-2)
-    return min(terms, 2) if mode == "asymptotic" else terms
-
-
 @lru_cache(maxsize=256)
 def _tail_polylogs(terms, power, alpha, head, section):
     """G_k = sum_{l > head} s_l e^{-l alpha} / l^(k+3/2+p) for k < terms after a
     head of 0 or a whole number of chunks (for a section c > 0, two tails of
     order one higher at alpha and alpha + c over c, or polylog_sections).
-    Cached: the G_k depend on neither zeta nor the fields."""
+    Each G_k depends on neither zeta, the fields nor the number of terms."""
     tail = polylog if head == 0 else lambda nu, a: polylog_tail(nu, a, head)
     if section == 0.0:
         return tuple([tail(k + 1.5 + power, alpha) for k in range(terms)])
@@ -172,34 +163,29 @@ def _tail_polylogs(terms, power, alpha, head, section):
     return tuple([(tail(k + 2.5 + power, alpha) - tail(k + 2.5 + power, shrunk)) / section for k in range(terms)])
 
 
-def thermal_response_series(alpha, zeta_value, a_param, power=0.0, section=0.0, mode="exact"):
-    """Doppler kernel of one thermal cloud in the local state alpha: returns
-    (S, S') with S = sum_l s_l e^{-l alpha}/l^(1+p) w(sqrt(l) zeta/A),
-    S' = sum_l s_l e^{-l alpha}/l^(1/2+p) w'(sqrt(l) zeta/A), p = power,
-    s_l = (1 - e^{-lc})/(lc) for section = c > 0 and 1 for c = 0; (0, 0) at alpha = inf.
-
-    Chunks of exact w while |y| = sqrt(l)|zeta/A| < 70, with a geometric early
-    stop for alpha > 0; from the first l where |y| >= 70, the large-|y| tail of
-    TAIL_TABLE in closed form over polylogs g_{k+3/2+p} (all of g_nu from l = 1,
-    as at the sodium EIT defaults, else a tail after whole chunks).  Mode
-    "asymptotic" is that tail from l = 1, cut after k = 1.  Where neither the
-    tail nor the geometric stop can end the series within the cap (alpha below
-    2.2e-5), the SeriesCapError comes before any term is summed.
-    """
-    z_over_a = zeta_value / a_param
+def _doppler_kernel(alpha, z_over_a, power, section, mode, bound):
+    """(S, S') of thermal_response_series at zeta/A = z_over_a.  bound maps each head to the tail
+    polylogs the first zeta there needs, or to all of TAIL_TABLE's once a later one needs more:
+    how many a scan computes does not grow with its length."""
     abs_ratio = abs(z_over_a)
     s_w = s_wp = 0j
     l0 = 1
-    if mode == "exact" and math.sqrt(_LAST_CHUNK_START) * abs_ratio < _TAIL_MIN_ABS_Y:
+    if mode == "exact" and _SQRT_LAST_CHUNK_START * abs_ratio < _TAIL_MIN_ABS_Y:
         x = -math.expm1(-alpha)  # 1 - e^-alpha, and |S| <= sum_l e^{-l alpha}/l = -ln x
         if x * -math.log(x or 1.0) * _SERIES_REL_TOL * (_SERIES_CAP + 1) < math.exp(-alpha * (_SERIES_CAP + 1)):
             l0 = _SERIES_CAP + 1  # the geometric bound at the cap exceeds tol (-ln x): straight to the SeriesCapError
     while l0 <= _SERIES_CAP:
         if mode == "asymptotic" or math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
             r = 1.0 / z_over_a  # A/zeta
+            if mode == "asymptotic" and abs_ratio < _ASYMPTOTIC_MIN_RATIO:
+                raise DomainError("asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % abs_ratio)
+            # the terms k of TAIL_TABLE with (2k+1) c_k |A/zeta|^2k >= 2^-60, or in mode "asymptotic" k <= 1
+            terms = 1 + bisect_right(_TAIL_THRESHOLDS[:1] if mode == "asymptotic" else _TAIL_THRESHOLDS, abs_ratio**-2)
+            g = bound.get(l0, ())
+            if len(g) < terms:
+                g = bound[l0] = _tail_polylogs(len(TAIL_TABLE) if g else terms, power, alpha, l0 - 1, section)
             sum_a = sum_b = 0
-            g = _tail_polylogs(tail_terms(z_over_a, mode), power, alpha, l0 - 1, section)
-            for (c, d, m, n), g_k in zip(TAIL_TABLE, g):
+            for (c, d, m, n), g_k in zip(TAIL_TABLE[:terms], g):
                 sum_a += c * r**m * g_k
                 sum_b += d * r**n * g_k
             return s_w + _I_OVER_SQRT_PI * sum_a, s_wp - _I_OVER_SQRT_PI * sum_b
@@ -228,6 +214,23 @@ def thermal_response_series(alpha, zeta_value, a_param, power=0.0, section=0.0, 
     )
 
 
+def thermal_response_series(alpha, zeta_value, a_param, power=0.0, section=0.0, mode="exact"):
+    """Doppler kernel of one thermal cloud in the local state alpha: returns
+    (S, S') with S = sum_l s_l e^{-l alpha}/l^(1+p) w(sqrt(l) zeta/A),
+    S' = sum_l s_l e^{-l alpha}/l^(1/2+p) w'(sqrt(l) zeta/A), p = power,
+    s_l = (1 - e^{-lc})/(lc) for section = c > 0 and 1 for c = 0; (0, 0) at alpha = inf.
+
+    Chunks of exact w while |y| = sqrt(l)|zeta/A| < 70, with a geometric early
+    stop for alpha > 0; from the first l where |y| >= 70, the large-|y| tail of
+    TAIL_TABLE in closed form over polylogs g_{k+3/2+p} while (2k+1) c_k |A/zeta|^2k >= 2^-60
+    (all of g_nu from l = 1, as at the sodium EIT defaults, else a tail after
+    whole chunks).  Mode "asymptotic" is that tail from l = 1, cut after k = 1,
+    for |zeta/A| >= 5.  Where neither the tail nor the geometric stop can end
+    the series within the cap (alpha below 2.2e-5), the SeriesCapError comes
+    before any term is summed."""
+    return _doppler_kernel(alpha, zeta_value / a_param, power, section, mode, {})
+
+
 def thermal_series_prefactor(species, temperature, a_param):
     """P = i chi0 (2 m K_B T / hbar^2)^{3/2} / (8 pi A); chi_thermal = P*S (a DomainError beyond the float range)."""
     try:
@@ -242,11 +245,10 @@ def thermal_series_prefactor(species, temperature, a_param):
         raise float_range_error(prefactor, "T = %.3g K" % temperature, exc) from exc
 
 
-def condensate_response(species, zv, density):
+def condensate_response(x0n, value, d_domega):
     """(chi, dchi/domega) = (-chi0 n/zeta, chi0 n zeta'/zeta^2) of a condensate
-    density (or column density) n at rest."""
-    x0 = chi0(species)
-    return -x0 * density / zv.value, x0 * density * zv.d_domega / zv.value**2
+    density (or column density) n at rest, at zeta = value, with x0n = chi0 n."""
+    return -x0n / value, x0n * d_domega / value**2
 
 
 class GasResponse:
@@ -263,10 +265,11 @@ class GasResponse:
     Construction is the per-temperature stage, run once for a whole scan:
     the recoil, the Doppler width A, the local state alpha, the thermal
     prefactor P and the local condensate density, and in a trap the scales
-    the delays read: a0r, a0z and beta (T > 0).
-    A call is the per-detuning stage: zeta (zeta_at), then the Doppler kernel
-    S, S' at zeta/A, whose tail polylogs are cached, for (P S, P (zeta'/A) S'),
-    and the condensate term (at)."""
+    the delays read: a0r, a0z and beta (T > 0).  responses(detunings) is
+    the per-detuning stage of a scan: zeta, the Doppler kernel and the
+    condensate term at each detuning in one loop, with the kernel's tail
+    polylogs and chi0 n bound once for the state; a call is its one-point
+    case, at(zeta_at(detuning))."""
 
     def __init__(self, state, fields, r=0.0, mode="exact"):
         if not r >= 0.0:
@@ -280,7 +283,7 @@ class GasResponse:
         except ArithmeticError as exc:
             raise float_range_error("zeta", "T = %.3g K" % temperature, exc) from exc
         self.a_param = doppler_width_param(species, fields, temperature)
-        self.alpha = state.alpha
+        self.alpha, self._tails, self._x0n = state.alpha, {}, None  # tail polylogs per head and chi0 n, bound as points need them
         if isinstance(geometry, Box):
             if r != 0.0:
                 raise ValueError("a box response has no position, got r = %r" % r)
@@ -315,25 +318,41 @@ class GasResponse:
         except ArithmeticError as exc:
             raise float_range_error("zeta", "T = %.3g K" % self.temperature, exc) from exc
 
-    def at(self, zv):
-        """The response at the zeta value zv of zeta_at, or a DomainError
-        naming the temperature when it is not finite."""
+    def responses(self, detunings):
+        """(chi, dchi/domega) at each probe detuning Delta_g0 (rad/s) of detunings in turn,
+        lazily: a fault raises at its own detuning, after the responses of those before it."""
+        fields, recoil = self.fields, self.recoil
+        for detuning in detunings:
+            try:
+                value, d_domega = zeta_pair(fields, recoil, detuning)
+            except ArithmeticError as exc:
+                raise float_range_error("zeta", "T = %.3g K" % self.temperature, exc) from exc
+            yield self._response(value, d_domega)
+
+    def _response(self, value, d_domega):
+        """(P S, P (zeta'/A) S') of the Doppler kernel S, S' at zeta/A plus the
+        condensate term, or a DomainError naming T where that is not finite."""
         chi = dchi = 0j
         if self.temperature > 0.0:
-            s_w, s_wp = thermal_response_series(self.alpha, zv.value, self.a_param, mode=self.mode)
-            chi, dchi = self.pref * s_w, self.pref * (zv.d_domega / self.a_param) * s_wp
+            a_param, pref = self.a_param, self.pref
+            s_w, s_wp = _doppler_kernel(self.alpha, value / a_param, 0.0, 0.0, self.mode, self._tails)
+            chi, dchi = pref * s_w, pref * (d_domega / a_param) * s_wp
         if self.state.condensate_fraction > 0.0:
             try:
-                chi_c, dchi_c = condensate_response(self.species, zv, self.density)
+                if self._x0n is None:
+                    self._x0n = chi0(self.species) * self.density  # chi0 n, bound at the first point, where it may overflow
+                chi_c, dchi_c = condensate_response(self._x0n, value, d_domega)
             except ArithmeticError as exc:
                 raise float_range_error("the condensate response", "T = %.3g K" % self.temperature, exc) from exc
-            chi += chi_c
-            dchi += dchi_c
+            chi, dchi = chi + chi_c, dchi + dchi_c
         if not (cmath.isfinite(chi) and cmath.isfinite(dchi)):
             message = "the susceptibility chi = %r (dchi/domega = %r) is not finite at T = %.3g K"
             raise DomainError(message % (chi, dchi, self.temperature))
-        return ComplexResponse(chi=chi, dchi_domega=dchi)
+        return chi, dchi
+
+    def at(self, zv):
+        """The ComplexResponse at the zeta value zv of zeta_at: the one-point case of responses."""
+        return ComplexResponse(*self._response(zv.value, zv.d_domega))
 
     def __call__(self, detuning=None):
         return self.at(self.zeta_at(detuning))
-

@@ -125,11 +125,11 @@ def _annotate(exc, where):
     return DomainError("%s: %s: %s" % (where, type(exc).__name__, exc))
 
 
-def _write_csv(output, text, header, points, row, label):
-    """Evaluate row(point) at every point and write the rows as CSV, under a
-    metadata line and the header, to the output path (None: stdout).  A row
-    that fails or is not finite raises a PhysicsError naming label(point),
-    and nothing is written."""
+def _write_csv(output, text, header, points, rows, label):
+    """Write rows, an iterator of one row of values per point, as CSV, under
+    a metadata line and the header, to the output path (None: stdout).  A
+    row that fails or is not finite raises a PhysicsError naming
+    label(point), and nothing is written."""
     import hashlib
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -137,7 +137,7 @@ def _write_csv(output, text, header, points, row, label):
     row_format = ",".join(["%.11e"] * len(header.split(",")))
     for point in points:
         try:
-            values = row(point)
+            values = next(rows)
             if not all(map(math.isfinite, values)):
                 raise DomainError("non-finite value in the row %r" % (values,))
         except (PhysicsError, ArithmeticError) as exc:
@@ -176,7 +176,7 @@ def cmd_sweep(args):
         return (theta, temperature, math.exp(-state.alpha), resp.chi.real, resp.chi.imag, delay, size, v_g)
 
     return _write_csv(
-        args.output, text, _CSV_HEADER, thetas, row, lambda theta: "t_over_tc=%.6g (T=%.6g K)" % (theta, theta * t_c)
+        args.output, text, _CSV_HEADER, thetas, map(row, thetas), lambda theta: "t_over_tc=%.6g (T=%.6g K)" % (theta, theta * t_c)
     )
 
 
@@ -204,19 +204,24 @@ def cmd_chi(args):
     except (PhysicsError, ArithmeticError) as exc:
         raise _annotate(exc, "at " + where) from exc
 
-    def row(d_gamma):
-        detuning = d_gamma * gamma_total
-        try:
-            chi = response(detuning).chi
-        except PoleError:
-            # Gamma_gr = 0 on the exact two-photon resonance is the
-            # transparency limit: the singularity is removable and chi -> 0.
-            if not (config.fields.gamma_gr_rad_s == 0.0 and detuning == config.fields.detuning_r0_rad_s):
-                raise
-            chi = 0.0j
-        return (d_gamma, detuning, chi.real, chi.imag)
+    detunings = [d_gamma * gamma_total for d_gamma in points]
 
-    return _write_csv(args.output, text, "detuning_gamma,detuning_rad_s,re_chi,im_chi", points, row, label)
+    def rows():
+        done = 0
+        while done < len(points):
+            try:
+                for chi, _ in response.responses(detunings[done:]):
+                    yield (points[done], detunings[done], chi.real, chi.imag)
+                    done += 1
+            except PoleError:
+                # Gamma_gr = 0 on the exact two-photon resonance is the
+                # transparency limit: the singularity is removable and chi -> 0.
+                if not (config.fields.gamma_gr_rad_s == 0.0 and detunings[done] == config.fields.detuning_r0_rad_s):
+                    raise
+                yield (points[done], detunings[done], 0.0, 0.0)
+                done += 1
+
+    return _write_csv(args.output, text, "detuning_gamma,detuning_rad_s,re_chi,im_chi", points, rows(), label)
 
 
 def cmd_tf(args):

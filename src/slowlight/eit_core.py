@@ -35,31 +35,30 @@ class ComplexResponse:
     dchi_domega: complex
 
 
-def _eit_denominator(fields, delta_two_photon):
-    """Gamma_gr + i(Delta_g - Delta_r), guarded against the EIT pole."""
-    denom = fields.gamma_gr_rad_s + 1j * delta_two_photon
-    if fields.omega_coupling_rad_s > 0.0 and abs(denom) < _POLE_GUARD * fields.gamma_ge_rad_s:
-        raise PoleError(
-            "EIT term pole: |Gamma_gr + i(Delta_g - Delta_r)| = %.3e rad/s is within "
-            "%.0e Gamma_ge of zero; use the transparency-limit path" % (abs(denom), _POLE_GUARD)
-        )
-    return denom
+def zeta_pair(fields, recoil, delta_g0):
+    """zeta and d zeta/d omega (s) at the probe detuning Delta_g0 (rad/s), as a pair; a
+    PoleError within _POLE_GUARD Gamma_ge of the pole Gamma_gr + i(Delta_g0 - Delta_r0) = 0."""
+    gge = fields.gamma_ge_rad_s
+    value = -(delta_g0 + recoil) / gge + 1j
+    d_domega = 1.0 / gge + 0j
+    omega_c = fields.omega_coupling_rad_s
+    if omega_c > 0.0:
+        denom = fields.gamma_gr_rad_s + 1j * (delta_g0 - fields.detuning_r0_rad_s)
+        if abs(denom) < _POLE_GUARD * gge:
+            raise PoleError(
+                "EIT term pole: |Gamma_gr + i(Delta_g - Delta_r)| = %.3e rad/s is within "
+                "%.0e Gamma_ge of zero; use the transparency-limit path" % (abs(denom), _POLE_GUARD)
+            )
+        value += 1j * (omega_c**2 / 4.0) / (gge * denom)
+        d_domega -= (omega_c**2 / 4.0) / (gge * denom**2)
+    return value, d_domega
 
 
 def zeta(fields, recoil, detuning_g0=None):
     """Dimensionless zeta of the gas response, with d zeta/d omega (s), at the
     probe detuning of the fields or, when given, at detuning_g0 (rad/s)."""
-    gge = fields.gamma_ge_rad_s
     delta_g0 = fields.detuning_g0_rad_s if detuning_g0 is None else detuning_g0
-    delta2 = delta_g0 - fields.detuning_r0_rad_s
-    value = -(delta_g0 + recoil) / gge + 1j
-    d_domega = 1.0 / gge + 0j
-    omega_c = fields.omega_coupling_rad_s
-    if omega_c > 0.0:
-        denom = _eit_denominator(fields, delta2)
-        value += 1j * (omega_c**2 / 4.0) / (gge * denom)
-        d_domega -= (omega_c**2 / 4.0) / (gge * denom**2)
-    return ZetaValue(value=value, d_domega=d_domega)
+    return ZetaValue(*zeta_pair(fields, recoil, delta_g0))
 
 
 def coherence_steady_state(fields, probe_rabi):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .box_gas import GasResponse, condensate_response, gas_state, thermal_response_series
 from .errors import DomainError, in_float_range
-from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, ground_state_size, probe_omega
+from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, chi0, ground_state_size, probe_omega
 
 # below this c = beta m nu_r^2 R^2 / 2 the pinhole average's g(e^-alpha) - g(e^-(alpha+c))
 # keeps fewer than about six digits where alpha < 2 (box_gas._tail_polylogs)
@@ -166,7 +166,8 @@ def _path_delay(response, zv, alpha, section, column, path_half_length_m):
                 s_wp += weight * s_p
         delay += length * _excess(response.pref * s_w, response.pref * (zv.d_domega / a_param) * s_wp, omega)
     if column > 0.0:
-        delay += _excess(*condensate_response(species, zv, column * math.erf(path_half_length_m / response.a0z)), omega)
+        x0n = chi0(species) * (column * math.erf(path_half_length_m / response.a0z))
+        delay += _excess(*condensate_response(x0n, zv.value, zv.d_domega), omega)
     return delay
 
 

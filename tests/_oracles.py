@@ -211,11 +211,18 @@ def _bose_log(alpha, t):
     1 - x to a few ulp however small alpha and t are, so alpha = 0 stays
     finite down to the smallest quadrature nodes.  The form
     -ln((1-u) + u(1-e^{-t^2})) of a float u loses about 1e-16/x of itself,
-    and u itself rounds to 1 below alpha = 5e-17."""
+    and u itself rounds to 1 below alpha = 5e-17.  On the quadrature's
+    (r, z, t) grids every pass over the array costs about as much as log1p
+    itself, so it works in place and takes the expm1 form only at the nodes
+    above x = 1/2."""
     x = np.exp(-alpha) * np.exp(-t * t)
-    small = x <= 0.5
-    g = np.log(-np.expm1(-(alpha + t * t)), where=~small, out=np.zeros(small.shape))
-    return -np.log1p(-x, where=small, out=g)
+    large = x > 0.5
+    g = np.log1p(np.negative(np.minimum(x, 0.5, out=x), out=x), out=x)
+    g = np.negative(g, out=g)
+    if large.any():
+        a, tt = np.broadcast_arrays(alpha, t * t)
+        g[large] = -np.log(-np.expm1(-(a[large] + tt[large])))
+    return g
 
 
 def _thermal_kernel(alpha, a_param, zv, zp, coeff):

@@ -158,6 +158,28 @@ def test_chi_scan_computes_its_temperature_once(monkeypatch, capsys):
         assert rc == 0 and len(out.splitlines()) == 2 + 10
         assert counts == {"thermal_series_prefactor": 10, "doppler_width_param": 10, "FieldParams": 1}
 
+    # nor does the polylog work of a state grow with the scan: from cleared
+    # caches, 21 and 2001 detunings call polylog equally often, below and
+    # above Tc (where the fugacity solve adds its own calls)
+    polylog = slowlight.specfun.polylog
+    with monkeypatch.context() as patch:
+        for module in (slowlight.specfun, slowlight.box_gas):
+            patch.setattr(module, "polylog", counting("polylog", polylog))
+        for kind in ("trap", "box"):
+            config = trap_config() if kind == "trap" else box_config()
+            t_c = tc_trap(config.species, config.geometry) if kind == "trap" else tc_box(config.species, config.geometry.number_density_per_m3)
+            for theta in (0.5, 1.5):
+                made = []
+                for points in ("21", "2001"):
+                    for cache in (slowlight.box_gas._tail_polylogs, slowlight.specfun._polylog_tables, slowlight.specfun._start_table):
+                        cache.cache_clear()
+                    counts.clear()
+                    argv = ["chi", "--geometry", kind, "--temperature-nk", repr(theta * t_c * 1e9), "--d-points", points]
+                    rc, out, _ = run(capsys, argv)
+                    assert rc == 0 and len(out.splitlines()) == 2 + int(points)
+                    made.append(counts["polylog"])
+                assert made[0] == made[1] > 0, (kind, theta, made)
+
 
 def test_semiclassical_warning_once_per_row(capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -547,6 +569,85 @@ def test_chi_dark_state_row(tmp_path, capsys):
     # the removable singularity on the two-photon resonance reports chi = 0
     assert rows[2][2] == 0.0 and rows[2][3] == 0.0
     assert rows[1][3] > 0.0 and rows[3][3] > 0.0
+
+
+def test_chi_pole_in_the_middle_row_names_that_row(tmp_path, capsys):
+    # a small nonzero Gamma_gr puts the middle detuning inside the EIT pole's
+    # guard band: the error names that row, and no row is written
+    path = tmp_path / "narrow.cfg"
+    path.write_text(DOC + "fields.gamma_gr_rad = 1.0\n")
+    for kind in ("trap", "box"):
+        argv = ["chi", "--config", str(path), "--geometry", kind, "--temperature-nk", "500", "--d-points", "5"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, ""), kind
+        assert err.startswith("physics error: at detuning=0 gamma (T=5e-07 K): EIT term pole: "), err
+
+
+def _single_point_fields(config, temperature, d_min, d_max, points):
+    """The CSV fields re_chi, im_chi of GasResponse(state, fields)(detuning),
+    a new response at each detuning of the chi grid d_min..d_max (in gamma)
+    of so many points."""
+    state = gas_state(config, temperature)
+    detunings = [d * config.species.gamma_total_rad_s for d in cli._linspace(d_min, d_max, points)]
+    chis = [GasResponse(state, config.fields)(d).chi for d in detunings]
+    return [["%.11e" % value for value in (chi.real, chi.imag)] for chi in chis]
+
+
+def test_chi_dark_row_then_the_rows_after_it(tmp_path, capsys):
+    # Gamma_gr = 0: the resonance row of a 5-point scan is 0, and the two rows
+    # after it are still the single-point responses
+    path = tmp_path / "dark.cfg"
+    path.write_text(DOC + "fields.gamma_gr_rad = 0.0\n")
+    config = slowlight.load_config(path.read_text())
+    rc, out, _ = run(capsys, ["chi", "--config", str(path), "--temperature-nk", "500", "--d-points", "5"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert len(rows) == 5
+    assert [float(x) for x in rows[2]] == [0.0, 0.0, 0.0, 0.0]
+    assert [row[2:] for row in rows[3:]] == _single_point_fields(config, 5e-7, 1.0, 2.0, 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    geometry=st.sampled_from(["trap", "box"]),
+    theta=st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 5.0)),
+    coupling_gamma=st.floats(0.0, 3.0),
+    span=st.floats(0.1, 4.0),
+    exact_head=st.booleans(),
+)
+def test_chi_rows_are_the_single_point_responses(tmp_path_factory, geometry, theta, coupling_gamma, span, exact_head):
+    # every chi row prints GasResponse(state, fields)(detuning) in both
+    # geometries, above and below Tc.  At 1000 times the probe wave number a
+    # scan from 20 gamma off the recoil-shifted line starts with |zeta/A| < 70,
+    # where the kernel runs exact Faddeeva terms before its tail, and its wider
+    # spans reach the tail from l = 1: tail polylogs of two heads in one scan
+    config = box_config() if geometry == "box" else trap_config()
+    gamma = config.species.gamma_total_rad_s
+    fields = replace(config.fields, omega_coupling_rad_s=coupling_gamma * gamma)
+    d_min, d_max = -span, span
+    if exact_head:
+        fields = replace(fields, k_g_per_m=1000.0 * fields.k_g_per_m)
+        d_min = 20.0 - slowlight.recoil_frequency(config.species, fields) / gamma
+        d_max = d_min + 40.0 * span
+    config = replace(config, fields=fields)
+    if geometry == "box":
+        t_c = tc_box(config.species, config.geometry.number_density_per_m3)
+    else:
+        t_c = tc_trap(config.species, config.geometry)
+    t_nk = theta * t_c * 1e9
+    path = tmp_path_factory.mktemp("scan") / "scan.cfg"
+    path.write_text(serialize_config(config))
+    argv = ["chi", "--config", str(path), "--temperature-nk", repr(t_nk), "--d-points", "7",
+            "--d-min-gamma", repr(d_min), "--d-max-gamma", repr(d_max)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        single = _single_point_fields(config, t_nk * 1e-9, d_min, d_max, 7)
+        response = GasResponse(gas_state(config, t_nk * 1e-9), config.fields)
+    assert [line.split(",")[2:] for line in out.getvalue().splitlines()[2:]] == single
+    assert (abs(response.zeta_at(d_min * gamma).value / response.a_param) < 70.0) == exact_head
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
