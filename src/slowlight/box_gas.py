@@ -7,10 +7,11 @@ response of the thermal cloud in a box is the series over l of
 e^{-l alpha}/l * w(sqrt(l) zeta / A), with A = sqrt(2 K_B T/m) k_g/Gamma_ge
 the thermal Doppler width in linewidth units; below Tc the alpha = 0 series
 plus the zero-momentum condensate term
--(chi0/zeta) n (1 - (T/Tc)^{3/2}).  Terms with sqrt(l)|zeta/A| < 70 use the
-exact w; from the first l beyond, the large-|y| expansion of w turns the rest
-of the series into polylogs in closed form, which at the sodium EIT defaults
-(|zeta/A| >= 150) is the whole series.  With a factor l^-p per term and a
+-(chi0/zeta) n (1 - (T/Tc)^{3/2}).  Where |zeta/A| >= 70 (150 and more at
+the sodium EIT defaults) the large-|y| expansion of w turns the series into
+polylogs in closed form; below, it is 512 exact terms and, unless their
+geometric bound ends it, an Euler-Maclaurin remainder on Gauss-Legendre
+panels: at most 1361 Faddeeva points at any alpha.  With a factor l^-p per term and a
 section factor it is also the trap's column and pinhole response (trap_gas).
 A scan over detuning is one loop per state, which binds those polylogs once;
 a single point is its one-point case, so both give the same bits.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .eit_core import ComplexResponse, zeta, zeta_pair
-from .errors import DomainError, SeriesCapError, ValidityWarning, float_range_error, in_float_range
+from .errors import DomainError, ValidityWarning, float_range_error, in_float_range
 from .specfun import (
     SQRT_PI,
     W_LARGE_Y,
@@ -35,7 +36,6 @@ from .specfun import (
     fugacity_from_temperature,
     polylog,
     polylog_sections,
-    polylog_tail,
 )
 from .units_params import (
     HBAR_J_S,
@@ -48,10 +48,14 @@ from .units_params import (
     recoil_frequency,
 )
 
+# below |zeta/A| = 70 the kernel sums this many exact terms before the geometric
+# stop or the Euler-Maclaurin remainder, whose integral in t = sqrt((head + 1/2)/l)
+# runs on _REMAINDER_POINTS-point Gauss-Legendre panels down to where
+# e^{-alpha l} falls below _REMAINDER_FLOOR, or at most to t = _REMAINDER_MIN_T
 _SERIES_CHUNK = 512
-_SERIES_CAP = 10**6
-# sqrt(l) of the start l of the last chunk that the cap lets the series sum
-_SQRT_LAST_CHUNK_START = math.sqrt(1 + _SERIES_CHUNK * ((_SERIES_CAP - 1) // _SERIES_CHUNK))
+_REMAINDER_POINTS = 16
+_REMAINDER_FLOOR = 2.0**-60
+_REMAINDER_MIN_T = 2.0**-52
 # the large-|y| tail keeps term k >= 1 of W_LARGE_Y while (2k+1) c_k
 # |A/zeta|^2k >= 2^-60, that is while |A/zeta|^2 reaches these, up to k = 3
 _TAIL_THRESHOLDS = tuple((2.0**-60 / ((2 * k + 1) * c)) ** (1.0 / k) for k, c in enumerate(W_LARGE_Y[:4]) if k)
@@ -148,70 +152,115 @@ def gas_state(config, temperature):
 
 
 @lru_cache(maxsize=256)
-def _tail_polylogs(terms, power, alpha, head, section):
-    """G_k = sum_{l > head} s_l e^{-l alpha} / l^(k+3/2+p) for k < terms after a
-    head of 0 or a whole number of chunks (for a section c > 0, two tails of
-    order one higher at alpha and alpha + c over c, or polylog_sections).
-    Each G_k depends on neither zeta, the fields nor the number of terms."""
-    tail = polylog if head == 0 else lambda nu, a: polylog_tail(nu, a, head)
+def _tail_polylogs(terms, power, alpha, section):
+    """G_k = sum_{l >= 1} s_l e^{-l alpha} / l^(k+3/2+p) for k < terms (for a
+    section c > 0, two polylogs of order one higher at alpha and alpha + c over
+    c, or polylog_sections).  Each G_k depends on neither zeta, the fields nor
+    the number of terms."""
     if section == 0.0:
-        return tuple([tail(k + 1.5 + power, alpha) for k in range(terms)])
-    if head == 0 and alpha >= 2.0:
+        return tuple([polylog(k + 1.5 + power, alpha) for k in range(terms)])
+    if alpha >= 2.0:
         # from alpha = 2 on a double alpha + c rounds by ulp(alpha)/2 > 1.1e-16, which the difference divides by c
         return polylog_sections([k + 2.5 + power for k in range(terms)], alpha, section)
     shrunk = alpha + section
-    return tuple([(tail(k + 2.5 + power, alpha) - tail(k + 2.5 + power, shrunk)) / section for k in range(terms)])
+    return tuple([(polylog(k + 2.5 + power, alpha) - polylog(k + 2.5 + power, shrunk)) / section for k in range(terms)])
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(points):
+    """Gauss-Legendre nodes and weights on [-1, 1] as float tuples, built on first use."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
 def _doppler_kernel(alpha, z_over_a, power, section, mode, bound):
-    """(S, S') of thermal_response_series at zeta/A = z_over_a.  bound maps each head to the tail
-    polylogs the first zeta there needs, or to all of TAIL_TABLE's once a later one needs more:
-    how many a scan computes does not grow with its length."""
+    """(S, S') of thermal_response_series at zeta/A = z_over_a.  bound is a one-item list that
+    holds the tail polylogs the first zeta needs, or all of TAIL_TABLE's once a later one needs
+    more: how many a scan computes does not grow with its length."""
     abs_ratio = abs(z_over_a)
-    s_w = s_wp = 0j
-    l0 = 1
-    if mode == "exact" and _SQRT_LAST_CHUNK_START * abs_ratio < _TAIL_MIN_ABS_Y:
-        x = -math.expm1(-alpha)  # 1 - e^-alpha, and |S| <= sum_l e^{-l alpha}/l = -ln x
-        if x * -math.log(x or 1.0) * _SERIES_REL_TOL * (_SERIES_CAP + 1) < math.exp(-alpha * (_SERIES_CAP + 1)):
-            l0 = _SERIES_CAP + 1  # the geometric bound at the cap exceeds tol (-ln x): straight to the SeriesCapError
-    while l0 <= _SERIES_CAP:
-        if mode == "asymptotic" or math.sqrt(l0) * abs_ratio >= _TAIL_MIN_ABS_Y:
-            r = 1.0 / z_over_a  # A/zeta
-            if mode == "asymptotic" and abs_ratio < _ASYMPTOTIC_MIN_RATIO:
-                raise DomainError("asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % abs_ratio)
-            # the terms k of TAIL_TABLE with (2k+1) c_k |A/zeta|^2k >= 2^-60, or in mode "asymptotic" k <= 1
-            terms = 1 + bisect_right(_TAIL_THRESHOLDS[:1] if mode == "asymptotic" else _TAIL_THRESHOLDS, abs_ratio**-2)
-            g = bound.get(l0, ())
-            if len(g) < terms:
-                g = bound[l0] = _tail_polylogs(len(TAIL_TABLE) if g else terms, power, alpha, l0 - 1, section)
-            sum_a = sum_b = 0
-            for (c, d, m, n), g_k in zip(TAIL_TABLE[:terms], g):
-                sum_a += c * r**m * g_k
-                sum_b += d * r**n * g_k
-            return s_w + _I_OVER_SQRT_PI * sum_a, s_wp - _I_OVER_SQRT_PI * sum_b
-        import numpy as np
+    if mode == "exact" and abs_ratio < _TAIL_MIN_ABS_Y:
+        return _exact_kernel(alpha, z_over_a, power, section)
+    r = 1.0 / z_over_a  # A/zeta
+    if mode == "asymptotic" and abs_ratio < _ASYMPTOTIC_MIN_RATIO:
+        raise DomainError("asymptotic expansion requires |zeta/A| >= 5, got |zeta/A| = %.3g" % abs_ratio)
+    # the terms k of TAIL_TABLE with (2k+1) c_k |A/zeta|^2k >= 2^-60, or in mode "asymptotic" k <= 1
+    terms = 1 + bisect_right(_TAIL_THRESHOLDS[:1] if mode == "asymptotic" else _TAIL_THRESHOLDS, abs_ratio**-2)
+    g = bound[0]
+    if len(g) < terms:
+        g = bound[0] = _tail_polylogs(len(TAIL_TABLE) if g else terms, power, alpha, section)
+    sum_a = sum_b = 0
+    for (c, d, m, n), g_k in zip(TAIL_TABLE[:terms], g):
+        sum_a += c * r**m * g_k
+        sum_b += d * r**n * g_k
+    return _I_OVER_SQRT_PI * sum_a, -_I_OVER_SQRT_PI * sum_b
 
-        hi = min(l0 + _SERIES_CHUNK - 1, _SERIES_CAP)
-        l = np.arange(l0, hi + 1, dtype=float)
-        y = np.sqrt(l) * z_over_a
-        ul = np.exp(-alpha * l) / l**power
-        if section > 0.0:
-            ul *= -np.expm1(-l * section) / (l * section)
-        s_w += complex((ul / l * faddeeva_w(y)).sum())
-        s_wp += complex((ul / np.sqrt(l) * faddeeva_w_prime(y)).sum())
-        if alpha > 0.0:
-            # remainder bounds from |w| <= 1, |w'| <= 2 on the upper half plane
-            geom = math.exp(-alpha * (hi + 1)) / -math.expm1(-alpha)
-            if (
-                geom * _W_BOUND / (hi + 1) <= _SERIES_REL_TOL * abs(s_w)
-                and geom * _WPRIME_BOUND / math.sqrt(hi + 1) <= _SERIES_REL_TOL * abs(s_wp)
-            ):
-                return s_w, s_wp
-        l0 = hi + 1
-    raise SeriesCapError(
-        "Doppler series not converged within %d terms (alpha = -ln f = %.6g, |zeta/A| = %.3g)"
-        % (_SERIES_CAP, alpha, abs_ratio)
-    )
+
+def _term_weights(l, alpha, power, section):
+    """u_l = s_l e^{-l alpha}/l^p of the Doppler series at the array l."""
+    import numpy as np
+
+    ul = np.exp(-alpha * l) / l**power
+    if section > 0.0:
+        ul *= -np.expm1(-l * section) / (l * section)
+    return ul
+
+
+def _exact_kernel(alpha, z_over_a, power, section):
+    """(S, S') below |zeta/A| = 70: the exact terms l <= _SERIES_CHUNK, which the
+    geometric stop ends for alpha > 0 where it can, and else the midpoint
+    Euler-Maclaurin remainder int_a^inf h dl + h'(a)/24, a = _SERIES_CHUNK + 1/2
+    (DLMF 2.10), of h = u_l w(y_l)/l for S and h = u_l w'(y_l)/sqrt(l) for S',
+    with y_l = sqrt(l) zeta/A."""
+    import numpy as np
+
+    head = _SERIES_CHUNK
+    l = np.arange(1, head + 1, dtype=float)
+    y = np.sqrt(l) * z_over_a
+    ul = _term_weights(l, alpha, power, section)
+    s_w = complex((ul / l * faddeeva_w(y)).sum())
+    s_wp = complex((ul / np.sqrt(l) * faddeeva_w_prime(y)).sum())
+    if alpha > 0.0:
+        # remainder bounds from |w| <= 1, |w'| <= 2 on the upper half plane
+        geom = math.exp(-alpha * (head + 1)) / -math.expm1(-alpha)
+        if (
+            geom * _W_BOUND / (head + 1) <= _SERIES_REL_TOL * abs(s_w)
+            and geom * _WPRIME_BOUND / math.sqrt(head + 1) <= _SERIES_REL_TOL * abs(s_wp)
+        ):
+            return s_w, s_wp
+    # the integral in t = sqrt(a/l), dl = 2 l dt/t, on panels [t/2, t] from t = 1 down to
+    # where e^{-alpha l} < 2^-60 or to t = 2^-52, closed by [0, t]
+    a = head + 0.5
+    edges = [1.0]
+    while edges[-1] > _REMAINDER_MIN_T and math.exp(-alpha * a / edges[-1] ** 2) >= _REMAINDER_FLOOR:
+        edges.append(0.5 * edges[-1])
+    if edges[-1] <= _REMAINDER_MIN_T and math.sqrt(a) * abs(z_over_a) < _REMAINDER_MIN_T:
+        # |y| < 1 on the last panel, where w is not yet in its smooth large-|y| regime
+        message = "the Doppler kernel is unresolved at |zeta/A| = %.3g < 1e-17 (alpha = -ln f = %.3g)"
+        raise DomainError(message % (abs(z_over_a), alpha))
+    edges.append(0.0)
+    nodes, weights = _gauss_legendre(_REMAINDER_POINTS)
+    edges = np.array(edges)
+    half = 0.5 * (edges[:-1] - edges[1:])[:, None]
+    t = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * np.array(nodes)).ravel()
+    dt = 2.0 * (half * np.array(weights)).ravel() / t
+    # the nodes, then l = a itself for h'(a)
+    l = np.append(a / (t * t), a)
+    sqrt_l = np.sqrt(l)
+    ul = _term_weights(l, alpha, power, section)
+    y = sqrt_l * z_over_a
+    w, wp = faddeeva_w(y), faddeeva_w_prime(y)
+    s_w += complex((dt * ul[:-1] * w[:-1]).sum())
+    s_wp += complex((dt * ul[:-1] * sqrt_l[:-1] * wp[:-1]).sum())
+    # h'(a) from u' = (e^{-a(alpha + c)}/a^p - u_a (1 + alpha a + p))/a, dy/dl = y/2l
+    # and w'' = -2w - 2y w'
+    u, y0, w0, wp0 = ul[-1], complex(y[-1]), complex(w[-1]), complex(wp[-1])
+    du = (math.exp(-a * (alpha + section)) * a**-power - u * (1.0 + alpha * a + power)) / a
+    wpp0 = -2.0 * (w0 + y0 * wp0)
+    s_w += (du * w0 + u * (0.5 * y0 * wp0 - w0) / a) / (24.0 * a)
+    s_wp += (du * wp0 + 0.5 * u * (y0 * wpp0 - wp0) / a) / (24.0 * math.sqrt(a))
+    return s_w, s_wp
 
 
 def thermal_response_series(alpha, zeta_value, a_param, power=0.0, section=0.0, mode="exact"):
@@ -220,15 +269,16 @@ def thermal_response_series(alpha, zeta_value, a_param, power=0.0, section=0.0, 
     S' = sum_l s_l e^{-l alpha}/l^(1/2+p) w'(sqrt(l) zeta/A), p = power,
     s_l = (1 - e^{-lc})/(lc) for section = c > 0 and 1 for c = 0; (0, 0) at alpha = inf.
 
-    Chunks of exact w while |y| = sqrt(l)|zeta/A| < 70, with a geometric early
-    stop for alpha > 0; from the first l where |y| >= 70, the large-|y| tail of
-    TAIL_TABLE in closed form over polylogs g_{k+3/2+p} while (2k+1) c_k |A/zeta|^2k >= 2^-60
-    (all of g_nu from l = 1, as at the sodium EIT defaults, else a tail after
-    whole chunks).  Mode "asymptotic" is that tail from l = 1, cut after k = 1,
-    for |zeta/A| >= 5.  Where neither the tail nor the geometric stop can end
-    the series within the cap (alpha below 2.2e-5), the SeriesCapError comes
-    before any term is summed."""
-    return _doppler_kernel(alpha, zeta_value / a_param, power, section, mode, {})
+    Where |zeta/A| >= 70, every |y| = sqrt(l)|zeta/A| is at least 70, and the
+    series is the large-|y| expansion of TAIL_TABLE in closed form over
+    polylogs g_{k+3/2+p} while (2k+1) c_k |A/zeta|^2k >= 2^-60, as at the
+    sodium EIT defaults.  Below, it is _SERIES_CHUNK exact terms, with a
+    geometric early stop for alpha > 0, and else an Euler-Maclaurin remainder
+    on at most 53 Gauss-Legendre panels: a bounded cost at any alpha, alpha = 0
+    included, and a DomainError only where |zeta/A| < 1e-17 leaves even the last
+    panel short of large |y|.  Mode "asymptotic" is the closed form cut after
+    k = 1, for |zeta/A| >= 5."""
+    return _doppler_kernel(alpha, zeta_value / a_param, power, section, mode, [()])
 
 
 def thermal_series_prefactor(species, temperature, a_param):
@@ -283,7 +333,7 @@ class GasResponse:
         except ArithmeticError as exc:
             raise float_range_error("zeta", "T = %.3g K" % temperature, exc) from exc
         self.a_param = doppler_width_param(species, fields, temperature)
-        self.alpha, self._tails, self._x0n = state.alpha, {}, None  # tail polylogs per head and chi0 n, bound as points need them
+        self.alpha, self._tails, self._x0n = state.alpha, [()], None  # tail polylogs and chi0 n, bound as points need them
         if isinstance(geometry, Box):
             if r != 0.0:
                 raise ValueError("a box response has no position, got r = %r" % r)

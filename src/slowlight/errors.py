@@ -6,7 +6,8 @@ Two error families matter to callers (and to the CLI exit-code mapping):
   the computation never started.  CLI exit status 1.
 * ``PhysicsError`` and subclasses -- the parameters put a formula outside its
   domain (a pole of the dressed response, an asymptotic expansion evaluated
-  out of regime, a diverging series, negative dispersion denominator).
+  out of regime, a fugacity solve that does not converge, negative dispersion
+  denominator).
   CLI exit status 2.
 
 Validity warnings never interrupt a computation; out-of-regime points are
@@ -54,7 +55,8 @@ def in_float_range(value, quantity, where, *args):
 
 
 class SeriesCapError(PhysicsError):
-    """A statistical sum failed to converge within the term cap."""
+    """The fugacity solve (specfun.fugacity_from_temperature) did not converge
+    within its cap of Newton steps; no statistical sum raises it."""
 
 
 class UnphysicalDispersionError(PhysicsError):

@@ -3,13 +3,13 @@ g_nu(e^-alpha) = sum_{l>=1} e^(-l alpha) / l^nu of alpha = -ln f in [0, inf],
 the Bose state every layer carries for the fugacity f (a double f rounds to 1
 below alpha = 5e-17), by a Horner direct series for alpha >= ln 2 and
 Robinson's expansion in alpha below, each cut to the length alpha needs, and
-their pinhole-section averages and Euler-Maclaurin tails; the Faddeeva
-function w(y) with its large-|y| expansion; and the fugacity relations
+their pinhole-section averages; the Faddeeva function w(y) with its
+large-|y| expansion; and the fugacity relations
 g_nu(e^-alpha) = g_nu(1) (Tc/T)^nu solved for alpha (2 polylog calls).
 
 The zeta values come from Borwein's series, so importing this module imports
-no scipy; scipy.special is imported on the first exact Faddeeva evaluation or
-Euler-Maclaurin tail, and numpy only by the Faddeeva functions.
+no scipy; scipy.special (only its wofz) is imported on the first exact
+Faddeeva evaluation, and numpy only by the Faddeeva functions.
 """
 
 import math
@@ -102,28 +102,6 @@ _START_ALPHA_MAX = 40.0
 # start next to Tc, the first one stops it (2 polylog calls a solve)
 _NEWTON_RTOL = 1e-8
 _NEWTON_STEPS = 50
-
-
-def _upper_gamma(s, z):
-    """Upper incomplete gamma Gamma(s, z) for real s < 1 and z > 0.
-
-    Brings s into (0, 1) (or 0, handled by E1) and walks back down with
-    Gamma(s-1, z) = (Gamma(s, z) - z^(s-1) e^(-z)) / (s-1).
-    """
-    steps = int(math.ceil(-s)) if s <= 0 else 0
-    s0 = s + steps
-    from scipy import special
-
-    if s0 == 0.0:
-        g = float(special.exp1(z))
-    else:
-        g = float(special.gammaincc(s0, z)) * float(special.gamma(s0))
-    t = s0
-    expz = math.exp(-z)
-    for _ in range(steps):
-        g = (g - z ** (t - 1.0) * expz) / (t - 1.0)
-        t -= 1.0
-    return g
 
 
 @lru_cache(maxsize=32)
@@ -230,31 +208,6 @@ def polylog_sections(orders, alpha, section):
     terms = min(_DIRECT_TERMS, math.ceil(_DIRECT_LOG_TOL / alpha) + 1)
     weights = [math.exp(-alpha * l) * -math.expm1(-section * l) for l in range(terms, 0, -1)]
     return tuple([sum(map(operator.mul, _polylog_tables(nu)[0][terms], weights)) / section for nu in orders])
-
-
-def polylog_tail(nu, alpha, l_start):
-    """Partial tail sum_{l > l_start} e^(-l alpha) / l^nu (alpha >= 0) by
-    Euler-Maclaurin, with an upper-incomplete-gamma integral.  The Doppler
-    kernel asks for it only after whole 512-term chunks of exact terms: from
-    a head of 512 on, its error is about 2e-16 of g_nu(e^-alpha), but it grows
-    fast at shorter heads (8e-15 at 64, 8e-9 at 8)."""
-    length = float(l_start)
-    damp = math.exp(-alpha * length)
-    if damp == 0.0:
-        return 0.0
-    if alpha == 0.0:
-        integral = length ** (1.0 - nu) / (nu - 1.0)
-    else:
-        integral = alpha ** (nu - 1.0) * _upper_gamma(1.0 - nu, alpha * length)
-    h = damp * length**-nu
-    hp = -damp * (alpha * length**-nu + nu * length ** -(nu + 1.0))
-    hppp = -damp * (
-        alpha**3 * length**-nu
-        + 3.0 * alpha**2 * nu * length ** -(nu + 1.0)
-        + 3.0 * alpha * nu * (nu + 1.0) * length ** -(nu + 2.0)
-        + nu * (nu + 1.0) * (nu + 2.0) * length ** -(nu + 3.0)
-    )
-    return integral - h / 2.0 - hp / 12.0 + hppp / 720.0
 
 
 def _finite_w(out, y, shape, name):

@@ -15,9 +15,8 @@ z panels of the same kernel on a finite one.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .box_gas import GasResponse, condensate_response, gas_state, thermal_response_series
+from .box_gas import GasResponse, _gauss_legendre, condensate_response, gas_state, thermal_response_series
 from .errors import DomainError, in_float_range
 from .units_params import C_M_S, KB_J_PER_K, TWO_PI, HarmonicTrap, chi0, ground_state_size, probe_omega
 
@@ -106,15 +105,6 @@ def cloud_size(state):
 def _excess(chi, dchi, omega):
     """1/v_g - 1/c = 2 pi (Re chi + omega Re dchi/domega)/c of a dilute response."""
     return TWO_PI * (chi.real + omega * dchi.real) / C_M_S
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(points):
-    """Gauss-Legendre nodes and weights on [-1, 1] as float tuples, built on first use."""
-    import numpy as np
-
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
 def _z_rule(z_th, alpha, path_half_length_m):

@@ -11,6 +11,7 @@ well beyond the comparison tolerances used in the tests (notes inline).
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -24,6 +25,19 @@ C_LIGHT = 299792458.0
 # Bose factor -ln(1 - u e^{-t^2}) is log-singular at u = 1.  Beyond t = 10
 # the integrand is < e^{-100}.
 T_MESH_EDGES = [0.0] + [10.0**k for k in range(-12, -1)] + [0.1, 0.3, 1.0, 2.0, 3.5, 5.0, 7.0, 10.0]
+
+
+def t_mesh_edges(ratio):
+    """T_MESH_EDGES plus, for the pole of the momentum integrand at
+    t = zeta/A = ratio, edges at |Re ratio| +- 10^k |Im ratio|, k >= 0, inside
+    (0, 10): near the real axis the fixed mesh does not resolve that pole
+    (dchi/domega off by 1e-4 at ratio = 1.5 + 0.1i and by 0.1 at 2.5 + 0.03i)."""
+    x, y = abs(ratio.real), abs(ratio.imag)
+    edges = set(T_MESH_EDGES)
+    while 0.0 < y < 10.0:
+        edges.update(e for e in (x - y, x + y) if 0.0 < e < 10.0)
+        y *= 10.0
+    return sorted(edges)
 
 
 def gl_panels(edges, order=32):
@@ -75,6 +89,149 @@ def faddeeva_by_quadrature(y):
     left = quad(integrand, -np.inf, y.real, **kwargs)[0]
     right = quad(integrand, y.real, np.inf, **kwargs)[0]
     return 1j / math.pi * (left + right)
+
+
+# w(y) ~ (i/sqrt(pi)) sum_k c_k y^-(2k+1) for Im y > 0, c_k = (2k-1)!!/2^k
+# (Abramowitz & Stegun 7.1.23), recomputed here rather than read from the library
+LARGE_Y_COEFFICIENTS = [math.prod(range(1, 2 * k, 2)) / 2.0**k for k in range(24)]
+
+
+def faddeeva_prime_oracle(y, w):
+    """dw/dy at the points y (Im y > 0) of the wofz values w: -2 y w + 2i/sqrt(pi)
+    below |y| = 8, and beyond, where that difference cancels, 24 terms of the
+    large-|y| expansion, whose first dropped term is below 1e-18 of w' there."""
+    out = -2.0 * y * w + 2j / math.sqrt(math.pi)
+    big = np.abs(y) >= 8.0
+    inv2 = 1.0 / (y[big] * y[big])
+    acc = np.zeros_like(inv2)
+    for k in reversed(range(len(LARGE_Y_COEFFICIENTS))):
+        acc = acc * inv2 + (2 * k + 1) * LARGE_Y_COEFFICIENTS[k]
+    out[big] = (-1j / math.sqrt(math.pi)) * inv2 * acc
+    return out
+
+
+@lru_cache(maxsize=None)
+def _hurwitz(s, a):
+    """Hurwitz zeta(s, a) for an integer a >= 1: mpmath's below a = 50 (it sums
+    a terms for s <= 0), and the large-a expansion
+    a^(1-s)/(s-1) + a^-s/2 + sum_k B_2k/(2k)! (s)_(2k-1) a^(1-s-2k)
+    (DLMF 25.11.43) from there on, whose 24 terms reach 1e-40 there for |s| <= 50."""
+    if a < 50:
+        return mpmath.zeta(s, a)
+    a, s = mpmath.mpf(a), mpmath.mpf(s)
+    total, power, inverse_square = a ** (1 - s) / (s - 1) + a**-s / 2, s * a ** (-1 - s), 1 / (a * a)
+    for k in range(1, 25):
+        total += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * power
+        power *= (s + 2 * k - 1) * (s + 2 * k) * inverse_square
+    return total
+
+
+@lru_cache(maxsize=None)
+def _inverse_power(l, nu):
+    return mpmath.mpf(l) ** -nu
+
+
+@lru_cache(maxsize=None)
+def lerch_tail(nu, alpha, start):
+    """sum_{l >= start} e^{-alpha l}/l^nu for an mpf alpha >= 0, that is
+    e^{-alpha start} Phi(e^-alpha, nu, start) of Lerch's transcendent, to 40
+    digits: the Hurwitz zeta(nu, start) at alpha = 0; where alpha start <= 8,
+    the series Gamma(1-nu) alpha^(nu-1) + sum_j zeta(nu-j, start)(-alpha)^j/j!
+    (Erdelyi et al., Higher Transcendental Functions I, 1.11(8)),
+    whose Gamma term and j = n-1 term merge into (-alpha)^(n-1)/(n-1)!
+    (psi(n) - psi(start) - ln alpha) at an integer nu = n; beyond, the direct
+    sum (alpha >= 0.01 only), or 0 where its bound e^{-alpha start}/(1 - e^{-alpha})
+    is below 1e-60."""
+    with mpmath.workdps(50):
+        if alpha == 0:
+            return _hurwitz(nu, start)
+        alpha, tiny = mpmath.mpf(alpha), mpmath.mpf(10) ** -45
+        if mpmath.exp(-alpha * start) / -mpmath.expm1(-alpha) < tiny * 1e-15:
+            return mpmath.mpf(0)
+        if alpha * start > 4.5:
+            assert alpha >= 0.01, (nu, alpha, start)
+            total, l, damp, ratio = mpmath.mpf(0), start, mpmath.exp(-alpha * start), mpmath.exp(-alpha)
+            while True:
+                term = damp * _inverse_power(l, nu)
+                total += term
+                if term < tiny * total:
+                    return total
+                l, damp = l + 1, damp * ratio
+        integer = float(nu).is_integer()
+        if integer:
+            n = int(nu)
+            total = (-alpha) ** (n - 1) / mpmath.factorial(n - 1) * (mpmath.digamma(n) - mpmath.digamma(start) - mpmath.log(alpha))
+        else:
+            total = mpmath.gamma(1 - nu) * alpha ** (nu - 1)
+        j, scale, coefficient = 0, abs(total), mpmath.mpf(1)  # (-alpha)^j/j!
+        while True:
+            if not (integer and j == n - 1):
+                term = _hurwitz(nu - j, start) * coefficient
+                total += term
+                scale = max(scale, abs(term))
+                if j > nu + 1 and abs(term) < tiny * scale:
+                    return total
+            j += 1
+            coefficient *= -alpha / j
+
+
+def doppler_kernel_oracle(z_over_a, states):
+    """{(alpha, p, c): (S, S')} of the Doppler kernel at zeta/A = z_over_a
+    (Im > 0) for each local state (alpha, power p, section c) of states:
+    S = sum_l u_l w(y_l)/l and S' = sum_l u_l w'(y_l)/sqrt(l), with
+    u_l = s_l e^{-l alpha}/l^p, s_l = (1 - e^{-lc})/(lc) (1 at c = 0) and
+    y_l = sqrt(l) zeta/A.  Exact wofz terms l <= N, sqrt(N)|zeta/A| >= 90,
+    summed pairwise; beyond, the large-|y| expansion, whose six terms leave
+    1e-18 there, summed in closed form over lerch_tail, with a section as the
+    difference of the tails at alpha and alpha + c over c in 50 digits; and no
+    tail where its bound e^{-alpha(N+1)}/(1 - e^{-alpha}) 2/(N+1) is below
+    1e-20 of the terms summed."""
+    from scipy.special import wofz
+
+    count = math.ceil((90.0 / abs(z_over_a)) ** 2)
+    l = np.arange(1, count + 1, dtype=float)
+    y = np.sqrt(l) * z_over_a
+    w = wofz(y)
+    terms = (w / l, faddeeva_prime_oracle(y, w) / np.sqrt(l))
+    # the real and imaginary parts of both, as contiguous rows that np.sum adds pairwise
+    base = np.array([part for t in terms for part in (t.real, t.imag)])
+    del y, w, terms
+    r = 1 / mpmath.mpc(z_over_a)
+    factors = {}
+    for power, section in {state[1:] for state in states}:
+        factor = l**-power
+        if section:
+            factor *= -np.expm1(-l * section) / (l * section)
+        factors[power, section] = factor
+    damps, out = {}, {}
+    for alpha, power, section in states:
+        # terms beyond l = 100/alpha are below e^-100 of the first
+        m = count if alpha < 100.0 / count else math.ceil(100.0 / alpha)
+        if alpha not in damps:
+            damps[alpha] = np.exp(-alpha * l[:m])
+        u = damps[alpha] * factors[power, section][:m]
+        sums = np.sum(u * base[:, :m], axis=1)
+        head = [complex(sums[0], sums[1]), complex(sums[2], sums[3])]
+        with mpmath.workdps(50):
+            bound = mpmath.exp(-alpha * (count + 1)) * 2 / (count + 1)
+            if alpha > 0:
+                bound /= -mpmath.expm1(-mpmath.mpf(alpha))
+            if bound < 1e-20 * abs(head[0]):
+                out[alpha, power, section] = tuple(head)
+                continue
+            tail_w = tail_wp = mpmath.mpc(0)
+            for k, c_k in enumerate(LARGE_Y_COEFFICIENTS[:6]):
+                nu = k + 1.5 + power
+                if section:
+                    shrunk = mpmath.mpf(alpha) + mpmath.mpf(section)
+                    g = (lerch_tail(nu + 1, alpha, count + 1) - lerch_tail(nu + 1, shrunk, count + 1)) / section
+                else:
+                    g = lerch_tail(nu, alpha, count + 1)
+                tail_w += c_k * r ** (2 * k + 1) * g
+                tail_wp += (2 * k + 1) * c_k * r ** (2 * k + 2) * g
+            scale = 1j / mpmath.sqrt(mpmath.pi)
+            out[alpha, power, section] = (head[0] + complex(scale * tail_w), head[1] - complex(scale * tail_wp))
+    return out
 
 
 def zeta_by_formula(fields, recoil):
@@ -225,15 +382,16 @@ def _bose_log(alpha, t):
     return g
 
 
-def _thermal_kernel(alpha, a_param, zv, zp, coeff):
+def _thermal_kernel(alpha, a_param, zv, zp, coeff, edges):
     """(chi, dchi) of the thermal cloud in the state alpha = -ln u.
 
     chi  = coeff Int dt [-ln(1 - u e^{-t^2})] (-2 zeta)/(zeta^2 - A^2 t^2)
     dchi = coeff zeta' Int dt [-ln(...)] 2 (zeta^2 + A^2 t^2)/(zeta^2 - A^2 t^2)^2
     with coeff = chi0 (2 m K_B T / hbar^2)^{3/2} / (8 pi^2); the A -> 0 limit
-    reproduces -chi0 (m K_B T / 2 pi hbar^2)^{3/2} g_{3/2}(u)/zeta.
+    reproduces -chi0 (m K_B T / 2 pi hbar^2)^{3/2} g_{3/2}(u)/zeta; the
+    t panels have the given edges, t_mesh_edges(zeta/A) for the chi oracles.
     """
-    t, w = gl_panels(T_MESH_EDGES)
+    t, w = gl_panels(edges)
     g = _bose_log(alpha, t)
     at2 = (a_param * t) ** 2
     denom = zv * zv - at2
@@ -321,7 +479,8 @@ def chi_box_by_quadrature(config, temperature):
     theta = temperature / box_tc_oracle(species, n)
     alpha = box_alpha_oracle(theta)
     coeff = chi0 * (2.0 * species.mass_kg * KB * temperature / HBAR**2) ** 1.5 / (8.0 * math.pi**2)
-    chi, dchi = _thermal_kernel(alpha, _doppler_a(species, fields, temperature), zv, zp, coeff)
+    a_param = _doppler_a(species, fields, temperature)
+    chi, dchi = _thermal_kernel(alpha, a_param, zv, zp, coeff, t_mesh_edges(zv / a_param))
     if theta < 1.0:
         n0 = n * (1.0 - theta**1.5)
         chi += -chi0 * n0 / zv
@@ -338,7 +497,8 @@ def chi_trap_point_by_quadrature(config, temperature, r):
     beta = 1.0 / (KB * temperature)
     alpha = trap_alpha_oracle(theta) + beta * species.mass_kg * trap.nu_r_rad_s**2 * r * r / 2.0
     coeff = chi0 * (2.0 * species.mass_kg * KB * temperature / HBAR**2) ** 1.5 / (8.0 * math.pi**2)
-    chi, dchi = _thermal_kernel(alpha, _doppler_a(species, fields, temperature), zv, zp, coeff)
+    a_param = _doppler_a(species, fields, temperature)
+    chi, dchi = _thermal_kernel(alpha, a_param, zv, zp, coeff, t_mesh_edges(zv / a_param))
     if theta < 1.0:
         a0_r = math.sqrt(HBAR / (species.mass_kg * trap.nu_r_rad_s))
         a0_z = math.sqrt(HBAR / (species.mass_kg * trap.nu_z_rad_s))
@@ -390,7 +550,7 @@ def mean_delay_by_quadrature(config, temperature, radius_m, path_half_length_m=m
     r_edges = sorted({0.0, radius_m} | {x for x in (a0_r, 3.0 * a0_r, radius_m / 2.0) if 0.0 < x < radius_m})
     r_nodes, r_weights = gl_panels(r_edges)
 
-    t_nodes, t_weights = gl_panels(T_MESH_EDGES)
+    t_nodes, t_weights = gl_panels(t_mesh_edges(zv / a_param))
     at2 = (a_param * t_nodes) ** 2
     denom = zv * zv - at2
     kernels = np.column_stack(

@@ -20,7 +20,6 @@ from slowlight import (
     Box,
     DomainError,
     GasResponse,
-    SeriesCapError,
     ValidityWarning,
     chi0,
     doppler_width_param,
@@ -39,7 +38,7 @@ from slowlight.cli import main
 from slowlight.specfun import W_LARGE_Y
 
 from _configs import box_config, detuned_config, temperature_for_doppler_a, trap_config
-from _oracles import chi_box_by_quadrature
+from _oracles import T_MESH_EDGES, _thermal_kernel, chi_box_by_quadrature, doppler_kernel_oracle, t_mesh_edges
 
 CONFIG = box_config()
 SPECIES = CONFIG.species
@@ -169,36 +168,57 @@ def test_chi_box_detuned_matches_quadrature():
             assert rel(resp.dchi_domega, dchi_q) < 1e-8
 
 
-def test_chi_box_exact_head_then_tail_matches_quadrature(monkeypatch):
+def test_chi_box_exact_head_then_tail_matches_quadrature():
     # a probe wave number 10-20x the sodium one brings |zeta/A| down to 12-37,
-    # so the series sums one chunk of exact w before the large-|y| tail
-    # (alpha = 0 below Tc, 0.037 at 1.2 Tc, which the geometric stop does not end).
-    # 200-1000x brings it to 0.26-1.9: heads of 1536 to 72704 exact terms;
-    # there the geometric stop at 1.2 Tc ends the series after ~750 terms,
-    # before the tail.  Every head is a whole number of 512-term chunks, after
-    # which polylog_tail's Euler-Maclaurin sum is within 2e-16 of g_nu
-    tails = []
-    heads = []
-    polylog_tail = slowlight.box_gas.polylog_tail
-    monkeypatch.setattr(
-        slowlight.box_gas,
-        "polylog_tail",
-        lambda nu, alpha, l_start: tails.append(l_start) or polylog_tail(nu, alpha, l_start),
-    )
+    # so the series sums its 512 exact terms and then, where the geometric
+    # stop does not end it (alpha = 0 below Tc, 0.037 at 1.2 Tc), the
+    # Euler-Maclaurin remainder; 200-1000x brings it to 0.26-1.9, where the
+    # geometric stop at 1.2 Tc ends the series within the head
     for scale, tolerance in ((10, 1e-8), (20, 1e-8), (200, 1e-13), (1000, 1e-13)):
         config = detuned_config("box", k_g_per_m=scale * 2.0 * math.pi / 589e-9)
         tc = tc_box(config.species, config.geometry.number_density_per_m3)
         for theta in (0.5, 1.001, 1.2):
-            tails.clear()
-            # the kernel caches its tail polylogs; count the tails of this call
-            slowlight.box_gas._tail_polylogs.cache_clear()
             resp = GasResponse(gas_state(config, theta * tc), config.fields)()
-            assert bool(tails) == (scale < 200 or theta < 1.2), (scale, theta)
-            heads += tails
             chi_q, dchi_q = chi_box_by_quadrature(config, theta * tc)
             assert rel(resp.chi, chi_q) < tolerance, (scale, theta)
             assert rel(resp.dchi_domega, dchi_q) < tolerance, (scale, theta)
-    assert heads and all(head > 0 and head % 512 == 0 for head in heads), sorted(set(heads))
+
+
+def test_chi_box_doppler_broad_at_and_below_tc_matches_quadrature():
+    # k_g 1e4x the sodium one: |zeta/A| = 0.037 at 0.5 Tc and 0.026 at Tc,
+    # where alpha = 0 and the exact terms alone would need 3.6e6 and 7.2e6 of
+    # them before |y| = 70: the 512-term head and the Euler-Maclaurin remainder
+    config = detuned_config("box", k_g_per_m=1e4 * 2.0 * math.pi / 589e-9)
+    tc = tc_box(config.species, config.geometry.number_density_per_m3)
+    for theta, ratio in ((0.5, 0.037), (1.0, 0.026)):
+        response = GasResponse(gas_state(config, theta * tc), config.fields)
+        assert abs(abs(response.zeta_at().value / response.a_param) - ratio) < 5e-4
+        resp = response()
+        chi_q, dchi_q = chi_box_by_quadrature(config, theta * tc)
+        assert rel(resp.chi, chi_q) < 1e-8, theta
+        assert rel(resp.dchi_domega, dchi_q) < 1e-8, theta
+
+
+def test_quadrature_oracle_resolves_poles_near_the_real_axis():
+    # the momentum integrand of the chi oracles has a pole at t = zeta/A; the
+    # fixed T_MESH_EDGES mesh misses it by up to 1e-1 in dchi/domega where it
+    # nears the real axis, and t_mesh_edges' edges at |Re| +- 10^k |Im| hold
+    # the integral to 1e-12 of mpmath's quadrature split there
+    for ratio, old_error in ((1.5 + 0.1j, 1e-5), (2.5 + 0.03j, 1e-2)):
+        with mpmath.workdps(20):
+            z = mpmath.mpc(ratio)
+
+            def bose(t):
+                return -mpmath.log(-mpmath.expm1(-(0.1 + t * t)))
+
+            split = {ratio.real + s * ratio.imag * 10**k for s in (-1, 1) for k in range(3)}
+            points = sorted({0, 10, ratio.real} | {t for t in split if 0 < t < 10})
+            chi_mp = complex(mpmath.quad(lambda t: bose(t) * -2 * z / (z * z - t * t), points))
+            dchi_mp = complex(mpmath.quad(lambda t: bose(t) * 2 * (z * z + t * t) / (z * z - t * t) ** 2, points))
+        old = _thermal_kernel(0.1, 1.0, ratio, 1.0, 1.0, T_MESH_EDGES)
+        new = _thermal_kernel(0.1, 1.0, ratio, 1.0, 1.0, t_mesh_edges(ratio))
+        assert rel(old[1], dchi_mp) > old_error, ratio
+        assert rel(new[0], chi_mp) < 1e-12 and rel(new[1], dchi_mp) < 1e-12, ratio
 
 
 def test_default_box_response_needs_no_faddeeva_terms(monkeypatch, capsys):
@@ -303,7 +323,7 @@ def test_pinhole_section_sums_match_mpmath():
     for power in (0.0, 0.5):
         for alpha in (0.0, 0.1, math.log(2.0), 1.5, math.nextafter(2.0, 0.0), 2.0, 3.0, 12.25, 20.5, 300.0):
             for c in (1e-9, 2.3e-3, 5.0):
-                sums = slowlight.box_gas._tail_polylogs(3, power, alpha, 0, c)
+                sums = slowlight.box_gas._tail_polylogs(3, power, alpha, c)
                 for k, value in enumerate(sums):
                     nu = k + 2.5 + power
                     with mpmath.workdps(40):
@@ -313,25 +333,74 @@ def test_pinhole_section_sums_match_mpmath():
                     assert error <= (1e-15 if alpha >= 2.0 else 1e-15 + 1e-15 / c), (power, k, alpha, c)
 
 
-def test_doppler_series_cap(monkeypatch):
-    # at alpha = 0 only the large-|y| tail ends the series, and below alpha =
-    # 2.2e-5 the geometric stop cannot within the cap either; where no chunk
-    # within the cap reaches |y| = 70 the kernel refuses before any Faddeeva term
-    calls = []
+def test_doppler_kernel_cost_is_bounded(monkeypatch):
+    # at alpha = 0 the exact terms alone would need (70/|zeta/A|)^2 = 2e6 of
+    # them here, and below alpha = 2.2e-5 the geometric stop cannot end them
+    # sooner; the kernel evaluates w at its 512-term head, at most 53 panels
+    # of 16 Gauss-Legendre nodes and the Euler-Maclaurin point l = 512.5
+    points = []
     exact = slowlight.box_gas.faddeeva_w
-    monkeypatch.setattr(slowlight.box_gas, "faddeeva_w", lambda y: calls.append(y) or exact(y))
+    monkeypatch.setattr(slowlight.box_gas, "faddeeva_w", lambda y: points.append(len(y)) or exact(y))
     for alpha in (0.0, 1e-18, 1e-9, 2e-5):
         for section in (0.0, 0.5):
-            with pytest.raises(SeriesCapError, match="Doppler series not converged within 1000000 terms"):
-                thermal_response_series(alpha, 0.05j, 1.0, section=section)
-    assert calls == []
+            points.clear()
+            s_w, s_wp = thermal_response_series(alpha, 0.05j, 1.0, section=section)
+            assert cmath.isfinite(s_w) and cmath.isfinite(s_wp) and abs(s_w) > 0.0, (alpha, section)
+            assert sum(points) <= 512 + 53 * 16 + 1, (alpha, section, points)
+    # below |zeta/A| = 1e-17 at alpha = 0, |y| < 1 even at l = 512.5 * 2^104
+    with pytest.raises(DomainError, match=r"Doppler kernel is unresolved at \|zeta/A\| = 1e-18"):
+        thermal_response_series(0.0, 1e-18j, 1.0)
+
+
+DOPPLER_STATES = [
+    (alpha, power, section)
+    for alpha in (0.0, 1e-300, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 0.05)
+    for power in (0.0, 0.5)
+    for section in (0.0, 1e-6, 0.3)
+]
+
+
+@pytest.mark.parametrize("z_over_a", [0.1j, 0.05 + 0.1j, 0.3 + 0.1j, 2 + 1j, 10 + 0.5j, 40 + 1j])
+def test_doppler_kernel_matches_lerch_reference(z_over_a):
+    # below |zeta/A| = 70 the kernel is its 512 exact terms plus, unless the
+    # geometric stop ends it, the Euler-Maclaurin remainder, at any alpha;
+    # against exact terms to |y| = 90 and a 50-digit Lerch tail beyond
+    # (measured worst 1.0e-14 for S and 2.3e-14 for S', the latter from w'
+    # at |y| = 35-60, where faddeeva_w_prime's five-term expansion starts)
+    reference = doppler_kernel_oracle(z_over_a, DOPPLER_STATES)
+    for (alpha, power, section), (s_ref, sp_ref) in reference.items():
+        s_w, s_wp = thermal_response_series(alpha, z_over_a, 1.0, power, section)
+        assert rel(s_w, s_ref) <= 1e-13, (alpha, power, section)
+        assert rel(s_wp, sp_ref) <= 1e-13, (alpha, power, section)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.floats(-3.0, math.log10(0.0999)),
+    st.one_of(st.floats(1e-6, math.pi - 1e-6), st.sampled_from([1e-6, math.pi - 1e-6])),
+    st.one_of(st.just(0.0), st.floats(1e-300, 1e-3)),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([0.0, 1e-9, 1e-6, 0.3, 5.0]),
+)
+def test_doppler_remainder_does_not_depend_on_the_head(log_ratio, phase, alpha, power, section):
+    # the remainder after 512 exact terms against that after 8192, where the
+    # 8192-term head is long enough that the geometric stop, which leaves up
+    # to 1e-12, does not end it (alpha <= 1e-3); the worst measured, 8.7e-14
+    # in S' at alpha = 0 and a near-real zeta/A of 0.1, is the dropped
+    # Euler-Maclaurin term -(7/5760) h'''(512.5)
+    z_over_a = cmath.rect(10.0**log_ratio, phase)
+    short = thermal_response_series(alpha, z_over_a, 1.0, power, section)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slowlight.box_gas, "_SERIES_CHUNK", 8192)
+        long = thermal_response_series(alpha, z_over_a, 1.0, power, section)
+    assert rel(short[0], long[0]) <= 1e-13 and rel(short[1], long[1]) <= 1e-13
 
 
 @pytest.mark.parametrize("kind, theta", [("trap", 1e150), ("trap", 1e300), ("box", 1e300), ("box", math.inf), ("trap", math.inf)])
 def test_alpha_is_inf_where_the_target_underflows(kind, theta):
     # g_nu(1) theta^-nu underflows to 0, so f = 0: alpha = inf, which polylog
-    # and the Doppler kernel carry as an empty thermal cloud, on the chunked
-    # exact terms (zeta/A = 3 + i) and on the closed-form tail in either mode
+    # and the Doppler kernel carry as an empty thermal cloud, on the exact
+    # head (zeta/A = 3 + i) and on the closed-form tail in either mode
     nu = 1.5 if kind == "box" else 3.0
     alpha = fugacity_from_temperature(kind, theta)
     assert alpha == math.inf

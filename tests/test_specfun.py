@@ -73,32 +73,6 @@ def test_polylog_returns_a_float():
     assert polylog(2.5, np.float64(0.1)) == polylog(2.5, 0.1)
 
 
-def test_polylog_tail_splits_the_series():
-    # polylog_tail(nu, alpha, l_start) sums l > l_start
-    for nu, alpha in ((1.5, 0.1), (3.0, 0.01)):
-        head = math.fsum(math.exp(-alpha * l) / l**nu for l in range(1, 513))
-        assert rel(head + specfun.polylog_tail(nu, alpha, 512), polylog(nu, alpha)) < 1e-12
-    assert specfun.polylog_tail(1.5, math.inf, 512) == 0.0
-
-
-def test_polylog_tail_matches_mpmath_relative_to_g():
-    # the Euler-Maclaurin tail after the whole 512-term chunks of exact terms
-    # that the Doppler series sums first: its error is a few ulp of g_nu at
-    # most, which is what the series sees (measured worst 1.9e-16, at f = 0.999)
-    def tail_mp(nu, alpha, l_start):
-        with mpmath.workdps(40):
-            if alpha == 0.0:
-                return float(mpmath.zeta(nu, l_start + 1))
-            f = mpmath.exp(-mpmath.mpf(alpha))
-            return float(f ** (l_start + 1) * mpmath.lerchphi(f, nu, l_start + 1))
-
-    for nu in (1.5, 3.0, 4.5, 6.0):
-        for alpha in (0.01, 1e-8, 0.0):
-            for l_start in (512, 1024, 1536, 2048, 20000):
-                error = abs(specfun.polylog_tail(nu, alpha, l_start) - tail_mp(nu, alpha, l_start))
-                assert error <= 2e-15 * polylog(nu, alpha), (nu, alpha, l_start)
-
-
 def test_polylog_domain_errors():
     with pytest.raises(DomainError):
         polylog(0.0, 0.7)
@@ -171,6 +145,23 @@ def test_polylog_short_direct_series_matches_mpmath():
             expected = polylog_mp(nu, alpha)
             assert rel(polylog(nu, float(alpha)), float(expected)) <= 1e-15, (nu, alpha)
         assert polylog(nu, math.inf) == 0.0
+
+
+def test_polylog_robinson_branch_below_ln2_within_measured_bound():
+    # Robinson's expansion is least accurate just below its crossover at
+    # ln 2, where it needs all its terms: over 56000 random alpha in
+    # [0.55, ln 2) for nu = 3/2 to 7/2 its worst against 30-digit mpmath was
+    # 1.6e-15 (the README's bound), at the first two points below;
+    # alpha = nextafter(ln 2, 0) is reachable now that callers pass alpha
+    for nu, alpha in (
+        (1.5, 0.6922747782665184),
+        (2.5, 0.6796442417945299),
+        (1.5, 0.6126),
+        (1.5, math.nextafter(math.log(2.0), 0.0)),
+        (2.5, 0.69314718055994),
+        (2.5, math.nextafter(math.log(2.0), 0.0)),
+    ):
+        assert rel(polylog(nu, alpha), float(polylog_mp(nu, alpha))) <= 1.6e-15, (nu, alpha)
 
 
 @settings(derandomize=True, max_examples=40)
